@@ -123,9 +123,14 @@ def cmd_classes(cfg):
     if cfg.fmt == "table":
         stream.write(f"# {len(classes)} classes, sizes sum to {total} "
                      f"(group order {G.size})\n")
-    # cross-check: for d = 1 the class sizes partition the group
-    if cfg.d == 1 and total != G.size:
-        return 1
+    # cross-check (Burnside): the commuting d-tuples number |G| times the
+    # classes of commuting (d-1)-tuples, and the classes partition them
+    if cfg.d >= 1:
+        expected = G.size * len(tuple_conjugacy_classes(G, cfg.d - 1))
+        if total != expected:
+            sys.stderr.write(f"check failed: class sizes sum to {total}, expected "
+                             f"{expected} = |G| x classes at d={cfg.d - 1}\n")
+            return 1
     return 0
 
 

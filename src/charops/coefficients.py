@@ -194,10 +194,6 @@ def check_weight_homogeneity(F, rng, samples=8, tol=TOL):
     return worst
 
 
-def lat_close(F, G, samples=DEFAULT_TAU_SAMPLES, tol=TOL):
-    return all(abs(a - b) <= tol for a, b in zip(F.values(samples), G.values(samples)))
-
-
 # ---------------------------------------------------------------------------
 # graded values
 

@@ -9,9 +9,12 @@ n >= 4 without materializing |G|^n * n! rows.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 EAGER_TABLE_BOUND = 5040
 
@@ -561,12 +564,6 @@ class GroupHomomorphism:
         )
 
 
-def hom_from_map(source, target, fn, validate=True):
-    return GroupHomomorphism(source, target,
-                             [fn(a) for a in range(source.size)],
-                             validate=validate)
-
-
 # ---------------------------------------------------------------------------
 # commuting tuples
 
@@ -633,53 +630,165 @@ def commuting_tuples(G, d):
 
 @dataclass
 class TupleClass:
-    representative: CommutingTuple
-    members: list = field(repr=False)
+    """One simultaneous-conjugation class of commuting d-tuples.
 
-    @property
-    def size(self):
-        return len(self.members)
+    `size` is the number of tuples in the class.  `members`, the sorted list
+    of those tuples, is computed on demand by the orbit BFS from the
+    representative, so only callers that read it pay for the orbit.
+    """
+
+    representative: CommutingTuple
+    size: int
+
+    @functools.cached_property
+    def members(self):
+        rep = self.representative
+        return sorted(_conjugation_orbit(rep.group, rep.elements))
+
+
+def _conjugation_orbit(G, elements):
+    """Orbit of an element tuple under simultaneous conjugation, by BFS over
+    the group generators."""
+    gens = G.generators()
+    orbit = {elements}
+    bdy = [elements]
+    while bdy:
+        new = []
+        for els in bdy:
+            for z in gens:
+                c = tuple(G.conj(z, e) for e in els)
+                if c not in orbit:
+                    orbit.add(c)
+                    new.append(c)
+        bdy = new
+    return orbit
 
 
 def tuple_conjugacy_classes(G, d):
     """Orbits of simultaneous conjugation on commuting d-tuples.
 
-    Representatives are lexicographic minima; classes are sorted by
-    representative, so the output is deterministic.
+    Classes are sorted by representative, so the output is deterministic.
+    For a WreathGroup G wr Sigma_n and d in {1, 2} the classes are built
+    directly (see `_wreath_tuple_classes`) and the representatives are not
+    lexicographic minima of their orbits; every other group and arity goes
+    through `tuple_conjugacy_classes_bfs`, whose representatives are.
     """
-    gens = G.generators()
+    if isinstance(G, WreathGroup) and d in (1, 2):
+        return _wreath_tuple_classes(G, d)
+    return tuple_conjugacy_classes_bfs(G, d)
+
+
+def tuple_conjugacy_classes_bfs(G, d):
+    """Brute-force classification: enumerate every commuting d-tuple and run
+    a conjugation BFS from each one not yet seen.  Representatives are
+    lexicographic minima.  It tests up to |G|^d tuples for commutation, so
+    it serves as the oracle for the constructive wreath-product path at desk
+    scale."""
     seen = set()
     classes = []
     for t in commuting_tuples(G, d):
-        key = t.elements
-        if key in seen:
+        if t.elements in seen:
             continue
-        orbit = {key}
-        bdy = [key]
-        while bdy:
-            new = []
-            for els in bdy:
-                for z in gens:
-                    c = tuple(G.conj(z, e) for e in els)
-                    if c not in orbit:
-                        orbit.add(c)
-                        new.append(c)
-            bdy = new
+        orbit = _conjugation_orbit(G, t.elements)
         seen |= orbit
-        rep = min(orbit)
-        classes.append(TupleClass(CommutingTuple(G, rep), sorted(orbit)))
+        classes.append(TupleClass(CommutingTuple(G, min(orbit)), len(orbit)))
     classes.sort(key=lambda c: c.representative.elements)
     return classes
 
 
-def canonical_tuple(G, elements):
-    """Lexicographically minimal simultaneous conjugate of a tuple."""
-    best = tuple(elements)
-    for z in range(G.size):
-        c = tuple(G.conj(z, e) for e in elements)
-        if c < best:
-            best = c
-    return best
+def _wreath_tuple_classes(W, d):
+    """Classes of commuting d-tuples in W = G wr Sigma_n, d in {1, 2}.
+
+    A class is a multiset of types (m, L, [h]) with the m summing to n: L is
+    an index-m sublattice of Z^d (the stabilizer of an orbit of size m) and
+    [h] a class of commuting d-tuples in G (the tuple reduced at the orbit's
+    basepoint).  See Macdonald, Symmetric Functions and Hall Polynomials,
+    App. B, for d = 1, and Dijkgraaf-Moore-Verlinde-Verlinde,
+    hep-th/9608096, for the sum over sublattices.
+
+    The representative places one transitive block per type on consecutive
+    points (`_transitive_block`).  Its centralizer has order
+    prod over distinct types of multiplicity r of (m |C_G(h)|)^r r!, which
+    gives the class size.
+    """
+    # lattices imports this module, so the import cannot sit at the top
+    from .lattices import sublattices_of_index
+
+    G = W.base
+    n = W.n
+    base_classes = tuple_conjugacy_classes(G, d)
+    types = []              # (m, block, centralizer order of one block)
+    for m in range(1, n + 1):
+        for L in sublattices_of_index(d, m):
+            for c in base_classes:
+                types.append((m, _transitive_block(G, L, c.representative),
+                              m * (G.size // c.size)))
+    classes = []
+    for combo in _type_multisets([t[0] for t in types], n, 0):
+        bases = [[G.identity] * n for _ in range(d)]
+        perms = [[0] * n for _ in range(d)]
+        offset = 0
+        for i in combo:
+            m, block, _ = types[i]
+            for j, (sigma, entries) in enumerate(block):
+                for p in range(m):
+                    perms[j][offset + p] = offset + sigma[p]
+                    bases[j][offset + p] = entries[p]
+            offset += m
+        centralizer = 1
+        for i, r in collections.Counter(combo).items():
+            centralizer *= types[i][2] ** r * math.factorial(r)
+        rep = CommutingTuple(W, tuple(W.encode(bases[j], perms[j])
+                                      for j in range(d)))
+        classes.append(TupleClass(rep, W.size // centralizer))
+    classes.sort(key=lambda c: c.representative.elements)
+    return classes
+
+
+def _type_multisets(sizes, n, start):
+    """Non-decreasing index sequences from `start` whose sizes sum to n."""
+    if n == 0:
+        yield ()
+        return
+    for i in range(start, len(sizes)):
+        if sizes[i] <= n:
+            for rest in _type_multisets(sizes, n - sizes[i], i):
+                yield (i,) + rest
+
+
+def _transitive_block(G, L, h):
+    """The transitive commuting tuple on m = [Z^d : L] points whose stabilizer
+    lattice is L and whose reduced tuple at point 0 is h; the inverse of
+    `orbits.reduce_tuple` on one orbit.
+
+    Point p stands for the coset r_p + L, the r_p running through the HNF
+    box prod_i [0, L_ii) in lexicographic order (so r_0 = 0).  The j-th
+    entry sends p to q where r_p + e_j = r_q + l with l in L, and carries
+    the base entry h(l) at q, h(l) = prod_i h_i^c_i for l = sum_i c_i
+    (i-th HNF row).  Returns one (sigma, entries) pair per coordinate.
+    """
+    B = L.basis
+    d = L.d
+    reps = list(itertools.product(*(range(B[i][i]) for i in range(d))))
+    point = {r: p for p, r in enumerate(reps)}
+    block = []
+    for j in range(d):
+        sigma = [0] * len(reps)
+        entries = [G.identity] * len(reps)
+        for p, r in enumerate(reps):
+            v = list(r)
+            v[j] += 1
+            coeffs = []
+            for i in range(d):
+                c = v[i] // B[i][i]
+                coeffs.append(c)
+                for k in range(i, d):
+                    v[k] -= c * B[i][k]
+            q = point[tuple(v)]
+            sigma[p] = q
+            entries[q] = h.at(coeffs)
+        block.append((sigma, entries))
+    return block
 
 
 # ---------------------------------------------------------------------------

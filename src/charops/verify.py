@@ -7,6 +7,7 @@ and the command line runs them all and exits nonzero on any failure.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from .groups import (
 from .lattices import random_unimodular, sublattices_of_index
 from .orbits import fixed_point_transport
 from .powerops import (
+    _is_prime_power_order,
     adams,
     adams_via_power,
     hecke_like,
@@ -443,13 +445,6 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
 # criterion 9: E-theory agreement
 
 
-def _prime_power_order(G, e, p):
-    k = G.order(e)
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
 def aut_invariant_height1_function(G, rng):
     """Random degree-0 function invariant under entry inversion (the
     automorphism action of GL_1(Z))."""
@@ -493,7 +488,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
             W = Q1.group
             for cls in tuple_conjugacy_classes(W, 1):
                 t = cls.representative
-                if not all(_prime_power_order(W, e, p) for e in t.elements):
+                if not all(_is_prime_power_order(W, e, p) for e in t.elements):
                     continue
                 a = Q1.evaluate(t, 0).components[0]
                 b = Q2.evaluate(t, 0).components[0]
@@ -512,7 +507,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
           for sec in (hnf_section(), twisted_section(((1, 1), (0, 1))))]
     W = Qs[0].group
     for t in commuting_tuples(W, 2):
-        if not all(_prime_power_order(W, e, p) for e in t.elements):
+        if not all(_is_prime_power_order(W, e, p) for e in t.elements):
             continue
         a = Qs[0].evaluate(t, 0).components[0]
         b = Qs[1].evaluate(t, 0).components[0]
@@ -526,8 +521,36 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
 # criterion 10: count checks
 
 
+def wreath_class_count(base_count, n, d):
+    """Number of classes of commuting d-tuples in G wr Sigma_n, d in {1, 2}.
+
+    The t^n coefficient of prod_m (1 - t^m)^(-s_d(m) c) with s_1 = 1,
+    s_2 = sigma_1 and c = base_count, the number of classes of commuting
+    d-tuples in G.
+    """
+    series = [1] + [0] * n
+    for m in range(1, n + 1):
+        a = base_count * (1 if d == 1 else
+                          sum(k for k in range(1, m + 1) if m % k == 0))
+        # (1 - t^m)^(-a) = sum_k C(a + k - 1, k) t^(mk)
+        factor = [0] * (n + 1)
+        for k in range(n // m + 1):
+            factor[m * k] = math.comb(a + k - 1, k)
+        series = [sum(series[i] * factor[j - i] for i in range(j + 1))
+                  for j in range(n + 1)]
+    return series[n]
+
+
 @_timed
 def suite_counts():
+    """Class and sublattice counts against closed formulas.
+
+    For G in {C2, C3, S3} and n <= 4, the class count of W = G wr Sigma_n
+    must match `wreath_class_count`, fed by the BFS count on G, and the
+    class sizes must sum to |W| at d = 1 and to |W| k(W) at d = 2
+    (Burnside; k(W) the number of classes at d = 1), which checks the
+    centralizer formula behind the sizes.
+    """
     S3 = GROUP_BUILDERS["S3"]()
     ok = len(tuple_conjugacy_classes(S3, 2)) == 8
     detail = []
@@ -539,6 +562,21 @@ def suite_counts():
             ok = False
             detail.append(f"sublattice count at index {n} is wrong")
     checks = 7
+    for gname in ("C2", "C3", "S3"):
+        G = GROUP_BUILDERS[gname]()
+        base_counts = {d: len(tuple_conjugacy_classes(G, d)) for d in (1, 2)}
+        for n in range(1, 5):
+            W = wreath(G, n)
+            by_d = {d: tuple_conjugacy_classes(W, d) for d in (1, 2)}
+            for d, classes in by_d.items():
+                if len(classes) != wreath_class_count(base_counts[d], n, d):
+                    ok = False
+                    detail.append(f"class count of {gname} wr {n} at d={d}")
+                expected = W.size if d == 1 else W.size * len(by_d[1])
+                if sum(c.size for c in classes) != expected:
+                    ok = False
+                    detail.append(f"class sizes of {gname} wr {n} at d={d}")
+                checks += 2
     return SuiteResult("count-checks", ok, 0.0 if ok else 1.0,
                        detail="; ".join(detail), checks=checks)
 

@@ -34,6 +34,24 @@ def test_classes_wreath_reduction_data(capsys):
     assert all("orbits" in r for r in data["rows"])
 
 
+def test_classes_wreath_d2_burnside(capsys):
+    # C2 wr 2 has 5 classes, so its commuting pairs number 8 * 5 = 40
+    code, out, _ = run_cli(capsys, "--group", "C2", "--wreath", "2", "--d", "2",
+                           "classes")
+    assert code == 0
+    assert "22 classes, sizes sum to 40" in out
+
+
+def test_classes_size_mismatch_exits_1(capsys, monkeypatch):
+    real = cli.tuple_conjugacy_classes
+    monkeypatch.setattr(cli, "tuple_conjugacy_classes",
+                        lambda G, d: real(G, d)[1:] if d == 2 else real(G, d))
+    code, _, err = run_cli(capsys, "--group", "C2", "--wreath", "2", "--d", "2",
+                           "classes")
+    assert code == 1
+    assert "expected 40" in err
+
+
 def test_classes_deterministic_reruns(capsys):
     _, out1, _ = run_cli(capsys, "--group", "S3", "--d", "2", "--format",
                          "csv", "classes")

@@ -19,8 +19,11 @@ from charops.groups import (
     quaternion_group,
     symmetric_group,
     tuple_conjugacy_classes,
+    tuple_conjugacy_classes_bfs,
     wreath,
 )
+from charops.lattices import sublattices_of_index
+from charops.orbits import reduce_tuple
 
 
 def brute_conjugacy_classes(G):
@@ -250,6 +253,77 @@ def test_d4_isomorphic_to_wreath():
     classes = tuple_conjugacy_classes(W, 1)
     assert sum(c.size for c in classes) == 8
     assert len(classes) == len(brute_conjugacy_classes(W)) == 5
+
+
+# --- constructive wreath classes against the BFS oracle -----------------------
+
+def _assert_matches_bfs(W, d):
+    built = tuple_conjugacy_classes(W, d)
+    oracle = tuple_conjugacy_classes_bfs(W, d)
+    assert len(built) == len(oracle)
+    orbit_of = {m: k for k, c in enumerate(oracle) for m in c.members}
+    hit = [orbit_of[c.representative.elements] for c in built]
+    assert len(set(hit)) == len(hit)
+    assert [c.size for c in built] == [oracle[k].size for k in hit]
+
+
+# d = 2 stops at |W| <= 400: the oracle tests |W|^2 pairs, which takes tens
+# of seconds for S3 wr 3 and Q8 wr 3.
+WREATH_ORACLE_CASES = [
+    (name, n, d)
+    for name in ("C2", "C3", "S3", "Q8") for n in (1, 2, 3) for d in (1, 2)
+    if d == 1 or (name, n) not in (("S3", 3), ("Q8", 3))
+]
+
+
+@pytest.mark.parametrize("name,n,d", WREATH_ORACLE_CASES)
+def test_wreath_classes_match_bfs(name, n, d):
+    G = {"C2": lambda: cyclic_group(2), "C3": lambda: cyclic_group(3),
+         "S3": lambda: symmetric_group(3), "Q8": quaternion_group}[name]()
+    _assert_matches_bfs(wreath(G, n), d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_nested_and_product_wreath_classes_match_bfs(d):
+    _assert_matches_bfs(wreath(wreath(cyclic_group(2), 2), 2), d)
+    _assert_matches_bfs(wreath(direct_product(cyclic_group(2), cyclic_group(3)), 2), d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_block_representatives_reduce_to_their_type(d):
+    """A class with one orbit on the points was built from one (L, h): its
+    representative reduces to exactly that pair at basepoint 0, and every
+    pair occurs once."""
+    G = symmetric_group(3)
+    base_reps = [c.representative.elements for c in tuple_conjugacy_classes(G, d)]
+    for m in (1, 2, 3):
+        found = []
+        for cls in tuple_conjugacy_classes(wreath(G, m), d):
+            red = reduce_tuple(cls.representative)
+            if len(red.orbits) == 1:
+                assert red.basepoints == [0]
+                found.append((red.stabilizers[0], red.reduced[0].elements))
+        expected = [(L, h) for L in sublattices_of_index(d, m) for h in base_reps]
+        assert sorted(found, key=repr) == sorted(expected, key=repr)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wreath_classes_empty_wreath(d):
+    W = wreath(symmetric_group(3), 0)
+    built = tuple_conjugacy_classes(W, d)
+    oracle = tuple_conjugacy_classes_bfs(W, d)
+    assert [(c.representative.elements, c.size) for c in built] == \
+        [(c.representative.elements, c.size) for c in oracle] == [((0,) * d, 1)]
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_wreath_classes_other_arities_use_bfs(d):
+    W = wreath(cyclic_group(2), 2)
+    built = tuple_conjugacy_classes(W, d)
+    oracle = tuple_conjugacy_classes_bfs(W, d)
+    assert [(c.representative.elements, c.size) for c in built] == \
+        [(c.representative.elements, c.size) for c in oracle]
+    assert all(c.representative.elements == c.members[0] for c in built)
 
 
 # --- GL_d(Z) action ---------------------------------------------------------------
