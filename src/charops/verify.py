@@ -30,6 +30,7 @@ from .coefficients import (
 )
 from .groups import (
     CommutingTuple,
+    GroupError,
     GSet,
     commuting_tuples,
     cyclic_group,
@@ -38,7 +39,7 @@ from .groups import (
     tuple_conjugacy_classes,
     wreath,
 )
-from .lattices import random_unimodular, sublattices_of_index
+from .lattices import LatticeError, random_unimodular, sublattices_of_index
 from .orbits import fixed_point_transport
 from .powerops import (
     _is_prime_power_order,
@@ -600,20 +601,25 @@ ALL_SUITES = [
 
 def run_all_suites(seed=0, mutate=None):
     """Run every suite; `mutate` optionally injects a known bug (used to
-    demonstrate that the checks can fail)."""
+    demonstrate that the checks can fail).  A GroupError or LatticeError
+    raised inside a suite means a construction it checks broke: it is
+    recorded as that suite's FAIL result, carrying the message, and the
+    remaining suites still run."""
     results = []
     for name, suite in ALL_SUITES:
-        if name == "consistency-relations":
-            results.append(suite(seed=seed))
-        elif name == "adams-coherence":
-            if mutate == "adams-exponent":
-                results.append(suite(seed=seed, adams_impl=buggy_adams_full_degree))
-            else:
-                results.append(suite(seed=seed))
-        elif name in ("sl2-invariance", "choice-independence", "etheory-agreement"):
-            results.append(suite(seed=seed))
-        else:
-            results.append(suite())
+        kwargs = {}
+        if name in ("consistency-relations", "adams-coherence", "sl2-invariance",
+                    "choice-independence", "etheory-agreement"):
+            kwargs["seed"] = seed
+        if name == "adams-coherence" and mutate == "adams-exponent":
+            kwargs["adams_impl"] = buggy_adams_full_degree
+        t0 = time.perf_counter()
+        try:
+            results.append(suite(**kwargs))
+        except (GroupError, LatticeError) as exc:
+            results.append(SuiteResult(
+                name, False, math.inf, detail=f"{type(exc).__name__}: {exc}",
+                seconds=time.perf_counter() - t0))
     return results
 
 

@@ -1,6 +1,10 @@
 import json
 
-from charops import cli
+import pytest
+
+from charops import cli, groups, lattices, verify
+from charops.groups import GroupError
+from charops.lattices import LatticeError
 from charops.verify import SuiteResult
 
 
@@ -153,6 +157,35 @@ def test_verify_json_format(monkeypatch, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["suites"][0]["passed"]
+
+
+@pytest.mark.parametrize("module,name,exc", [
+    (groups, "_transitive_block", GroupError),
+    (lattices, "sublattices_of_index", LatticeError),
+])
+def test_verify_reports_construction_error_as_fail(monkeypatch, capsys,
+                                                   module, name, exc):
+    """A construction raising inside a suite fails that suite with the
+    message; the other suites still run and verify exits 1."""
+    def broken(*args):
+        raise exc("construction broke")
+
+    monkeypatch.setattr(module, name, broken)
+    monkeypatch.setattr(verify, "ALL_SUITES", [
+        ("adams-character", verify.suite_adams_character),
+        ("count-checks", verify.suite_counts),
+        ("hecke-eigencheck", verify.suite_hecke)])
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1 and err == ""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "adams-character:"], ["FAIL", "count-checks:"],
+        ["PASS", "hecke-eigencheck:"]]
+    assert f"{exc.__name__}: construction broke" in lines[1]
+    code, out, _ = run_cli(capsys, "--format", "json", "verify")
+    assert code == 1
+    failed = json.loads(out)["suites"][1]
+    assert not failed["passed"] and exc.__name__ in failed["detail"]
 
 
 def test_tau_samples_flag(capsys):
