@@ -15,16 +15,15 @@ from charops import (
     cyclic_group,
     eisenstein_series,
     power_operation,
-    weight_slash,
 )
 
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
 print("E4 q-expansion starts 1 + 240q + 2160q^2 + ...:",
-      [int(c.real) for c in E4.payload.coeffs[:4]])
+      [int(c.real) for c in E4.q_coefficients()[:4]])
 
 # the slash by [[2,0],[0,1]] rescales the first period
-F = weight_slash(((2, 0), (0, 1)), E4)
+F = E4.slash(((2, 0), (0, 1)))
 tau = 2j
 print(f"(M*E4)(1, {tau}) = {F.evaluate(1, tau):.6f}")
 print(f"2^-4 E4(tau/2)  = {2 ** -4 * E4.at_tau(tau / 2):.6f}")

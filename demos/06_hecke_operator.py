@@ -23,7 +23,7 @@ for n, expected in ((2, 9 / 8), (3, 28 / 27)):
 
 # cross-check the normalization against the coefficientwise Hecke action
 n = 2
-coeffs = hecke_q_oracle(E4.payload.coeffs, 4, n)
+coeffs = hecke_q_oracle(E4.q_coefficients(), 4, n)
 T2 = LatFunction.from_q_expansion(4, coeffs)
 print("\ncoefficient oracle: a_m(T_2 E4) for m = 0..4:",
       [int(c.real) for c in coeffs[:5]])

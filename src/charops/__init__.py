@@ -43,7 +43,6 @@ from .coefficients import (
     eisenstein_series,
     graded_product,
     scale_by_degree,
-    weight_slash,
     weight_slash_graded,
 )
 from .classfn import (

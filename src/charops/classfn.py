@@ -27,6 +27,8 @@ from .coefficients import (
     graded_product,
     graded_sum,
     graded_to_json,
+    kernel_table,
+    kernels_from_json,
     weight_slash_graded,
 )
 from .groups import (
@@ -171,16 +173,6 @@ class ClassFunction:
                 best = cand
         return best
 
-    def build_canonical_map(self):
-        """Materialize the orbit -> representative map for fast lookups."""
-        canon = {}
-        for orbit in pair_orbits(self.group, self.d, self.space):
-            rep = orbit[0]
-            for key in orbit:
-                canon[key] = rep
-        self._canon = canon
-        return canon
-
     # evaluation ----------------------------------------------------------------
 
     def evaluate(self, h, x=0):
@@ -265,25 +257,27 @@ class ClassFunction:
     # serialization -------------------------------------------------------------
 
     def to_json(self):
+        """Height-2 values refer to one top-level "kernels" table holding
+        each q-expansion once."""
         f = self if self.values is not None else self.materialize()
-        return {
-            "height": f.d,
-            "d": f.d,
-            "elliptic": f.elliptic,
-            "kind": f.kind,
-            "values": [
-                {"tuple": list(els), "point": x, "graded": graded_to_json(v)}
-                for (els, x), v in sorted(f.values.items())
-            ],
-        }
+        out = {"height": f.d, "d": f.d, "elliptic": f.elliptic, "kind": f.kind}
+        index = None
+        if f.kind == "lat":
+            index = kernel_table(f.values.values())
+            out["kernels"] = [k.to_json() for k in index]
+        out["values"] = [
+            {"tuple": list(els), "point": x, "graded": graded_to_json(v, index)}
+            for (els, x), v in sorted(f.values.items())]
+        return out
 
     @classmethod
     def from_json(cls, group, data, space=None):
         kind = data.get("kind", "complex")
+        kernels = kernels_from_json(data.get("kernels", ()))
         values = {}
         for row in data["values"]:
             key = (tuple(row["tuple"]), row.get("point", 0))
-            values[key] = graded_from_json(row["graded"], kind)
+            values[key] = graded_from_json(row["graded"], kind, kernels)
         return cls.from_values(group, data["d"] if "d" in data else data["height"],
                                values, space=space, kind=kind,
                                elliptic=data.get("elliptic", False))
@@ -319,16 +313,16 @@ def restrict_along(f, phi, space_map=None):
                                    kind=f.kind, elliptic=f.elliptic)
 
 
-def _check_equivariance(phi, src_space, dst_space, mapping, samples=200):
-    import random
-    rng = random.Random(0)
-    S = phi.source
-    n = min(samples, S.size * src_space.size)
-    for _ in range(n):
-        g = rng.randrange(S.size)
-        x = rng.randrange(src_space.size)
-        if mapping(src_space.apply(g, x)) != dst_space.apply(phi(g), mapping(x)):
-            raise GroupError("space map is not equivariant")
+def _check_equivariance(phi, src_space, dst_space, mapping):
+    """Exact check of mapping(g x) = phi(g) mapping(x) for every source
+    generator g and every source point x; by induction on word length it
+    then holds for every group element."""
+    for g in phi.source.generators():
+        pg = phi(g)
+        for x in range(src_space.size):
+            if mapping(src_space.apply(g, x)) != dst_space.apply(pg, mapping(x)):
+                raise GroupError(
+                    f"space map is not equivariant at generator {g}, point {x}")
 
 
 def multiply(f, g):

@@ -12,12 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .classfn import ClassFunction
-from .coefficients import (
-    DEFAULT_TAU_SAMPLES,
-    eisenstein_series,
-    graded_to_json,
-    LatFunction,
-)
+from .coefficients import DEFAULT_TAU_SAMPLES, LatFunction, eisenstein_series
 from .groups import (
     GroupError,
     WreathGroup,
@@ -37,8 +32,6 @@ class RunConfig:
     group: object = None
     d: int = 1
     n: int = 2
-    height: int = 1
-    elliptic: bool = False
     tol: float = 1e-9
     tau_samples: tuple = DEFAULT_TAU_SAMPLES
     seed: int = 0
@@ -82,13 +75,18 @@ def parse_tau_samples(text):
     return tuple(out)
 
 
+def write_json(obj, cfg):
+    """One JSON document per line to cfg.out (default stdout).  json.dumps
+    without indentation runs the C encoder; json.dump never does."""
+    (cfg.out or sys.stdout).write(json.dumps(obj, default=str) + "\n")
+
+
 def emit(rows, header, cfg):
     """Write rows as table/csv/json to cfg.out (default stdout)."""
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
-        json.dump({"seed": cfg.seed, "rows": [dict(zip(header, r)) for r in rows]},
-                  stream, indent=1, default=str)
-        stream.write("\n")
+        write_json({"seed": cfg.seed, "rows": [dict(zip(header, r)) for r in rows]},
+                   cfg)
     elif cfg.fmt == "csv":
         w = csv.writer(stream)
         w.writerow(header)
@@ -148,9 +146,7 @@ def emit_class_function(f, cfg, extra=None):
     payload["seed"] = cfg.seed
     if extra:
         payload.update(extra)
-    stream = cfg.out or sys.stdout
-    json.dump(payload, stream, indent=1, default=str)
-    stream.write("\n")
+    write_json(payload, cfg)
 
 
 def cmd_power(cfg, fn_path):
@@ -177,23 +173,17 @@ def cmd_pseudo(cfg, fn_path, prime):
     f = load_class_function(cfg, fn_path)
     out = pseudo_power_etheory(f, cfg.n, p=prime, section=hnf_section())
     W = out.group
-    values = []
+    values = {}
     skipped = 0
     for cls in tuple_conjugacy_classes(W, f.d):
         t = cls.representative
         try:
-            val = out.evaluate(t, 0)
+            values[(t.elements, 0)] = out.evaluate(t, 0)
         except GroupError:
             skipped += 1
-            continue
-        values.append({"tuple": list(t.elements), "point": 0,
-                       "graded": graded_to_json(val)})
-    stream = cfg.out or sys.stdout
-    json.dump({"height": f.d, "d": f.d, "elliptic": False, "kind": f.kind,
-               "prime": prime, "seed": cfg.seed,
-               "undefined_classes": skipped, "values": values},
-              stream, indent=1, default=str)
-    stream.write("\n")
+    defined = ClassFunction(W, f.d, kind=f.kind, values=values)
+    emit_class_function(defined, cfg, extra={"prime": prime,
+                                             "undefined_classes": skipped})
     return 0
 
 
@@ -225,12 +215,11 @@ def cmd_verify(cfg, mutate=None):
     results = run_all_suites(seed=cfg.seed, mutate=mutate)
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
-        json.dump({"seed": cfg.seed,
-                   "suites": [{"name": r.name, "passed": r.passed,
-                               "max_deviation": r.max_deviation,
-                               "checks": r.checks, "detail": r.detail}
-                              for r in results]}, stream, indent=1)
-        stream.write("\n")
+        write_json({"seed": cfg.seed,
+                    "suites": [{"name": r.name, "passed": r.passed,
+                                "max_deviation": r.max_deviation,
+                                "checks": r.checks, "detail": r.detail}
+                               for r in results]}, cfg)
     else:
         stream.write(f"# verification run, seed {cfg.seed}\n")
         for r in results:
@@ -251,8 +240,6 @@ def build_parser():
                    help="replace the group by its wreath product with Sigma_N")
     p.add_argument("--d", type=int, default=1, help="tuple arity")
     p.add_argument("--n", type=int, default=2, help="operation arity/index")
-    p.add_argument("--height", type=int, default=1, choices=(1, 2))
-    p.add_argument("--elliptic", action="store_true")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--tau-samples", default="",
                    help="comma-separated tau values, e.g. '1j,2j,0.5+1j'")
@@ -282,8 +269,8 @@ def main(argv=None):
     try:
         cfg = RunConfig(
             subcommand=args.subcommand,
-            d=args.d, n=args.n, height=args.height, elliptic=args.elliptic,
-            tol=args.tol, tau_samples=parse_tau_samples(args.tau_samples),
+            d=args.d, n=args.n, tol=args.tol,
+            tau_samples=parse_tau_samples(args.tau_samples),
             seed=args.seed, fmt=args.fmt,
             out=open(args.out, "w") if args.out else None)
         if args.subcommand in ("classes", "power", "adams", "pseudo"):

@@ -3,25 +3,37 @@
 A GradedValue is a finitely supported map j -> coefficient modeling an even
 cohomological degree 2j.  At height 1 the coefficients are complex numbers;
 at height 2 they are LatFunctions: weight-j functions F of a based oriented
-lattice, F(mu l, mu l') = mu^-j F(l, l').  Lattice functions are represented
-by an evaluator plus an exact integer matrix; acting by a positive-
-determinant matrix (the "slash") composes matrices exactly, so towers of
-slashes never accumulate matrix round-off.  Equality of lattice functions is
-numerical agreement on a fixed list of tau samples.
+lattice, F(mu l, mu l') = mu^-j F(l, l'), in one normal form: a sum of
+scale * prod_i kernel_i(M_i . (l, l')) with q-expansion (or plain evaluator)
+kernels and exact integer matrices M_i.  The slash by a positive-determinant
+matrix composes the matrices exactly, so slashes never accumulate round-off
+and q-expansion-built functions serialize exactly.  Equality of lattice
+functions is numerical agreement on a fixed list of tau samples.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 
 from .groups import int_mat_det
-from .lattices import LatticeError, mat_mul
+from .lattices import LatticeError
 
 TOL = 1e-9
 
 # Published evaluation points tau = l'/l with l = 1.
 DEFAULT_TAU_SAMPLES = (1j, 2j, 0.5 + 1j, 0.25 + 2j)
+
+# Most terms one lattice function may hold.  Height-2 values stay far below
+# it (the Hecke sum S_n has sigma_1(n) terms, a power operation value one
+# term per choice of component in each orbit factor); a sum or product
+# passing it raises instead of growing without bound.
+_MAX_TERMS = 4096
+
+_IDENTITY = ((1, 0), (0, 1))
+
+_serials = itertools.count()
 
 
 def divisor_power_sum(n, k):
@@ -31,55 +43,71 @@ def divisor_power_sum(n, k):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
+def _exact_matrix(M):
+    """M as nested int tuples; LatticeError unless 2x2, integral, det > 0."""
+    if len(M) != 2 or any(len(row) != 2 for row in M):
+        raise LatticeError("slash needs a 2x2 matrix")
+    if any(x != int(x) for row in M for x in row):
+        raise LatticeError("slash matrix entries must be integers")
+    M = tuple(tuple(int(x) for x in row) for row in M)
+    if int_mat_det([list(r) for r in M]) <= 0:
+        raise LatticeError("slash matrix must have positive determinant")
+    return M
+
+
 class LatFunction:
     """Weight-homogeneous function of a based oriented lattice (l, l').
 
-    Evaluation is kernel(M . (l, l')) with an exact integer matrix M; the
-    kernel is an atomic evaluator or a sum/product node over children.
+    terms maps a sorted tuple of factors (kernel, M = ((a, b), (c, d))),
+    kernels ordered by creation serial, to a complex scale; F is the sum of
+    scale * prod kernel(a l + b l', c l + d l').  Equal terms merge, zero
+    terms drop, and a constant is the empty product.
     """
 
-    def __init__(self, weight, kind, payload, matrix=None):
+    __slots__ = ("weight", "terms")
+
+    def __init__(self, weight, terms):
+        _check_term_count(terms)
         self.weight = weight
-        self.kind = kind          # "q" | "fn" | "sum" | "prod" | "scaled"
-        self.payload = payload
-        self.matrix = matrix      # 2x2 integer rows, or None for identity
+        self.terms = terms
 
     # construction ----------------------------------------------------------
 
     @classmethod
     def from_q_expansion(cls, weight, coeffs):
         """F(l, l') = l^-weight * sum_n coeffs[n] q^n with q = exp(2 pi i l'/l)."""
-        return cls(weight, "q", _QKernel(weight, tuple(complex(c) for c in coeffs)))
+        kernel = _Kernel(weight, tuple(complex(c) for c in coeffs))
+        return cls(weight, {((kernel, _IDENTITY),): 1 + 0j})
 
     @classmethod
     def from_evaluator(cls, weight, fn):
-        return cls(weight, "fn", fn)
+        """F(l, l') = fn(l, l'); such a function has no JSON form."""
+        return cls(weight, {((_Kernel(weight, fn=fn), _IDENTITY),): 1 + 0j})
 
     @classmethod
     def constant(cls, value):
-        return cls(0, "fn", lambda l, lp: complex(value))
+        value = complex(value)
+        return cls(0, {(): value} if value else {})
+
+    def q_coefficients(self):
+        """The stored q-expansion coefficients of a single untransformed
+        (possibly scaled) q-expansion, such as E4 or E6."""
+        if len(self.terms) == 1:
+            (factors, s), = self.terms.items()
+            if len(factors) == 1 and factors[0][1] == _IDENTITY \
+                    and factors[0][0].coeffs is not None:
+                return tuple(s * c for c in factors[0][0].coeffs)
+        raise LatticeError("not a single untransformed q-expansion")
 
     # evaluation --------------------------------------------------------------
 
     def evaluate(self, l, lp):
-        if self.matrix is not None:
-            (a, b), (c, d) = self.matrix
-            l, lp = a * l + b * lp, c * l + d * lp
-        if self.kind == "q":
-            return self.payload(l, lp)
-        if self.kind == "fn":
-            return self.payload(l, lp)
-        if self.kind == "scaled":
-            s, base = self.payload
-            return s * base.evaluate(l, lp)
-        if self.kind == "sum":
-            return sum(child.evaluate(l, lp) for child in self.payload)
-        if self.kind == "prod":
-            out = 1.0 + 0j
-            for child in self.payload:
-                out *= child.evaluate(l, lp)
-            return out
-        raise LatticeError(f"unknown LatFunction kind {self.kind}")
+        total = 0j
+        for factors, s in self.terms.items():
+            for kernel, ((a, b), (c, d)) in factors:
+                s *= kernel(a * l + b * lp, c * l + d * lp)
+            total += s
+        return total
 
     def at_tau(self, tau):
         return self.evaluate(1.0, tau)
@@ -92,52 +120,119 @@ class LatFunction:
     def slash(self, M):
         """The pullback (M*F)(l, l') = F(a l + b l', c l + d l'), same weight.
 
-        M must be a 2x2 integer matrix with positive determinant; repeated
-        slashes multiply the matrices exactly.
+        M must be a 2x2 integer matrix with positive determinant; every
+        factor matrix N becomes the exact product N M.
         """
-        if len(M) != 2 or any(len(row) != 2 for row in M):
-            raise LatticeError("slash needs a 2x2 matrix")
-        if any(x != int(x) for row in M for x in row):
-            raise LatticeError("slash matrix entries must be integers")
-        M = tuple(tuple(int(x) for x in row) for row in M)
-        if int_mat_det([list(r) for r in M]) <= 0:
-            raise LatticeError("slash matrix must have positive determinant")
-        combined = M if self.matrix is None else mat_mul(self.matrix, M)
-        return LatFunction(self.weight, self.kind, self.payload, combined)
+        (e, f), (g, h) = _exact_matrix(M)
+        return LatFunction(self.weight, {
+            tuple(sorted((k, ((a * e + b * g, a * f + b * h),
+                              (c * e + d * g, c * f + d * h)))
+                         for k, ((a, b), (c, d)) in factors)): s
+            for factors, s in self.terms.items()})
 
     def scale(self, s):
         s = complex(s)
         if s == 1:
             return self
-        return LatFunction(self.weight, "scaled", (s, self))
+        if s == 0:
+            return LatFunction(self.weight, {})
+        return LatFunction(self.weight, {f: s * c for f, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, LatFunction):
             return NotImplemented
         if other.weight != self.weight:
             raise LatticeError("can only add lattice functions of equal weight")
-        return LatFunction(self.weight, "sum", (self, other))
+        terms = dict(self.terms)
+        for factors, s in other.terms.items():
+            _accumulate(terms, factors, s)
+        return LatFunction(self.weight, terms)
 
     def __mul__(self, other):
-        if isinstance(other, LatFunction):
-            return LatFunction(self.weight + other.weight, "prod", (self, other))
-        return self.scale(other)
+        if not isinstance(other, LatFunction):
+            return self.scale(other)
+        terms = {}
+        for fa, sa in self.terms.items():
+            for fb, sb in other.terms.items():
+                _accumulate(terms, tuple(sorted(fa + fb)) if fa and fb else fa or fb,
+                            sa * sb)
+                _check_term_count(terms)
+        return LatFunction(self.weight + other.weight, terms)
 
     __rmul__ = __mul__
 
+    # JSON --------------------------------------------------------------------
+
+    def to_json(self, kernel_index):
+        """{"weight", "terms"}; each term is its scale and its factors as
+        [kernel position in the kernels table, matrix rows]."""
+        return {"weight": self.weight,
+                "terms": [{"scale": [s.real, s.imag],
+                           "factors": [[kernel_index[k], [list(r) for r in M]]
+                                       for k, M in factors]}
+                          for factors, s in self.terms.items()]}
+
+    @classmethod
+    def from_json(cls, data, kernels):
+        """Inverse of to_json; kernels is the decoded kernels table."""
+        weight = data["weight"]
+        terms = {}
+        for term in data["terms"]:
+            factors = []
+            for i, M in term["factors"]:
+                if not (isinstance(i, int) and 0 <= i < len(kernels)):
+                    raise LatticeError(f"kernel index {i!r} is not in the kernels table")
+                factors.append((kernels[i], _exact_matrix(M)))
+            if sum(k.weight for k, _ in factors) != weight:
+                raise LatticeError(f"a term's kernel weights do not add up to {weight}")
+            re, im = term["scale"]
+            _accumulate(terms, tuple(sorted(factors)), complex(re, im))
+        return cls(weight, terms)
+
     def __repr__(self):
-        return f"<LatFunction weight={self.weight} kind={self.kind}>"
+        return f"<LatFunction weight={self.weight} terms={len(self.terms)}>"
 
 
-class _QKernel:
-    """Truncated q-expansion evaluator with memoized lattice evaluations."""
+def _check_term_count(terms):
+    if len(terms) > _MAX_TERMS:
+        raise LatticeError(
+            f"lattice function would hold more than {_MAX_TERMS} terms")
 
-    def __init__(self, weight, coeffs):
+
+def _accumulate(terms, factors, s):
+    """terms[factors] += s, dropping the term if it cancels to zero."""
+    s = terms.get(factors, 0) + s
+    if s:
+        terms[factors] = s
+    else:
+        terms.pop(factors, None)
+
+
+class _Kernel:
+    """Atomic evaluator: a truncated q-expansion with memoized lattice
+    evaluations, or (coeffs None) a plain function fn(l, l') with no JSON
+    form.  Kernels compare by creation serial, which fixes the order of the
+    factors inside a term."""
+
+    def __init__(self, weight, coeffs=None, fn=None):
         self.weight = weight
         self.coeffs = coeffs
+        self.fn = fn
+        self.serial = next(_serials)
         self._cache = {}
 
+    def __lt__(self, other):
+        return self.serial < other.serial
+
+    def to_json(self):
+        if self.coeffs is None:
+            raise LatticeError("a lattice function built from an evaluator has no "
+                               "JSON form; only q-expansions serialize")
+        return {"weight": self.weight, "q": [[c.real, c.imag] for c in self.coeffs]}
+
     def __call__(self, l, lp):
+        if self.fn is not None:
+            return self.fn(l, lp)
         key = (complex(l), complex(lp))
         hit = self._cache.get(key)
         if hit is not None:
@@ -242,23 +337,12 @@ class GradedValue:
 
     def component(self, j):
         if self.kind == "lat":
-            return self.components.get(j, LatFunction(j, "fn", lambda l, lp: 0j))
+            return self.components.get(j, LatFunction(j, {}))
         return self.components.get(j, 0j)
 
     @property
     def degrees(self):
         return sorted(self.components)
-
-    def numbers(self, samples=DEFAULT_TAU_SAMPLES):
-        """Flat list of complex numbers describing the value (for comparisons)."""
-        out = []
-        for j in self.degrees:
-            v = self.components[j]
-            if self.kind == "lat":
-                out.extend(v.values(samples))
-            else:
-                out.append(v)
-        return out
 
 
 def scale_by_degree(r, v):
@@ -267,11 +351,7 @@ def scale_by_degree(r, v):
         raise LatticeError("degree scaling requires r > 0")
     if r == 1:
         return v
-    if v.kind == "lat":
-        comp = {j: F.scale(r ** j) for j, F in v.components.items()}
-    else:
-        comp = {j: c * (r ** j) for j, c in v.components.items()}
-    return GradedValue(v.kind, comp)
+    return GradedValue(v.kind, {j: c * (r ** j) for j, c in v.components.items()})
 
 
 def graded_product(u, v):
@@ -299,16 +379,8 @@ def graded_sum(u, v):
 
 def graded_scale(s, v):
     """Multiply every component by the scalar s (no degree dependence)."""
-    if v.kind == "lat":
-        comp = {j: F.scale(s) for j, F in v.components.items()}
-    else:
-        comp = {j: c * complex(s) for j, c in v.components.items()}
-    return GradedValue(v.kind, comp)
-
-
-def weight_slash(M, F):
-    """Matrix action on a lattice function: (M*F)(l,l') = F(M . (l,l'))."""
-    return F.slash(M)
+    s = complex(s)
+    return GradedValue(v.kind, {j: c * s for j, c in v.components.items()})
 
 
 def weight_slash_graded(M, v):
@@ -320,19 +392,7 @@ def weight_slash_graded(M, v):
 
 def graded_close(u, v, samples=DEFAULT_TAU_SAMPLES, tol=TOL):
     """Numerical equality of two graded values."""
-    if u.kind != v.kind:
-        return False
-    degs = sorted(set(u.degrees) | set(v.degrees))
-    for j in degs:
-        a, b = u.component(j), v.component(j)
-        if u.kind == "lat":
-            if not all(abs(x - y) <= tol for x, y in
-                       zip(a.values(samples), b.values(samples))):
-                return False
-        else:
-            if abs(a - b) > tol:
-                return False
-    return True
+    return u.kind == v.kind and graded_deviation(u, v, samples) <= tol
 
 
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
@@ -354,58 +414,39 @@ def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
 # JSON surface ---------------------------------------------------------------
 
 
-def _as_q_coeffs(F):
-    """Coefficient array of a lattice function when it is an (optionally
-    scalar-scaled) untransformed q-expansion; None otherwise."""
-    if F.matrix is not None:
-        return None
-    if F.kind == "q":
-        return list(F.payload.coeffs)
-    if F.kind == "scaled":
-        s, base = F.payload
-        inner = _as_q_coeffs(base)
-        if inner is not None:
-            return [s * c for c in inner]
-    if F.kind == "fn" and F.weight == 0:
-        # constants serialize as a length-1 expansion
-        try:
-            return [F.evaluate(1.0, 1j)]
-        except Exception:
-            return None
-    return None
+def kernel_table(values):
+    """Kernel -> position in the JSON kernels table, over the lattice
+    functions in the graded values.  Positions follow creation serials, so
+    kernels_from_json reproduces the factor order of every term."""
+    kernels = {k for v in values if v.kind == "lat"
+               for F in v.components.values() for factors in F.terms
+               for k, _ in factors}
+    return {k: i for i, k in enumerate(sorted(kernels))}
 
 
-def graded_to_json(v):
-    out = {}
-    for j, comp in v.components.items():
-        if v.kind == "lat":
-            coeffs = _as_q_coeffs(comp)
-            if coeffs is not None:
-                out[str(j)] = {"weight": j,
-                               "q": [[c.real, c.imag] for c in coeffs]}
-            else:
-                out[str(j)] = {"weight": j,
-                               "samples": [[z.real, z.imag] for z in comp.values()]}
-        else:
-            out[str(j)] = [comp.real, comp.imag]
-    return out
+def kernels_from_json(table):
+    """Decode a kernels table written as [k.to_json() for k in kernel_table(...)]."""
+    return [_Kernel(k["weight"], tuple(complex(re, im) for re, im in k["q"]))
+            for k in table]
 
 
-def graded_from_json(data, kind="complex"):
+def graded_to_json(v, kernel_index=None):
+    """Height 1: {"j": [re, im]}.  Height 2: {"j": LatFunction.to_json},
+    whose factors refer to kernel_index (from kernel_table)."""
+    if v.kind == "lat":
+        if kernel_index is None:
+            raise LatticeError("height-2 values serialize against a kernel table")
+        return {str(j): F.to_json(kernel_index) for j, F in v.components.items()}
+    return {str(j): [c.real, c.imag] for j, c in v.components.items()}
+
+
+def graded_from_json(data, kind="complex", kernels=()):
+    """Inverse of graded_to_json; kernels is the decoded kernels table."""
     comp = {}
     for key, val in data.items():
-        j = int(key)
         if isinstance(val, dict):
-            if "q" not in val:
-                raise LatticeError(
-                    "only q-expansion-backed components round-trip through "
-                    "JSON; this value was serialized as samples")
-            coeffs = [complex(re, im) for re, im in val["q"]]
-            if len(coeffs) == 1 and val["weight"] == 0:
-                comp[j] = LatFunction.constant(coeffs[0])   # exact, no tail
-            else:
-                comp[j] = LatFunction.from_q_expansion(val["weight"], coeffs)
+            comp[int(key)] = LatFunction.from_json(val, kernels)
             kind = "lat"
         else:
-            comp[j] = complex(val[0], val[1])
+            comp[int(key)] = complex(val[0], val[1])
     return GradedValue(kind, comp)

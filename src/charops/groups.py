@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EAGER_TABLE_BOUND = 5040
-
 # Group elements per batched step of the exact validation checks (divided
 # by the number of points for G-sets): bounds the temporary arrays
 # independently of the group order.  Blocks of 2048 raised the peak memory
@@ -143,26 +141,6 @@ class FiniteGroup:
         if self.labels is not None:
             return self.labels[a]
         return str(a)
-
-    @property
-    def table(self):
-        """Materialized multiplication table; refuses above the eager bound."""
-        if getattr(self, "_table", None) is None:
-            if self.size > EAGER_TABLE_BOUND:
-                raise GroupError(
-                    f"group of size {self.size} exceeds eager table bound "
-                    f"{EAGER_TABLE_BOUND}; use lazy multiplication"
-                )
-            self._table = [
-                [self.mul(a, b) for b in range(self.size)] for a in range(self.size)
-            ]
-        return self._table
-
-    @property
-    def inverse(self):
-        if getattr(self, "_inverse", None) is None:
-            self._inverse = [self.inv(a) for a in range(self.size)]
-        return self._inverse
 
     def __repr__(self):
         return f"<{type(self).__name__} size={self.size}>"
@@ -325,8 +303,11 @@ def quaternion_group():
     return TableGroup(table, labels=list(_QUAT_UNITS), name="Q8")
 
 
-def perm_group(degree, generator_perms, size_bound=EAGER_TABLE_BOUND):
-    """Group generated by permutations of {0..degree-1}, by orbit closure."""
+def perm_group(degree, generator_perms, size_bound=5040):
+    """Group generated by permutations of {0..degree-1}, by orbit closure.
+
+    The result stores its |G| x |G| multiplication table, so orders above
+    size_bound (7! by default) are refused."""
     gens = [tuple(p) for p in generator_perms]
     for p in gens:
         if sorted(p) != list(range(degree)):
@@ -495,9 +476,6 @@ class WreathGroup(FiniteGroup):
             gens.append(self.encode([e] * self.n, cyc))
         return gens or [self.identity]
 
-    def perm_part(self, a):
-        return self.decode(a)[1]
-
     def base_coordinate(self, a, i):
         return self.decode(a)[0][i]
 
@@ -518,16 +496,9 @@ class WreathGroup(FiniteGroup):
         return f"<WreathGroup {getattr(self.base, 'name', self.base)} wr S{self.n} size={self.size}>"
 
 
-def wreath(G, n, eager=False):
-    """The wreath product G wr Sigma_n.
-
-    eager=True additionally materializes the multiplication table (refused
-    above the size bound); the returned group multiplies lazily either way.
-    """
-    W = WreathGroup(G, n)
-    if eager:
-        _ = W.table
-    return W
+def wreath(G, n):
+    """The wreath product G wr Sigma_n (multiplies lazily)."""
+    return WreathGroup(G, n)
 
 
 class DirectProductGroup(FiniteGroup):

@@ -381,7 +381,7 @@ def suite_hecke(tol=1e-6):
             checks += 1
         # independent q-expansion oracle for the normalization S_n = n^(1-w) T_n
         from .coefficients import LatFunction
-        Tn = LatFunction.from_q_expansion(4, hecke_q_oracle(E4.payload.coeffs, 4, n))
+        Tn = LatFunction.from_q_expansion(4, hecke_q_oracle(E4.q_coefficients(), 4, n))
         for t in DEFAULT_TAU_SAMPLES:
             worst = max(worst, abs(Sn.at_tau(t) - n ** (1 - 4) * Tn.at_tau(t)))
             checks += 1

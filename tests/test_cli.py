@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +107,45 @@ def test_adams_n1_identity(tmp_path, capsys):
     vals = {tuple(r["tuple"]): r["graded"]["0"][0]
             for r in json.loads(out1)["values"]}
     assert vals == {(0,): 2.0, (1,): 0.5}
+
+
+def test_height2_power_then_adams(tmp_path, capsys):
+    """The height-2 output of power reads back in: adams on it agrees with
+    the in-process adams(P_2 f, 2) at every tau sample."""
+    from charops.classfn import ClassFunction
+    from charops.coefficients import DEFAULT_TAU_SAMPLES
+    from charops.powerops import adams, power_operation
+    C2 = groups.cyclic_group(2)
+    f = verify.random_height2_function(C2, random.Random(7))
+    src, powered, out = (tmp_path / name for name in ("f.json", "p.json", "a.json"))
+    src.write_text(json.dumps(f.to_json()))
+    code, _, err = run_cli(capsys, "--group", "C2", "--n", "2", "--out", str(powered),
+                           "power", str(src))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "--group", "C2", "--wreath", "2", "--n", "2",
+                           "--out", str(out), "adams", str(powered))
+    assert code == 0, err
+    W = groups.wreath(C2, 2)
+    got = ClassFunction.from_json(W, json.loads(out.read_text()))
+    expected = adams(power_operation(f, 2), 2)
+    for t in groups.commuting_tuples(W, 2):
+        a, b = got.evaluate(t, 0), expected.evaluate(t, 0)
+        assert a.degrees == b.degrees
+        for j in a.degrees:
+            for x, y in zip(a.component(j).values(DEFAULT_TAU_SAMPLES),
+                            b.component(j).values(DEFAULT_TAU_SAMPLES)):
+                assert abs(x - y) < 1e-9
+
+
+def test_readme_flags_match_parser():
+    """The README's "Flags:" line names exactly the global options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = readme[readme.index("Flags:"):readme.index("Exit codes")]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", line))
+    parsed = {opt for action in cli.build_parser()._actions
+              for opt in action.option_strings
+              if opt.startswith("--") and opt != "--help"}
+    assert documented == parsed
 
 
 def test_hecke_eigen_ratio(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from charops import coefficients
 from charops.coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,
@@ -15,6 +16,8 @@ from charops.coefficients import (
     graded_sum,
     graded_to_json,
     graded_from_json,
+    kernel_table,
+    kernels_from_json,
     scale_by_degree,
     weight_slash_graded,
 )
@@ -29,12 +32,12 @@ def brute_sigma(n, k):
 
 
 def test_eisenstein_coefficients():
-    assert E4.payload.coeffs[1] == 240           # 240 * sigma3(1)
-    assert E4.payload.coeffs[2] == 2160          # 240 * sigma3(2) = 240 * 9
-    assert E6.payload.coeffs[1] == -504
+    assert E4.q_coefficients()[1] == 240           # 240 * sigma3(1)
+    assert E4.q_coefficients()[2] == 2160          # 240 * sigma3(2) = 240 * 9
+    assert E6.q_coefficients()[1] == -504
     for n in range(1, 30):
-        assert E4.payload.coeffs[n] == 240 * brute_sigma(n, 3)
-        assert E6.payload.coeffs[n] == -504 * brute_sigma(n, 5)
+        assert E4.q_coefficients()[n] == 240 * brute_sigma(n, 3)
+        assert E6.q_coefficients()[n] == -504 * brute_sigma(n, 5)
 
 
 def test_divisor_power_sum():
@@ -179,9 +182,42 @@ def test_graded_json_roundtrip():
     back = graded_from_json(graded_to_json(v))
     assert graded_close(v, back, tol=0)
 
-    w = GradedValue("lat", {4: E4})
-    back = graded_from_json(graded_to_json(w), kind="lat")
-    assert graded_close(w, back, tol=1e-12)
+    # height 2: components are written as terms against one kernels table;
+    # decoding it reproduces every scale, factor and matrix exactly
+    S = ((0, -1), (1, 0))
+    for w in (GradedValue("lat", {4: E4}),
+              GradedValue("lat", {0: 2 - 1j,
+                                  8: E4 * E4.slash(((2, 1), (0, 1))).scale(-1) + E4 * E4,
+                                  10: (E4 + E4.slash(S)).scale(3j) * E6})):
+        index = kernel_table([w])
+        data = graded_to_json(w, index)
+        back = graded_from_json(data, "lat",
+                                kernels_from_json([k.to_json() for k in index]))
+        assert graded_close(w, back, tol=0)
+        assert graded_to_json(back, kernel_table([back])) == data
+
+
+def test_lat_function_normal_form():
+    S = ((0, -1), (1, 0))
+    F = E4.slash(S) * E6 + E6 * E4.slash(S)     # equal terms merge
+    assert len(F.terms) == 1
+    assert len((F + F.scale(-1)).terms) == 0    # cancelling terms drop
+    assert LatFunction.constant(2.0).terms == {(): 2 + 0j}
+    assert (E4 * LatFunction.constant(1.0)).terms == E4.terms
+    for tau in DEFAULT_TAU_SAMPLES:
+        assert abs(F.at_tau(tau) - 2 * E4.at_tau(tau) * E6.at_tau(tau)) < 1e-9
+
+
+def test_term_cap():
+    side = int(coefficients._MAX_TERMS ** 0.5) + 1
+    A = E4
+    B = E6
+    for k in range(1, side):
+        A = A + E4.slash(((1, k), (0, 1)))
+        B = B + E6.slash(((1, k), (0, 1)))
+    assert len(A.terms) == len(B.terms) == side
+    with pytest.raises(LatticeError):
+        A * B
 
 
 def test_graded_sum_scale():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from charops.classfn import ClassFunction
 from charops.coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,
+    LatFunction,
     eisenstein_series,
     graded_deviation,
 )
@@ -30,6 +32,7 @@ from charops.powerops import (
     twisted_section,
 )
 from charops.classfn import add
+from charops.lattices import LatticeError
 
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
@@ -89,12 +92,6 @@ def test_power_warns_on_non_invariant_input():
         w.simplefilter("always")
         power_operation(bad, 2, check_input=True, mode="lazy")
     assert [c for c in caught if "non-invariant" in str(c.message)]
-
-
-def test_eager_wreath_table_overflow():
-    S3 = symmetric_group(3)
-    with pytest.raises(GroupError):
-        wreath(S3, 4, eager=True)   # 31104 > eager table bound
 
 
 def test_slash_preserves_weight_homogeneity():
@@ -443,6 +440,15 @@ def test_restrict_with_space_map():
     Y = GSet.trivial(C2, 2)
     with pytest.raises(GroupError):
         restrict_along(f, ident, space_map=(Y, lambda x: 0 if x else 1))
+    # a map that is wrong at two of 384 points: the regular C2 wr Sigma_4-set
+    # with points 2 and 3 swapped
+    W = wreath(C2, 4)
+    R = GSet(W, W.size, [[W.mul(g, x) for g in range(W.size)] for x in range(W.size)])
+    h = ClassFunction.constant(W, 1, 1.0, space=R)
+    swap = {2: 3, 3: 2}
+    with pytest.raises(GroupError):
+        restrict_along(h, GroupHomomorphism(W, W, list(range(W.size))),
+                       space_map=(R, lambda x: swap.get(x, x)))
 
 
 def test_class_function_json_roundtrip():
@@ -455,6 +461,18 @@ def test_class_function_json_roundtrip():
     back = CF.from_json(C2, f.to_json())
     for t in commuting_tuples(C2, 2):
         assert graded_deviation(f.evaluate(t, 0), back.evaluate(t, 0)) < 1e-9
+    # every height-2 output serializes exactly: sums of products of slashed
+    # q-expansions, with each kernel written once
+    from charops.verify import random_height2_function
+    P2 = power_operation(random_height2_function(C2, random.Random(4)), 2)
+    data = json.loads(json.dumps(P2.to_json()))
+    assert len(data["kernels"]) == 2                # E4 and E6
+    assert CF.from_json(wreath(C2, 2), data).to_json() == data
+    # a plain evaluator has no JSON form
+    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
+    g = CF.from_values(C2, 2, {((0, 0), 0): GradedValue("lat", {0: tau_fn})}, kind="lat")
+    with pytest.raises(LatticeError):
+        g.to_json()
 
 
 def test_relation3_k3_small():
@@ -514,7 +532,7 @@ def test_hecke_matches_q_expansion_oracle():
     """S_n agrees with n^(1-w) T_n, T_n computed purely on q-coefficients."""
     from charops.coefficients import LatFunction
     for n in (2, 3):
-        coeffs = hecke_q_oracle(E4.payload.coeffs, 4, n)
+        coeffs = hecke_q_oracle(E4.q_coefficients(), 4, n)
         Tn = LatFunction.from_q_expansion(4, coeffs)
         Sn = hecke_like(E4, n)
         scale = n ** (1 - 4)
