@@ -15,8 +15,11 @@ the generators S and T.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coefficients import (
     DEFAULT_TAU_SAMPLES,
@@ -39,9 +42,11 @@ from .groups import (
     GroupError,
     GroupHomomorphism,
     GSet,
-    commuting_tuples,
-    fixed_points,
+    commuting_tuple_array,
+    conjugate_pairs,
+    conjugation_orbit,
     gl_act_on_tuple,
+    pair_orbit_partition,
     wreath,
 )
 
@@ -58,38 +63,12 @@ def pair_orbits(G, d, space, elliptic=False):
     point: the generated subgroup is unchanged).  Returns a list of orbits
     (sorted key lists) ordered by canonical representative.
     """
-    gens = G.generators()
-    pairs = []
-    for t in commuting_tuples(G, d):
-        for x in fixed_points(space, t):
-            pairs.append((t.elements, x))
-    seen = set()
-    orbits = []
-    for key in pairs:
-        if key in seen:
-            continue
-        orbit = {key}
-        bdy = [key]
-        while bdy:
-            new = []
-            for els, x in bdy:
-                for z in gens:
-                    moved = (tuple(G.conj(z, e) for e in els), space.apply(z, x))
-                    if moved not in orbit:
-                        orbit.add(moved)
-                        new.append(moved)
-                if elliptic and d == 2:
-                    for gamma in (SL2_S, SL2_T):
-                        t2 = gl_act_on_tuple(gamma, CommutingTuple(G, els))
-                        moved = (t2.elements, x)
-                        if moved not in orbit:
-                            orbit.add(moved)
-                            new.append(moved)
-            bdy = new
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    orbits.sort(key=lambda o: o[0])
-    return orbits
+    tuples = commuting_tuple_array(G, d)
+    # a point is fixed by a tuple iff every entry fixes it
+    xs = np.arange(space.size)
+    rows, points = np.nonzero((space.apply_array(tuples[:, :, None], xs) == xs).all(axis=1))
+    moves = (SL2_S, SL2_T) if elliptic and d == 2 else ()
+    return pair_orbit_partition(G, tuples[rows], points, space, basis_changes=moves)
 
 
 @dataclass
@@ -128,7 +107,7 @@ class ClassFunction:
         self.elliptic = elliptic
         self.values = values
         self.rule = rule
-        self._canon = canon
+        self._canon = canon if canon is not None else {}
         self._cache = {}
         if values is None and rule is None:
             raise GroupError("class function needs stored values or a rule")
@@ -138,13 +117,14 @@ class ClassFunction:
     @classmethod
     def from_values(cls, group, d, values, space=None, kind="complex",
                     elliptic=False):
-        """Build from {key: GradedValue}; keys are canonicalized on entry."""
+        """Build from {key: GradedValue}; keys are checked and canonicalized
+        on entry."""
         space = space if space is not None else GSet.point(group)
         f = cls(group, d, space, kind, elliptic, values={}, rule=None)
         for key, val in values.items():
             els, x = (key if isinstance(key, tuple) and len(key) == 2
                       and isinstance(key[0], tuple) else (tuple(key), 0))
-            f.values[f.canonical_key(els, x)] = val
+            f.values[f.canonical_key(*f._checked_key(els, x))] = val
         return f
 
     @classmethod
@@ -161,17 +141,37 @@ class ClassFunction:
     # keys --------------------------------------------------------------------
 
     def canonical_key(self, els, x):
-        if self._canon is not None:
-            hit = self._canon.get((els, x))
-            if hit is not None:
-                return hit
+        """The least pair of the orbit of (els, x).  The first key of an
+        orbit conjugates by every group element in one batched call and
+        enters the whole orbit into the canonical map, so later keys of the
+        same orbit are dict hits; the map never outgrows the domain."""
+        hit = self._canon.get((els, x))
+        if hit is not None:
+            return hit
+        orbit = conjugation_orbit(self.group, els, x, self.space)
+        self._canon.update(dict.fromkeys(orbit, orbit[0]))
+        return orbit[0]
+
+    def _checked_key(self, els, x):
+        """(els, x) with Python int entries, after checking that it is a
+        pair of the domain: a d-tuple of commuting group elements and a
+        point of the space that every entry fixes."""
+        try:
+            els, x = tuple(map(operator.index, els)), operator.index(x)
+        except TypeError:
+            raise GroupError(f"key {els!r}, {x!r} is not a tuple of element "
+                             f"indices and a point index") from None
         G = self.group
-        best = (els, x)
-        for z in range(G.size):
-            cand = (tuple(G.conj(z, e) for e in els), self.space.apply(z, x))
-            if cand < best:
-                best = cand
-        return best
+        if len(els) != self.d:
+            raise GroupError(f"expected a {self.d}-tuple, got {els}")
+        if not all(0 <= e < G.size for e in els):
+            raise GroupError(f"tuple {els} leaves the group of order {G.size}")
+        if not 0 <= x < self.space.size:
+            raise GroupError(f"point {x} is not among the {self.space.size} points")
+        CommutingTuple(G, els)      # raises unless the entries commute
+        if any(self.space.apply(e, x) != x for e in els):
+            raise GroupError(f"point {x} is not fixed by the tuple {els}")
+        return els, x
 
     # evaluation ----------------------------------------------------------------
 
@@ -229,13 +229,18 @@ class ClassFunction:
         violations = []
         worst = 0.0
         checked = 0
-        for els, x in sample_pairs:
+        gens = G.generators()
+        tuples = np.array([els for els, _ in sample_pairs], dtype=np.int64).reshape(
+            len(sample_pairs), self.d)
+        moved, points = conjugate_pairs(
+            G, gens, tuples, np.array([x for _, x in sample_pairs], dtype=np.int64),
+            self.space)
+        moved, points = moved.tolist(), points.tolist()
+        for i, (els, x) in enumerate(sample_pairs):
             base = self.evaluate(CommutingTuple(G, els), x)
-            for z in G.generators():
-                moved = tuple(G.conj(z, e) for e in els)
+            for k, z in enumerate(gens):
                 dev = graded_deviation(
-                    self.evaluate(CommutingTuple(G, moved), self.space.apply(z, x)),
-                    base, tau_samples)
+                    self.evaluate(tuple(moved[k][i]), points[k][i]), base, tau_samples)
                 checked += 1
                 worst = max(worst, dev)
                 if dev > tol:
@@ -272,14 +277,24 @@ class ClassFunction:
 
     @classmethod
     def from_json(cls, group, data, space=None):
+        """Inverse of to_json.  Malformed input raises GroupError (keys that
+        are not pairs of the domain) or another ValueError."""
+        if not (isinstance(data, dict) and isinstance(data.get("values"), list)):
+            raise ValueError("a class function is an object with a \"values\" list")
         kind = data.get("kind", "complex")
-        kernels = kernels_from_json(data.get("kernels", ()))
+        d = data["d"] if "d" in data else data["height"]
+        if kind not in ("complex", "lat") or not isinstance(d, int):
+            raise ValueError(f"unknown kind {kind!r} or arity {d!r}")
+        kernels = kernels_from_json(data.get("kernels", []))
         values = {}
         for row in data["values"]:
+            if not (isinstance(row, dict) and isinstance(row.get("tuple"), list)
+                    and isinstance(row.get("graded"), dict)):
+                raise ValueError(f"a value needs a \"tuple\" list and a \"graded\" "
+                                 f"object, got {row!r}")
             key = (tuple(row["tuple"]), row.get("point", 0))
             values[key] = graded_from_json(row["graded"], kind, kernels)
-        return cls.from_values(group, data["d"] if "d" in data else data["height"],
-                               values, space=space, kind=kind,
+        return cls.from_values(group, d, values, space=space, kind=kind,
                                elliptic=data.get("elliptic", False))
 
 

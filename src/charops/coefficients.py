@@ -43,6 +43,17 @@ def divisor_power_sum(n, k):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
+def divisor_power_sums(n_terms, k):
+    """[sigma_k(n) for n in range(n_terms)] with sigma_k(0) = 0, by a
+    divisor sieve: every d adds d^k to each of its multiples."""
+    sigma = [0] * n_terms
+    for d in range(1, n_terms):
+        dk = d ** k
+        for m in range(d, n_terms, d):
+            sigma[m] += dk
+    return sigma
+
+
 def _exact_matrix(M):
     """M as nested int tuples; LatticeError unless 2x2, integral, det > 0."""
     if len(M) != 2 or any(len(row) != 2 for row in M):
@@ -176,17 +187,27 @@ class LatFunction:
     def from_json(cls, data, kernels):
         """Inverse of to_json; kernels is the decoded kernels table."""
         weight = data["weight"]
+        if not isinstance(data["terms"], list):
+            raise LatticeError(f"\"terms\" must be a list, got {data['terms']!r}")
         terms = {}
         for term in data["terms"]:
+            if not (isinstance(term, dict) and isinstance(term.get("factors"), list)):
+                raise LatticeError(f"a term needs a \"factors\" list, got {term!r}")
             factors = []
-            for i, M in term["factors"]:
+            for factor in term["factors"]:
+                if not (isinstance(factor, list) and len(factor) == 2):
+                    raise LatticeError(f"a factor must be [kernel index, matrix], got {factor!r}")
+                i, M = factor
                 if not (isinstance(i, int) and 0 <= i < len(kernels)):
                     raise LatticeError(f"kernel index {i!r} is not in the kernels table")
+                if not (isinstance(M, list) and len(M) == 2 and all(
+                        isinstance(row, list) and len(row) == 2
+                        and all(isinstance(x, int) for x in row) for row in M)):
+                    raise LatticeError(f"a factor matrix must be 2x2 integers, got {M!r}")
                 factors.append((kernels[i], _exact_matrix(M)))
             if sum(k.weight for k, _ in factors) != weight:
                 raise LatticeError(f"a term's kernel weights do not add up to {weight}")
-            re, im = term["scale"]
-            _accumulate(terms, tuple(sorted(factors)), complex(re, im))
+            _accumulate(terms, tuple(sorted(factors)), _complex_from_json(term["scale"]))
         return cls(weight, terms)
 
     def __repr__(self):
@@ -272,7 +293,7 @@ def eisenstein_series(weight, n_terms=256):
         raise LatticeError("only weights 4 and 6 are built in")
     if n_terms < 2:
         raise LatticeError("need at least 2 terms")
-    coeffs = [1] + [c * divisor_power_sum(n, weight - 1) for n in range(1, n_terms)]
+    coeffs = [1] + [c * s for s in divisor_power_sums(n_terms, weight - 1)[1:]]
     return LatFunction.from_q_expansion(weight, coeffs)
 
 
@@ -426,8 +447,26 @@ def kernel_table(values):
 
 def kernels_from_json(table):
     """Decode a kernels table written as [k.to_json() for k in kernel_table(...)]."""
-    return [_Kernel(k["weight"], tuple(complex(re, im) for re, im in k["q"]))
-            for k in table]
+    if not isinstance(table, list):
+        raise LatticeError(f"the kernels table must be a list, got {table!r}")
+    kernels = []
+    for k in table:
+        if not (isinstance(k, dict) and isinstance(k.get("weight"), int)
+                and isinstance(k.get("q"), list)):
+            raise LatticeError(f"a kernel needs an integer \"weight\" and a \"q\" "
+                               f"list, got {k!r}")
+        kernels.append(_Kernel(k["weight"], tuple(map(_complex_from_json, k["q"]))))
+    return kernels
+
+
+def _complex_from_json(pair):
+    """complex(re, im) of a JSON [re, im] pair; ValueError unless it is two
+    numbers."""
+    try:
+        re, im = pair
+        return complex(re, im)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
 
 
 def graded_to_json(v, kernel_index=None):
@@ -448,5 +487,5 @@ def graded_from_json(data, kind="complex", kernels=()):
             comp[int(key)] = LatFunction.from_json(val, kernels)
             kind = "lat"
         else:
-            comp[int(key)] = complex(val[0], val[1])
+            comp[int(key)] = _complex_from_json(val)
     return GradedValue(kind, comp)

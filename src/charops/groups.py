@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +99,18 @@ class FiniteGroup:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def inv_array(self, a):
+        """Inverses of an integer array of element indices; a scalar loop
+        for groups without a vectorised inverse."""
+        a = np.asarray(a, dtype=np.int64)
+        return np.array([self.inv(x) for x in a.ravel().tolist()],
+                        dtype=np.int64).reshape(a.shape)
+
+    def conj_array(self, z, a):
+        """z a z^-1 on integer arrays, broadcasting like mul_array."""
+        z = np.asarray(z, dtype=np.int64)
+        return self.mul_array(self.mul_array(z, a), self.inv_array(z))
 
     def elements(self):
         return range(self.size)
@@ -200,6 +212,13 @@ class TableGroup(FiniteGroup):
 
     def inv(self, a):
         return self._inverse[a]
+
+    def inv_array(self, a):
+        return self._inverse_table[a]
+
+    @functools.cached_property
+    def _inverse_table(self):
+        return np.array(self._inverse, dtype=np.int64)
 
     def generators(self):
         if getattr(self, "_gens", None) is None:
@@ -394,11 +413,18 @@ class WreathGroup(FiniteGroup):
             self._perm_array = np.array(self._perms, dtype=np.int64).reshape(
                 len(self._perms), n)
             self._inverse_array = np.argsort(self._perm_array, axis=1)
+            self._inverse_rank_array = np.array(
+                [self._perm_index[perm_inverse(p)] for p in self._perms], dtype=np.int64)
             self._power_array = np.array(self._powers, dtype=np.int64)
-            # rank = sum_i #{j > i : p_j < p_i} (n-1-i)!  (Lehmer code)
-            self._later = np.triu(np.ones((n, n), dtype=bool), 1)
+            # |G|^s(i) and |G|^(s^-1)(i) per permutation: digit i of a code
+            # read through s or s^-1 is code // place % |G|
+            self._perm_places = self._power_array[self._perm_array]
+            self._inverse_places = self._power_array[self._inverse_array]
+            # rank = sum_{i<j} [p_j < p_i] (n-1-i)!  (Lehmer code), as one
+            # product with the flattened n x n comparison matrix
             self._lehmer_weights = np.array(
-                [math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+                [math.factorial(n - 1 - i) if j > i else 0
+                 for i in range(n) for j in range(n)], dtype=np.int64)
         else:
             self._perms = None
             self._perm_of = functools.partial(perm_unrank, n)
@@ -442,23 +468,32 @@ class WreathGroup(FiniteGroup):
         return self._rank_of(self._inverse_of(r)) * self._bn + code
 
     def mul_array(self, a, b):
-        """Batched group law: base digits gathered through the inverse
-        permutation tables, the base group's own batched law, and composed
-        permutations ranked by their Lehmer codes."""
+        """Batched group law: base digits read through the permutation
+        tables, the base group's own batched law, and composed permutations
+        ranked by their Lehmer codes."""
         if not 1 <= self.n <= 7:
             return super().mul_array(a, b)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                    np.asarray(b, dtype=np.int64))
-        ra, ca = np.divmod(a, self._bn)
-        rb, cb = np.divmod(b, self._bn)
-        pw = self._power_array
-        g = ca[..., None] // pw % self._bs
-        h = np.take_along_axis(cb[..., None] // pw % self._bs,
-                               self._inverse_array[ra], axis=-1)
-        code = (self.base.mul_array(g, h) * pw).sum(axis=-1)
-        perm = np.take_along_axis(self._perm_array[ra], self._perm_array[rb], axis=-1)
-        smaller_later = (perm[..., None, :] < perm[..., :, None]) & self._later
-        return (smaller_later.sum(axis=-1) @ self._lehmer_weights) * self._bn + code
+        shape, n = a.shape, self.n
+        ra, ca = np.divmod(a.ravel(), self._bn)
+        rb, cb = np.divmod(b.ravel(), self._bn)
+        g = ca[:, None] // self._power_array % self._bs
+        h = cb[:, None] // self._inverse_places[ra] % self._bs
+        code = (self.base.mul_array(g, h) * self._power_array).sum(axis=-1)
+        perm = self._perm_array[ra][np.arange(ra.size)[:, None], self._perm_array[rb]]
+        smaller = (perm[:, None, :] < perm[:, :, None]).reshape(-1, n * n)
+        return ((smaller @ self._lehmer_weights) * self._bn + code).reshape(shape)
+
+    def inv_array(self, a):
+        """Batched inverse: coordinate b of (g, s)^-1 holds g_{s(b)}^-1; the
+        inverse permutation's rank is read from a table."""
+        if not 1 <= self.n <= 7:
+            return super().inv_array(a)
+        r, c = np.divmod(np.asarray(a, dtype=np.int64), self._bn)
+        g = c[..., None] // self._perm_places[r] % self._bs
+        return self._inverse_rank_array[r] * self._bn + \
+            (self.base.inv_array(g) * self._power_array).sum(axis=-1)
 
     def generators(self):
         gens = []
@@ -530,6 +565,10 @@ class DirectProductGroup(FiniteGroup):
     def inv(self, a):
         a1, a2 = self.decode(a)
         return self.encode(self.g1.inv(a1), self.g2.inv(a2))
+
+    def inv_array(self, a):
+        a2, a1 = np.divmod(np.asarray(a, dtype=np.int64), self.g1.size)
+        return self.g1.inv_array(a1) + self.g2.inv_array(a2) * self.g1.size
 
     def generators(self):
         out = [self.encode(g, self.g2.identity) for g in self.g1.generators()]
@@ -664,7 +703,13 @@ def _right_multiples(G, gens, block):
 
 
 def commuting_tuples(G, d):
-    """All d-tuples of pairwise commuting elements, lexicographic order.
+    """All d-tuples of pairwise commuting elements, lexicographic order."""
+    return [CommutingTuple(G, t) for t in map(tuple, commuting_tuple_array(G, d).tolist())]
+
+
+def commuting_tuple_array(G, d):
+    """The commuting d-tuples as the rows of an (M, d) int64 array, in
+    lexicographic order.
 
     Brute force: each prefix filters every remaining candidate for the next
     entry with one batched commutation test.
@@ -672,55 +717,44 @@ def commuting_tuples(G, d):
     if d < 0:
         raise GroupError("arity must be >= 0")
     if d == 0:
-        return [CommutingTuple(G, ())]
-    out = []
+        return np.zeros((1, 0), dtype=np.int64)
+    blocks = []
 
     def extend(prefix, candidates):
         if len(prefix) == d - 1:
-            out.extend(CommutingTuple(G, prefix + (g,)) for g in candidates.tolist())
+            block = np.empty((candidates.size, d), dtype=np.int64)
+            block[:, :-1] = prefix
+            block[:, -1] = candidates
+            blocks.append(block)
             return
         for g in candidates.tolist():
             commute = G.mul_array(candidates, g) == G.mul_array(g, candidates)
             extend(prefix + (g,), candidates[commute])
 
     extend((), np.arange(G.size, dtype=np.int64))
-    return out
+    return np.concatenate(blocks)
 
 
 @dataclass
 class TupleClass:
     """One simultaneous-conjugation class of commuting d-tuples.
 
-    `size` is the number of tuples in the class.  `members`, the sorted list
-    of those tuples, is computed on demand by the orbit BFS from the
-    representative, so only callers that read it pay for the orbit.
+    `size` is the number of tuples in the class.  `members` is the sorted
+    list of those tuples: the BFS classification passes it in, and a class
+    built without it computes it on first read (`conjugation_orbit`), so
+    only callers that read it pay for the orbit.
     """
 
     representative: CommutingTuple
     size: int
+    orbit: list = field(default=None, repr=False, compare=False)
 
-    @functools.cached_property
+    @property
     def members(self):
-        rep = self.representative
-        return sorted(_conjugation_orbit(rep.group, rep.elements))
-
-
-def _conjugation_orbit(G, elements):
-    """Orbit of an element tuple under simultaneous conjugation, by BFS over
-    the group generators."""
-    gens = G.generators()
-    orbit = {elements}
-    bdy = [elements]
-    while bdy:
-        new = []
-        for els in bdy:
-            for z in gens:
-                c = tuple(G.conj(z, e) for e in els)
-                if c not in orbit:
-                    orbit.add(c)
-                    new.append(c)
-        bdy = new
-    return orbit
+        if self.orbit is None:
+            rep = self.representative
+            self.orbit = [els for els, _ in conjugation_orbit(rep.group, rep.elements)]
+        return self.orbit
 
 
 def tuple_conjugacy_classes(G, d):
@@ -738,20 +772,18 @@ def tuple_conjugacy_classes(G, d):
 
 
 def tuple_conjugacy_classes_bfs(G, d):
-    """Brute-force classification: enumerate every commuting d-tuple and run
-    a conjugation BFS from each one not yet seen.  Representatives are
-    lexicographic minima.  It tests up to |G|^d tuples for commutation, so
-    it serves as the oracle for the constructive wreath-product path at desk
-    scale."""
-    seen = set()
+    """Brute-force classification: enumerate every commuting d-tuple and
+    split them into orbits with the generator moves of
+    `pair_orbit_partition`.  Representatives are lexicographic minima.  It
+    tests up to |G|^d tuples for commutation, so it serves as the oracle for
+    the constructive wreath-product path at desk scale."""
+    tuples = commuting_tuple_array(G, d)
+    orbits = pair_orbit_partition(G, tuples, np.zeros(len(tuples), dtype=np.int64),
+                                  GSet.point(G))
     classes = []
-    for t in commuting_tuples(G, d):
-        if t.elements in seen:
-            continue
-        orbit = _conjugation_orbit(G, t.elements)
-        seen |= orbit
-        classes.append(TupleClass(CommutingTuple(G, min(orbit)), len(orbit)))
-    classes.sort(key=lambda c: c.representative.elements)
+    for orbit in orbits:
+        members = [els for els, _ in orbit]
+        classes.append(TupleClass(CommutingTuple(G, members[0]), len(members), members))
     return classes
 
 
@@ -905,6 +937,36 @@ def gl_act_on_tuple(gamma, h):
     return CommutingTuple(h.group, tuple(h.at(ginv[j]) for j in range(d)))
 
 
+def gl_act_on_tuple_array(G, gamma, tuples):
+    """`gl_act_on_tuple` on the rows of an (M, d) array of commuting tuples."""
+    tuples = np.asarray(tuples, dtype=np.int64)
+    d = tuples.shape[-1]
+    if len(gamma) != d or any(len(r) != d for r in gamma):
+        raise GroupError("matrix shape does not match tuple arity")
+    ginv = int_mat_inverse_unimodular([list(r) for r in gamma])
+    out = np.empty_like(tuples)
+    for j, row in enumerate(ginv):
+        acc = np.full(tuples.shape[:-1], G.identity, dtype=np.int64)
+        for i, k in enumerate(row):
+            if k:
+                acc = G.mul_array(acc, _power_array(G, tuples[..., i], k))
+        out[..., j] = acc
+    return out
+
+
+def _power_array(G, a, k):
+    """a^k elementwise, by repeated squaring."""
+    if k < 0:
+        a, k = G.inv_array(a), -k
+    out = np.full(np.shape(a), G.identity, dtype=np.int64)
+    while k:
+        if k & 1:
+            out = G.mul_array(out, a)
+        a = G.mul_array(a, a)
+        k >>= 1
+    return out
+
+
 SL2_S = ((0, -1), (1, 0))
 SL2_T = ((1, 1), (0, 1))
 
@@ -925,6 +987,15 @@ class GSet:
 
     def apply(self, g, x):
         return self.action[x][g]
+
+    def apply_array(self, g, x):
+        """The action on integer arrays of group elements and points,
+        broadcasting like numpy."""
+        return self._action_array[x, g]
+
+    @functools.cached_property
+    def _action_array(self):
+        return np.array(self.action, dtype=np.int64).reshape(self.size, self.group.size)
 
     def validate(self):
         """Exact check: rho(h g)(x) = rho(h)(rho(g)(x)) for every h in G,
@@ -1011,6 +1082,9 @@ class _PointGSet(GSet):
     def apply(self, g, x):
         return 0
 
+    def apply_array(self, g, x):
+        return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x)), dtype=np.int64)
+
 
 def fixed_points(X, h):
     """Points of X fixed by the whole subgroup generated by the tuple entries.
@@ -1024,3 +1098,105 @@ def fixed_points(X, h):
     subgroup = h.image_subgroup()
     return [x for x in range(X.size)
             if all(X.apply(g, x) == x for g in subgroup)]
+
+
+# ---------------------------------------------------------------------------
+# simultaneous conjugation zeta . (h, x) = (zeta h zeta^-1, zeta x), batched
+
+
+class PairCodes:
+    """Integer codes of pairs (d-tuple over G, point of a G-set X):
+
+        code(h, x) = ((h_0 |G| + h_1) |G| + ... + h_{d-1}) |X| + x,
+
+    so codes order pairs lexicographically.  Codes are int64, so a shape
+    whose codes could reach 2**63 raises GroupError instead of wrapping."""
+
+    def __init__(self, G, d, npoints):
+        if G.size ** d * npoints >= 2 ** 63:
+            raise GroupError(f"pairs of {d}-tuples over a group of order {G.size} "
+                             f"and {npoints} points overflow 64-bit codes")
+        self.radix = G.size
+        self.d = d
+        self.npoints = npoints
+
+    def encode(self, tuples, points):
+        """Codes of the pairs (tuples[..., :], points[...])."""
+        code = np.zeros(np.shape(points), dtype=np.int64)
+        for i in range(self.d):
+            code = code * self.radix + tuples[..., i]
+        return code * self.npoints + points
+
+
+def conjugate_pairs(G, zs, tuples, points, space):
+    """zeta . (h, x) for every zeta in the 1-d array zs and every pair (row h
+    of the (M, d) array tuples, entry x of points): arrays of shape
+    (len(zs), M, d) and (len(zs), M)."""
+    zs = np.asarray(zs, dtype=np.int64)
+    moved = G.conj_array(zs[:, None, None], tuples[None])
+    return moved, space.apply_array(zs[:, None], points[None])
+
+
+def conjugation_orbit(G, els, x=0, space=None):
+    """The orbit of the pair (els, x), conjugated by every element of G in
+    one batched call: its distinct pairs, sorted."""
+    space = space if space is not None else GSet.point(G)
+    codes = PairCodes(G, len(els), space.size)
+    if not (all(0 <= e < G.size for e in els) and 0 <= x < space.size):
+        raise GroupError(f"pair ({els}, {x}) leaves the group or the space")
+    moved, points = conjugate_pairs(G, np.arange(G.size),
+                                    np.array(els, dtype=np.int64).reshape(1, -1),
+                                    np.array([x], dtype=np.int64), space)
+    moved, points = moved[:, 0], points[:, 0]
+    code = codes.encode(moved, points)
+    # first occurrence of each code in sorted order (np.unique would import
+    # numpy.ma, about 0.5 MB)
+    order = np.argsort(code, kind="stable")
+    keep = order[np.concatenate(([True], np.diff(code[order]) != 0))]
+    return list(zip(map(tuple, moved[keep].tolist()), points[keep].tolist()))
+
+
+def pair_orbit_partition(G, tuples, points, space, basis_changes=()):
+    """Split a set of pairs, closed under simultaneous conjugation (and under
+    the GL_d(Z) matrices in basis_changes, which keep the point), into
+    orbits.  The pairs are the rows of the (M, d) array tuples with the
+    entries of points, distinct and in lexicographic order.
+
+    Each move acts on all M pairs at once: one batched conjugation per
+    generator of G, one batched `gl_act_on_tuple_array` per matrix.  Each
+    image is found by binary search among the sorted pair codes, and every
+    pair takes the least label of its images (min-label propagation with
+    pointer jumping) until nothing changes, so a round costs O(M |moves|).
+    Returns the orbits as sorted lists of (tuple, point) pairs, ordered by
+    their least members.
+    """
+    codes = PairCodes(G, tuples.shape[1], space.size)
+    code = codes.encode(tuples, points)
+    if (code[1:] <= code[:-1]).any():
+        raise GroupError("the pairs are not distinct and in lexicographic order")
+    images = []
+    for z in G.generators():
+        moved, moved_points = conjugate_pairs(G, [z], tuples, points, space)
+        images.append(codes.encode(moved[0], moved_points[0]))
+    for gamma in basis_changes:
+        images.append(codes.encode(gl_act_on_tuple_array(G, gamma, tuples), points))
+    steps = []
+    for image in images:
+        at = np.minimum(np.searchsorted(code, image), len(code) - 1)
+        if (code[at] != image).any():
+            raise GroupError("the pairs are not closed under the moves")
+        steps.append(at)
+    label = np.arange(len(code))
+    while True:
+        new = label
+        for at in steps:
+            new = np.minimum(new, new[at])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    pairs = list(zip(map(tuple, tuples.tolist()), points.tolist()))
+    by_orbit = np.argsort(label, kind="stable")
+    ends = (np.flatnonzero(np.diff(label[by_orbit])) + 1).tolist() + [len(pairs)]
+    by_orbit = by_orbit.tolist()
+    return [[pairs[i] for i in by_orbit[a:b]] for a, b in zip([0] + ends, ends)]

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classfn import ClassFunction
 from .coefficients import (
     GradedValue,
@@ -68,6 +70,25 @@ class PowerGSet(GSet):
         moved = tuple(self.base_space.apply(bases[a], xt[si[a]])
                       for a in range(self.n))
         return self.encode_point(moved)
+
+    def apply_array(self, g, x):
+        """`apply` on integer arrays, broadcasting like numpy: base digits
+        and point digits gathered through the wreath group's permutation
+        tables, the base space's own batched action."""
+        W = self.group
+        g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
+                                   np.asarray(x, dtype=np.int64))
+        if not 1 <= self.n <= 7:
+            return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
+                                                             x.ravel().tolist())],
+                            dtype=np.int64).reshape(g.shape)
+        r, c = np.divmod(g, W._bn)
+        bases = c[..., None] // W._power_array % W._bs
+        places = self.base_space.size ** np.arange(self.n, dtype=np.int64)
+        digits = x[..., None] // places % self.base_space.size
+        moved = self.base_space.apply_array(
+            bases, np.take_along_axis(digits, W._inverse_array[r], axis=-1))
+        return (moved * places).sum(axis=-1)
 
 
 def _power_value(f, W, els, x_points, basepoint_rng=None, basis_twists=None):

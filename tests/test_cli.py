@@ -137,6 +137,95 @@ def test_height2_power_then_adams(tmp_path, capsys):
                 assert abs(x - y) < 1e-9
 
 
+def _height1_input():
+    return {"height": 1, "d": 1, "kind": "complex",
+            "values": [{"tuple": [0], "point": 0, "graded": {"0": [2.0, 0.0]}},
+                       {"tuple": [1], "point": 0, "graded": {"0": [0.0, 0.0]}}]}
+
+
+def _height2_power_output():
+    from charops.powerops import power_operation
+    f = verify.random_height2_function(groups.cyclic_group(2), random.Random(7))
+    return power_operation(f, 2).to_json()
+
+
+def _first_term(data):
+    return next(term for row in data["values"] for F in row["graded"].values()
+                for term in F["terms"] if term["factors"])
+
+
+def _set(path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _set_scale(data):
+    _first_term(data)["scale"] = ["a", 1]
+
+
+def _set_matrix(data):
+    _first_term(data)["factors"][0][1] = 5
+
+
+def _set_terms(data):
+    F = next(F for row in data["values"] for F in row["graded"].values() if F["terms"])
+    F["terms"] = 5
+
+
+# (label, group arguments, height, edit of a valid input)
+MALFORMED_FUNCTIONS = [
+    ("graded number", ["--group", "C2"], 1, _set(["values", 0, "graded", "0"], ["a", 0.0])),
+    ("tuple not a list", ["--group", "C2"], 1, _set(["values", 0, "tuple"], 5)),
+    ("element out of range", ["--group", "C2"], 1, _set(["values", 0, "tuple"], [7])),
+    ("negative element", ["--group", "C2"], 1, _set(["values", 0, "tuple"], [-1])),
+    ("element not an integer", ["--group", "C2"], 1, _set(["values", 0, "tuple"], [0.5])),
+    ("wrong arity", ["--group", "C2"], 1, _set(["values", 0, "tuple"], [0, 1])),
+    ("point out of range", ["--group", "C2"], 1, _set(["values", 0, "point"], 1)),
+    ("point not an integer", ["--group", "C2"], 1, _set(["values", 0, "point"], "a")),
+    ("height-2 scale", ["--group", "C2", "--wreath", "2"], 2, _set_scale),
+    ("height-2 factor matrix", ["--group", "C2", "--wreath", "2"], 2, _set_matrix),
+    ("height-2 terms", ["--group", "C2", "--wreath", "2"], 2, _set_terms),
+    ("kernel not an object", ["--group", "C2", "--wreath", "2"], 2, _set(["kernels", 0], 5)),
+    ("value not an object", ["--group", "C2"], 1, _set(["values", 0], 5)),
+    ("document not an object", ["--group", "C2"], 1, lambda data: [data]),
+]
+
+
+@pytest.mark.parametrize("label,group_args,height,edit", MALFORMED_FUNCTIONS,
+                         ids=[case[0] for case in MALFORMED_FUNCTIONS])
+def test_malformed_class_function_exits_2(tmp_path, capsys, label, group_args,
+                                          height, edit):
+    data = _height1_input() if height == 1 else _height2_power_output()
+    data = edit(data) or data
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, *group_args, "--n", "2", "adams", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_non_commuting_or_unfixed_keys_exit_2(tmp_path, capsys):
+    """A pair of S3 transpositions does not commute; the swap of two
+    points does not fix either."""
+    pairs = {"values": [{"tuple": [1, 2], "point": 0, "graded": {"0": [1.0, 0.0]}}],
+             "d": 2, "kind": "complex"}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    code, _, err = run_cli(capsys, "--group", "S3", "--n", "2", "adams", str(path))
+    assert code == 2 and "do not commute" in err
+    from charops.classfn import ClassFunction
+    C2 = groups.cyclic_group(2)
+    swap = groups.GSet(C2, 2, [[0, 1], [1, 0]])
+    with pytest.raises(GroupError, match="not fixed"):
+        ClassFunction.from_json(C2, {"d": 1, "values": [
+            {"tuple": [1], "point": 0, "graded": {"0": [1.0, 0.0]}}]}, space=swap)
+
+
 def test_readme_flags_match_parser():
     """The README's "Flags:" line names exactly the global options."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

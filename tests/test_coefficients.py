@@ -9,6 +9,7 @@ from charops.coefficients import (
     LatFunction,
     check_weight_homogeneity,
     divisor_power_sum,
+    divisor_power_sums,
     eisenstein_series,
     graded_close,
     graded_product,
@@ -35,7 +36,8 @@ def test_eisenstein_coefficients():
     assert E4.q_coefficients()[1] == 240           # 240 * sigma3(1)
     assert E4.q_coefficients()[2] == 2160          # 240 * sigma3(2) = 240 * 9
     assert E6.q_coefficients()[1] == -504
-    for n in range(1, 30):
+    assert len(E4.q_coefficients()) == len(E6.q_coefficients()) == 400
+    for n in range(1, 400):
         assert E4.q_coefficients()[n] == 240 * brute_sigma(n, 3)
         assert E6.q_coefficients()[n] == -504 * brute_sigma(n, 5)
 
@@ -43,6 +45,9 @@ def test_eisenstein_coefficients():
 def test_divisor_power_sum():
     assert divisor_power_sum(12, 1) == 1 + 2 + 3 + 4 + 6 + 12
     assert divisor_power_sum(0, 3) == 0
+    for k in (1, 3, 5):
+        assert divisor_power_sums(400, k) == [divisor_power_sum(n, k) for n in range(400)]
+    assert divisor_power_sums(1, 3) == [0]
 
 
 def test_weight_homogeneity():
