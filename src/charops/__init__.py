@@ -31,7 +31,6 @@ from .lattices import (
     LatticeError,
     Sublattice,
     hnf,
-    oriented_basis_matrix,
     stabilizer_lattice,
     sublattices_of_index,
 )

@@ -203,8 +203,12 @@ def cmd_hecke(cfg, form_name):
         ratio = v_out / v_in if abs(v_in) > 1e-12 else float("nan")
         ratios.append(ratio)
         rows.append([str(tau), f"{v_in:.9g}", f"{v_out:.9g}", f"{ratio:.9g}"])
+    defined = [r for r in ratios if r == r]
+    if not defined:
+        raise ValueError("the input form vanishes at every tau sample, so no "
+                         "eigen-ratio is defined")
     emit(rows, ["tau", "input", "output", "ratio"], cfg)
-    spread = max(abs(r - ratios[0]) for r in ratios if r == r)
+    spread = max(abs(r - defined[0]) for r in defined)
     stream = cfg.out or sys.stdout
     if cfg.fmt == "table":
         stream.write(f"# eigen-ratio spread {spread:.3e}\n")

@@ -161,7 +161,7 @@ class FiniteGroup:
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
 
-    def __init__(self, table, labels=None, validate=True, name=None):
+    def __init__(self, table, labels=None, name=None):
         self.size = len(table)
         self._table = [list(row) for row in table]
         self.labels = labels
@@ -183,17 +183,16 @@ class TableGroup(FiniteGroup):
             if inv[a] is None:
                 raise GroupError(f"element {a} has no inverse")
         self._inverse = inv
-        if validate:
-            self.validate_associativity()
+        self.validate_associativity()
 
-    def validate_associativity(self, rng=None):
+    def validate_associativity(self):
         """Full triple loop up to size 64, seeded sampling above."""
         n = self.size
         t = self._table
         if n <= 64:
             triples = itertools.product(range(n), repeat=3)
         else:
-            rng = rng or random.Random(0)
+            rng = random.Random(0)
             triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                        for _ in range(20000))
         for a, b, c in triples:
@@ -510,9 +509,6 @@ class WreathGroup(FiniteGroup):
             cyc = tuple(range(1, self.n)) + (0,)
             gens.append(self.encode([e] * self.n, cyc))
         return gens or [self.identity]
-
-    def base_coordinate(self, a, i):
-        return self.decode(a)[0][i]
 
     def label(self, a):
         bases, perm = self.decode(a)
@@ -1033,7 +1029,7 @@ class GSet:
         return cls(group, group.size, act, validate=False)
 
     @classmethod
-    def from_perms(cls, group, size, perm_of_generator, validate=True):
+    def from_perms(cls, group, size, perm_of_generator):
         """Build the action table from images of the group's generators."""
         gens = group.generators()
         act = [[None] * group.size for _ in range(size)]
@@ -1054,7 +1050,7 @@ class GSet:
             bdy = new
         if len(known) != group.size:
             raise GroupError("generator images do not cover the group")
-        return cls(group, size, act, validate=validate)
+        return cls(group, size, act)
 
     def product(self, other):
         """Product G-set of two sets over the two groups' direct product."""
@@ -1086,18 +1082,68 @@ class _PointGSet(GSet):
         return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x)), dtype=np.int64)
 
 
-def fixed_points(X, h):
-    """Points of X fixed by the whole subgroup generated by the tuple entries.
+class PowerGSet(GSet):
+    """X^n as a G wr Sigma_n set, with points encoded in base |X|.
 
-    A point fixed by every generator is fixed by every word in them, so
-    closing under multiplication changes nothing; the closure is still taken
-    to keep the contract literal.
+    The action is computed on the fly: (w . x)_a = g_a x_{sigma^-1(a)}.
     """
+
+    def __init__(self, base_space, wreath_group):
+        self.base_space = base_space
+        self.group = wreath_group
+        self.n = wreath_group.n
+        self.size = base_space.size ** self.n
+
+    def decode_point(self, code):
+        out = []
+        m = self.base_space.size
+        for _ in range(self.n):
+            code, r = divmod(code, m)
+            out.append(r)
+        return tuple(out)
+
+    def encode_point(self, pts):
+        m = self.base_space.size
+        code = 0
+        for p in reversed(pts):
+            code = code * m + p
+        return code
+
+    def apply(self, g, x):
+        bases, sigma = self.group.decode(g)
+        xt = self.decode_point(x)
+        si = perm_inverse(sigma)
+        moved = tuple(self.base_space.apply(bases[a], xt[si[a]])
+                      for a in range(self.n))
+        return self.encode_point(moved)
+
+    def apply_array(self, g, x):
+        """`apply` on integer arrays, broadcasting like numpy: base digits
+        and point digits gathered through the wreath group's permutation
+        tables, the base space's own batched action."""
+        W = self.group
+        g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
+                                   np.asarray(x, dtype=np.int64))
+        if not 1 <= self.n <= 7:
+            return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
+                                                             x.ravel().tolist())],
+                            dtype=np.int64).reshape(g.shape)
+        r, c = np.divmod(g, W._bn)
+        bases = c[..., None] // W._power_array % W._bs
+        places = self.base_space.size ** np.arange(self.n, dtype=np.int64)
+        digits = x[..., None] // places % self.base_space.size
+        moved = self.base_space.apply_array(
+            bases, np.take_along_axis(digits, W._inverse_array[r], axis=-1))
+        return (moved * places).sum(axis=-1)
+
+
+def fixed_points(X, h):
+    """Points of X fixed by the subgroup generated by the tuple entries: a
+    point fixed by every entry is fixed by every word in them."""
     if X.group != h.group:
         raise GroupError("G-set and tuple live over different groups")
-    subgroup = h.image_subgroup()
     return [x for x in range(X.size)
-            if all(X.apply(g, x) == x for g in subgroup)]
+            if all(X.apply(g, x) == x for g in h.elements)]
 
 
 # ---------------------------------------------------------------------------

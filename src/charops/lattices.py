@@ -201,17 +201,12 @@ def _kernel_from_relations(relations, d, orbit_size):
         if orbit_size != 1:
             raise LatticeError("rank-0 action cannot be transitive on >1 points")
         return Sublattice((), d=0)
-    L = Sublattice(hnf_rows(relations, d), d=d)
+    L = Sublattice(relations, d=d)
     if L.index != orbit_size:
         raise LatticeError(
             f"relation lattice has index {L.index}, expected orbit size {orbit_size}"
         )
     return L
-
-
-def oriented_basis_matrix(L):
-    """The HNF basis matrix of the sublattice; det = index > 0 by construction."""
-    return L.basis
 
 
 def random_unimodular(d, rng, steps=6, max_coeff=2):

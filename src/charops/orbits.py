@@ -2,10 +2,11 @@
 
 A commuting d-tuple H in G wr Sigma_n acts on the n points through the
 permutation parts.  Each orbit I_k contributes a stabilizer sublattice
-L_k of Z^d (index |I_k|), its oriented HNF basis matrix M_k, and a reduced
-commuting tuple h_k in G obtained by evaluating H at the basis vectors of
-L_k and projecting onto the basepoint coordinate.  This is the single code
-path used for every arity; the cycle product is only a cross-check at d=1.
+L_k of Z^d (index |I_k|), a basis matrix M_k of L_k (its oriented HNF unless
+a `basis` hook picks other rows), and a reduced commuting tuple h_k in G:
+entry j of h_k is coordinate i_k of H(row j of M_k), read off the decoded
+entries of H by one walk (`_coordinate`).  This is the single code path used
+for every arity; the cycle product is only a cross-check at d=1.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import CommutingTuple, GroupError, WreathGroup, fixed_points, perm_inverse
-from .lattices import (
-    _kernel_from_relations,
-    mat_mul,
-    orbit_with_labels,
-    oriented_basis_matrix,
-)
+import numpy as np
+
+from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_points,
+                     int_mat_det, perm_inverse)
+from .lattices import _kernel_from_relations, orbit_with_labels
 
 
 @dataclass
@@ -29,9 +28,14 @@ class OrbitReduction:
     orbits: list               # sorted point lists, ordered by min point
     basepoints: list
     stabilizers: list          # Sublattice per orbit
-    matrices: list             # HNF (or twisted) basis rows per orbit
+    matrices: list             # HNF (or hook-chosen) basis rows per orbit
     reduced: list              # CommutingTuple in the base group per orbit
     labels: list               # per orbit: {point: vector} with sigma^v(i_k) = point
+    parts: list                # per entry of H: (bases, sigma, sigma^-1)
+
+    def coordinate(self, v, p):
+        """Coordinate p of H(v), read off the decoded entries."""
+        return _coordinate(self.group.base, self.parts, v, p)
 
     def to_json(self):
         return {
@@ -43,13 +47,42 @@ class OrbitReduction:
         }
 
 
-def reduce_tuple(H, basepoint_rng=None, basis_twists=None):
+def _coordinate(G, parts, v, p):
+    """Coordinate p of H(v) = h_0^v_0 ... h_{d-1}^v_{d-1} in G wr Sigma_n.
+
+    Walks the factors left to right: (A B)_p = A_p B_{s_A^-1(p)}, and
+    coordinate q of (g, s)^-1 is g_{s(q)}^-1 with s^-1 as its permutation.
+    Costs |v_0| + ... + |v_{d-1}| multiplications in G.
+    """
+    out = G.identity
+    for (bases, sigma, sigma_inv), k in zip(parts, v):
+        if k >= 0:
+            for _ in range(k):
+                out = G.mul(out, bases[p])
+                p = sigma_inv[p]
+        else:
+            for _ in range(-k):
+                p = sigma[p]
+                out = G.mul(out, G.inv(bases[p]))
+    return out
+
+
+def _spans(rows, L):
+    """Whether the rows are a basis of the sublattice L of Z^d: d vectors of
+    L whose determinant is +-[Z^d : L]."""
+    if len(rows) != L.d or any(len(r) != L.d for r in rows):
+        return False
+    return abs(int_mat_det(rows)) == L.index and all(map(L.contains, rows))
+
+
+def reduce_tuple(H, basepoint_rng=None, basis=None):
     """Decompose a commuting tuple in G wr Sigma_n into per-orbit data.
 
     basepoint_rng: optional random.Random; picks random basepoints instead of
     orbit minima (the reduced tuples change only within their conjugacy
-    class).  basis_twists: optional list of SL_d(Z) matrices U_k; the basis of
-    the k-th stabilizer becomes U_k . HNF, still orientation preserving.
+    class).  basis: optional hook L -> rows spanning the stabilizer L (the
+    default is the HNF basis L.basis); it is called once per orbit, in orbit
+    order, and rows spanning any other lattice raise GroupError.
     """
     W = H.group
     if not isinstance(W, WreathGroup):
@@ -57,8 +90,9 @@ def reduce_tuple(H, basepoint_rng=None, basis_twists=None):
     G = W.base
     n = W.n
     d = H.d
-    parts = [W.decode(e) for e in H.elements]
-    sigmas = [p for (_, p) in parts]
+    parts = [(bases, sigma, perm_inverse(sigma))
+             for bases, sigma in map(W.decode, H.elements)]
+    sigmas = [sigma for _, sigma, _ in parts]
 
     remaining = set(range(n))
     orbit_data = []
@@ -79,24 +113,23 @@ def reduce_tuple(H, basepoint_rng=None, basis_twists=None):
                 _, labels, _ = orbit_with_labels(sigmas, i_k)
         else:
             i_k = orbit[0]
-        basis = oriented_basis_matrix(stab)
-        if basis_twists is not None and basis_twists[k] is not None:
-            basis = mat_mul(basis_twists[k], basis)
-        entries = []
-        for row in basis:
-            w = H.at(row)
-            entries.append(W.base_coordinate(w, i_k))
+        rows = stab.basis if basis is None else tuple(map(tuple, basis(stab)))
+        if basis is not None and not _spans(rows, stab):
+            raise GroupError(f"basis rows of orbit {k} do not span its "
+                             f"stabilizer {stab.to_json()}")
+        entries = tuple(_coordinate(G, parts, row, i_k) for row in rows)
         try:
-            h_k = CommutingTuple(G, tuple(entries))
+            h_k = CommutingTuple(G, entries)
         except GroupError as exc:
             raise GroupError(f"reduced entries of orbit {k} do not commute") from exc
         orbits.append(orbit)
         basepoints.append(i_k)
         stabs.append(stab)
-        mats.append(basis)
+        mats.append(rows)
         reduced.append(h_k)
         all_labels.append(labels)
-    return OrbitReduction(W, H, orbits, basepoints, stabs, mats, reduced, all_labels)
+    return OrbitReduction(W, H, orbits, basepoints, stabs, mats, reduced,
+                          all_labels, parts)
 
 
 def cycle_product(G, bases, sigma, cycle, basepoint):
@@ -131,22 +164,14 @@ class TransportData:
     orbit_fixed: list          # per orbit: fixed points of X under h_k
     reduction: OrbitReduction
     space: object
+    moves: list                # per point p: (orbit k, coordinate p of H(labels[p]))
 
     def forward(self, xtuple):
         return tuple(xtuple[i] for i in self.reduction.basepoints)
 
     def inverse(self, ys):
-        red = self.reduction
-        W = red.group
-        X = self.space
-        out = [None] * W.n
-        for k, orbit in enumerate(red.orbits):
-            labels = red.labels[k]
-            for p in orbit:
-                u = red.tuple.at(labels[p])
-                c = W.base_coordinate(u, p)
-                out[p] = X.apply(c, ys[k])
-        return tuple(out)
+        apply = self.space.apply
+        return tuple(apply(c, ys[k]) for k, c in self.moves)
 
 
 def fixed_point_transport(X, H):
@@ -164,22 +189,22 @@ def fixed_point_transport(X, H):
     red = reduce_tuple(H)
     n = W.n
 
-    parts = [(bases, perm_inverse(sigma))
-             for bases, sigma in (W.decode(e) for e in H.elements)]
-    apply = X.apply
+    moves = [None] * n
+    for k, (orbit, labels) in enumerate(zip(red.orbits, red.labels)):
+        for p in orbit:
+            moves[p] = (k, red.coordinate(labels[p], p))
 
-    def is_fixed(xt):
-        for bases, si in parts:
-            for a in range(n):
-                if apply(bases[a], xt[si[a]]) != xt[a]:
-                    return False
-        return True
-
-    product_fixed = [xt for xt in itertools.product(range(X.size), repeat=n)
-                     if is_fixed(xt)]
+    # codes list the points of X^n little-endian; sorting the decoded
+    # tuples restores lexicographic order
+    power = PowerGSet(X, W)
+    codes = np.arange(power.size, dtype=np.int64)
+    moved = power.apply_array(np.array(H.elements, dtype=np.int64)[:, None], codes)
+    fixed = (moved == codes).all(axis=0)
+    product_fixed = sorted(power.decode_point(c)
+                           for c in np.flatnonzero(fixed).tolist())
     orbit_fixed = [fixed_points(X, h_k) for h_k in red.reduced]
 
-    data = TransportData(product_fixed, orbit_fixed, red, X)
+    data = TransportData(product_fixed, orbit_fixed, red, X, moves)
 
     expected = 1
     for fs in orbit_fixed:

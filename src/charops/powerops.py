@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classfn import ClassFunction
 from .coefficients import (
     GradedValue,
@@ -27,8 +25,8 @@ from .coefficients import (
     scale_by_degree,
     weight_slash_graded,
 )
-from .groups import CommutingTuple, GroupError, GSet, perm_inverse, wreath
-from .lattices import Sublattice, sublattices_of_index
+from .groups import CommutingTuple, GroupError, GSet, PowerGSet, wreath
+from .lattices import sublattices_of_index
 from .orbits import reduce_tuple
 
 EAGER_D1_BOUND = 20000
@@ -36,70 +34,10 @@ EAGER_D2_BOUND = 500
 ADAMS_WREATH_BUDGET = 9
 
 
-class PowerGSet(GSet):
-    """X^n as a G wr Sigma_n set, with points encoded in base |X|.
-
-    The action is computed on the fly: (w . x)_a = g_a x_{sigma^-1(a)}.
-    """
-
-    def __init__(self, base_space, wreath_group):
-        self.base_space = base_space
-        self.group = wreath_group
-        self.n = wreath_group.n
-        self.size = base_space.size ** self.n
-
-    def decode_point(self, code):
-        out = []
-        m = self.base_space.size
-        for _ in range(self.n):
-            code, r = divmod(code, m)
-            out.append(r)
-        return tuple(out)
-
-    def encode_point(self, pts):
-        m = self.base_space.size
-        code = 0
-        for p in reversed(pts):
-            code = code * m + p
-        return code
-
-    def apply(self, g, x):
-        bases, sigma = self.group.decode(g)
-        xt = self.decode_point(x)
-        si = perm_inverse(sigma)
-        moved = tuple(self.base_space.apply(bases[a], xt[si[a]])
-                      for a in range(self.n))
-        return self.encode_point(moved)
-
-    def apply_array(self, g, x):
-        """`apply` on integer arrays, broadcasting like numpy: base digits
-        and point digits gathered through the wreath group's permutation
-        tables, the base space's own batched action."""
-        W = self.group
-        g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
-                                   np.asarray(x, dtype=np.int64))
-        if not 1 <= self.n <= 7:
-            return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
-                                                             x.ravel().tolist())],
-                            dtype=np.int64).reshape(g.shape)
-        r, c = np.divmod(g, W._bn)
-        bases = c[..., None] // W._power_array % W._bs
-        places = self.base_space.size ** np.arange(self.n, dtype=np.int64)
-        digits = x[..., None] // places % self.base_space.size
-        moved = self.base_space.apply_array(
-            bases, np.take_along_axis(digits, W._inverse_array[r], axis=-1))
-        return (moved * places).sum(axis=-1)
-
-
-def _power_value(f, W, els, x_points, basepoint_rng=None, basis_twists=None):
+def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
     """Value of the power operation at a tuple over W and product point."""
-    H = CommutingTuple(W, els)
-    twists = None
-    if basis_twists is not None:
-        # one twist per orbit, drawn deterministically from the provided rng
-        red0 = reduce_tuple(H)
-        twists = [basis_twists(k, H) for k in range(len(red0.orbits))]
-    red = reduce_tuple(H, basepoint_rng=basepoint_rng, basis_twists=twists)
+    red = reduce_tuple(CommutingTuple(W, els), basepoint_rng=basepoint_rng,
+                       basis=basis)
     acc = GradedValue.unit(f.kind)
     for k, orbit in enumerate(red.orbits):
         v = f.evaluate(red.reduced[k], x_points[red.basepoints[k]])
@@ -110,26 +48,23 @@ def _power_value(f, W, els, x_points, basepoint_rng=None, basis_twists=None):
     return acc
 
 
-def power_operation(f, n, mode="auto", basepoint_rng=None, basis_twists=None,
-                    check_input="auto"):
+def power_operation(f, n, mode="auto", basepoint_rng=None, basis=None):
     """The n-th power operation: class functions over G to class functions
     over G wr Sigma_n.
 
     mode "eager" materializes values on all pair orbits (small groups only);
     "lazy" returns a rule-backed function; "auto" picks by size.  The
     randomization hooks re-run the orbit reduction with random basepoints or
-    twisted oriented bases; outputs must not depend on them.
+    with the stabilizer bases picked by `basis` (see `reduce_tuple`);
+    outputs must not depend on them.
 
     A non-invariant input draws a warning and the computation proceeds;
     violations then propagate to the invariance report of the output.  The
-    check runs automatically for small stored inputs and can be forced or
-    disabled.
+    check runs for stored inputs of at most 64 values.
     """
     if n < 0:
         raise GroupError("power operation arity must be >= 0")
-    if check_input == "auto":
-        check_input = f.values is not None and len(f.values) <= 64
-    if check_input:
+    if f.values is not None and len(f.values) <= 64:
         rep = f.is_invariant()
         if not rep.ok:
             import warnings
@@ -146,7 +81,7 @@ def power_operation(f, n, mode="auto", basepoint_rng=None, basis_twists=None,
             return out_space.decode_point(x)
 
     def rule(els, x):
-        return _power_value(f, W, els, x_points(x), basepoint_rng, basis_twists)
+        return _power_value(f, W, els, x_points(x), basepoint_rng, basis)
 
     out = ClassFunction.from_rule(W, f.d, rule, space=out_space, kind=f.kind,
                                   elliptic=f.elliptic)
@@ -211,15 +146,16 @@ def cayley_torsion_tuple(H, n):
     return CommutingTuple(W, tuple(entries))
 
 
-def adams_via_power(f, n, budget=ADAMS_WREATH_BUDGET):
+def adams_via_power(f, n):
     """Adams operation computed through the n^d-th power operation on the
     canonical torsion cover.  Contract: equals adams(f, n) exactly at height
     1 (degree 0) and within tolerance at height 2."""
     if n < 1:
         raise GroupError("adams operation needs n >= 1")
     npts = n ** f.d
-    if npts > budget:
-        raise GroupError(f"wreath budget exceeded: n^d = {npts} > {budget}")
+    if npts > ADAMS_WREATH_BUDGET:
+        raise GroupError(
+            f"wreath budget exceeded: n^d = {npts} > {ADAMS_WREATH_BUDGET}")
     G = f.group
     W = wreath(G, npts)
 
@@ -293,20 +229,11 @@ def pseudo_power_etheory(f, n, p, section=None):
         for e in els:
             if not _is_prime_power_order(W, e, p):
                 raise GroupError(f"tuple entry of non-{p}-power order")
-        H = CommutingTuple(W, els)
-        red = reduce_tuple(H)
+        red = reduce_tuple(CommutingTuple(W, els), basis=section.rule)
         acc = GradedValue.unit(f.kind)
-        for k, orbit in enumerate(red.orbits):
-            L = red.stabilizers[k]
-            A = section.rule(L)
-            if L.d > 0 and Sublattice(A, d=L.d) != L:
-                raise GroupError("section matrix does not span the sublattice")
-            i_k = red.basepoints[k]
-            entries = tuple(W.base_coordinate(H.at(row), i_k) for row in A)
-            t = CommutingTuple(G, entries)
-            for e in entries:
-                if not _is_prime_power_order(G, e, p):
-                    raise GroupError(f"reduced entry of non-{p}-power order")
+        for L, t in zip(red.stabilizers, red.reduced):
+            if not all(_is_prime_power_order(G, e, p) for e in t.elements):
+                raise GroupError(f"reduced entry of non-{p}-power order")
             v = f.evaluate(t, 0)
             if section.coefficient_action is not None:
                 v = section.coefficient_action(L, v)

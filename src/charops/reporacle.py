@@ -33,23 +33,23 @@ class Representation:
     """Finite-dimensional complex representation given by one matrix per
     group element."""
 
-    def __init__(self, group, matrices, name="rep", validate=True, tol=ORACLE_TOL):
+    def __init__(self, group, matrices, name="rep", validate=True):
         self.group = group
         self.matrices = [np.asarray(m, dtype=complex) for m in matrices]
         self.dim = self.matrices[0].shape[0]
         self.name = name
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol=ORACLE_TOL):
+    def validate(self):
         G = self.group
-        if not np.allclose(self.matrices[G.identity], np.eye(self.dim), atol=tol):
+        if not np.allclose(self.matrices[G.identity], np.eye(self.dim), atol=ORACLE_TOL):
             raise GroupError("representation does not send identity to identity")
         for x in range(G.size):
             for y in range(G.size):
                 lhs = self.matrices[G.mul(x, y)]
                 rhs = self.matrices[x] @ self.matrices[y]
-                if not np.allclose(lhs, rhs, atol=tol):
+                if not np.allclose(lhs, rhs, atol=ORACLE_TOL):
                     raise GroupError(f"not a representation at ({x},{y})")
 
     def __repr__(self):
@@ -190,17 +190,16 @@ def character(rep):
     return ClassFunction.from_values(G, 1, values)
 
 
-def tensor_power_trace(rep, n, bases, perm, dim_budget=TENSOR_DIM_BUDGET,
-                       arity_budget=TENSOR_ARITY_BUDGET):
+def tensor_power_trace(rep, n, bases, perm):
     """Trace of a wreath element (bases, perm) acting on V tensor n.
 
     The matrix sends basis vector e_{j_1 .. j_n} to the tensor product over
     slots a of rho(g_a) e_{j_{perm^-1(a)}}.  Budgets guard dim^n blowup.
     """
-    if rep.dim > dim_budget or n > arity_budget:
+    if rep.dim > TENSOR_DIM_BUDGET or n > TENSOR_ARITY_BUDGET:
         raise GroupError(
-            f"tensor budget exceeded: dim={rep.dim} (<= {dim_budget}), "
-            f"n={n} (<= {arity_budget})")
+            f"tensor budget exceeded: dim={rep.dim} (<= {TENSOR_DIM_BUDGET}), "
+            f"n={n} (<= {TENSOR_ARITY_BUDGET})")
     dim = rep.dim
     si = perm_inverse(tuple(perm))
     size = dim ** n
@@ -219,12 +218,12 @@ def tensor_power_trace(rep, n, bases, perm, dim_budget=TENSOR_DIM_BUDGET,
     return complex(np.trace(M))
 
 
-def tensor_power_trace_wreath(rep, W, element, **kw):
+def tensor_power_trace_wreath(rep, W, element):
     bases, perm = W.decode(element)
-    return tensor_power_trace(rep, W.n, bases, perm, **kw)
+    return tensor_power_trace(rep, W.n, bases, perm)
 
 
-def compare_with_geometric(rep, n, **kw):
+def compare_with_geometric(rep, n):
     """Max deviation between the tensor-trace oracle and the geometric power
     operation of the character over all conjugacy classes of G wr Sigma_n."""
     G = rep.group
@@ -234,7 +233,7 @@ def compare_with_geometric(rep, n, **kw):
     worst = 0.0
     for cls in tuple_conjugacy_classes(W, 1):
         w = cls.representative.elements[0]
-        oracle = tensor_power_trace_wreath(rep, W, w, **kw)
+        oracle = tensor_power_trace_wreath(rep, W, w)
         geo = Pn.evaluate(cls.representative, 0).component(0)
         worst = max(worst, abs(oracle - geo))
     return worst
@@ -253,7 +252,7 @@ def adams_character_check(rep, n):
     return worst
 
 
-def builtin_representations(G, include_regular=True, max_dim=None):
+def builtin_representations(G, max_dim=None):
     """The hand-auditable representations available for a built-in group."""
     out = [trivial_representation(G)]
     name = getattr(G, "name", "")
@@ -265,8 +264,7 @@ def builtin_representations(G, include_regular=True, max_dim=None):
         out.append(quaternion_2d(G))
     if name.startswith("C") and G.size > 1:
         out.append(cyclic_character(G, 1))
-    if include_regular:
-        out.append(regular_representation(G))
+    out.append(regular_representation(G))
     if max_dim is not None:
         out = [r for r in out if r.dim <= max_dim]
     return out

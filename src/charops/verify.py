@@ -12,6 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classfn import (
     ClassFunction,
     external_product,
@@ -39,7 +41,7 @@ from .groups import (
     tuple_conjugacy_classes,
     wreath,
 )
-from .lattices import LatticeError, random_unimodular, sublattices_of_index
+from .lattices import LatticeError, mat_mul, random_unimodular, sublattices_of_index
 from .orbits import fixed_point_transport
 from .powerops import (
     _is_prime_power_order,
@@ -131,10 +133,11 @@ def random_height2_function(G, rng):
 def sample_commuting_pairs(W, count, rng):
     """Random commuting pairs in W (identity pair included)."""
     out = [CommutingTuple(W, (W.identity, W.identity))]
+    elements = np.arange(W.size, dtype=np.int64)
     for _ in range(count):
         a = rng.randrange(W.size)
-        cent = [x for x in range(W.size) if W.commutes(a, x)]
-        out.append(CommutingTuple(W, (a, rng.choice(cent))))
+        cent = np.flatnonzero(W.mul_array(a, elements) == W.mul_array(elements, a))
+        out.append(CommutingTuple(W, (a, rng.choice(cent.tolist()))))
     return out
 
 
@@ -424,13 +427,13 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
         ref_vals = [ref.evaluate(t, 0) for t in pairs]
         for _ in range(runs):
             twist_rng = random.Random(rng.randrange(10 ** 9))
-            # small unimodular twists: large entries drag the q-expansion
-            # evaluation out of its accurate range
+            # small unimodular twists U . HNF: large entries drag the
+            # q-expansion evaluation out of its accurate range
             alt = power_operation(
                 f2, 2, mode="lazy",
                 basepoint_rng=random.Random(rng.randrange(10 ** 9)),
-                basis_twists=lambda k, H: random_unimodular(
-                    2, twist_rng, steps=2, max_coeff=1))
+                basis=lambda L: mat_mul(random_unimodular(
+                    2, twist_rng, steps=2, max_coeff=1), L.basis))
             for t, v in zip(pairs, ref_vals):
                 dev = graded_deviation(alt.evaluate(t, 0), v)
                 worst_tol = max(worst_tol, dev)

@@ -246,6 +246,33 @@ def test_hecke_eigen_ratio(capsys):
         assert abs(ratio - 9 / 8) < 1e-6
 
 
+def test_hecke_e6_default_samples(capsys):
+    """E6 vanishes at tau = i, the first default sample; the spread is taken
+    over the defined ratios, which all equal 1 + 2^-5 = 33/32."""
+    code, out, _ = run_cli(capsys, "--n", "2", "hecke", "E6")
+    assert code == 0
+    assert "nan" in out
+    spread = float(re.search(r"eigen-ratio spread (\S+)", out).group(1))
+    assert spread < 1e-12
+
+
+@pytest.mark.parametrize("samples", ["1.5j,1j", "1j,1.5j"])
+def test_hecke_e6_sample_order(capsys, samples):
+    code, out, _ = run_cli(capsys, "--n", "2", "--tau-samples", samples,
+                           "hecke", "E6")
+    assert code == 0
+    assert "eigen-ratio spread 0.000e+00" in out
+
+
+def test_hecke_vanishing_at_every_sample(capsys):
+    code, out, err = run_cli(capsys, "--n", "2", "--tau-samples", "1j",
+                             "hecke", "E6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "vanishes at every tau sample" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_pseudo_command(tmp_path, capsys):
     fn = {"height": 1, "d": 1, "kind": "complex",
           "values": [{"tuple": [0], "point": 0, "graded": {"0": [2.0, 0.0]}},

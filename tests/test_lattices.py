@@ -9,7 +9,6 @@ from charops.lattices import (
     Sublattice,
     full_lattice,
     hnf,
-    oriented_basis_matrix,
     random_unimodular,
     stabilizer_lattice,
     sublattices_of_index,
@@ -173,10 +172,10 @@ def test_stabilizer_index_equals_orbit_size_wreath():
 
 
 def test_oriented_basis_matrix():
-    assert oriented_basis_matrix(full_lattice(2)) == ((1, 0), (0, 1))
-    assert oriented_basis_matrix(Sublattice(((2,),))) == ((2,),)
+    assert full_lattice(2).basis == ((1, 0), (0, 1))
+    assert Sublattice(((2,),)).basis == ((2,),)
     L = stabilizer_lattice([(1, 0), (0, 1)], 0)
-    M = oriented_basis_matrix(L)
+    M = L.basis
     assert M == ((2, 0), (0, 1))
     assert int_mat_det([list(r) for r in M]) == 2
 

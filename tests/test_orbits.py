@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,11 +7,16 @@ from charops.groups import (
     CommutingTuple,
     GroupError,
     GSet,
+    commuting_tuples,
     cyclic_group,
+    perm_inverse,
+    quaternion_group,
     symmetric_group,
+    tuple_conjugacy_classes,
     wreath,
 )
-from charops.lattices import mat_mul, random_unimodular
+from charops.lattices import mat_identity, mat_mul, random_unimodular
+from charops.powerops import cayley_torsion_tuple
 from charops.orbits import cycle_product, fixed_point_transport, reduce_tuple
 
 
@@ -74,6 +80,88 @@ def test_reduce_det_equals_orbit_size():
                     assert det == len(orbit)
                     total += len(orbit)
                 assert total == n
+
+
+# --- the decoded walk against the wreath group law -----------------------------
+
+
+def block_sum(W, tuples):
+    """Commuting tuple over W = G wr Sigma_n placing the given tuples (over
+    smaller wreath products of G) on consecutive blocks of points."""
+    d = tuples[0].d
+    entries = []
+    for j in range(d):
+        bases, perm = [], []
+        for H in tuples:
+            b, s = H.group.decode(H.elements[j])
+            perm += [len(bases) + q for q in s]
+            bases += b
+        entries.append(W.encode(bases, perm))
+    return CommutingTuple(W, tuple(entries))
+
+
+def walk_cases():
+    """(tuple, vectors) over S3 wr 3, Q8 wr 2, C2 wr 9, S3 wr 8 and the
+    3-torsion covers of S3, each tuple conjugated by a random element so
+    that its orbits are not consecutive blocks."""
+    rng = random.Random(5)
+    S3, Q8, C2 = symmetric_group(3), quaternion_group(), cyclic_group(2)
+    box1 = [(k,) for k in range(-4, 5)]
+    box2 = list(itertools.product(range(-4, 5), repeat=2))
+    cases = []
+    for G, n in ((S3, 3), (Q8, 2)):
+        W = wreath(G, n)
+        for d, box in ((1, box1), (2, box2)):
+            reps = [c.representative for c in tuple_conjugacy_classes(W, d)]
+            cases += [(H, box) for H in rng.sample(reps, 4)]
+    for G, parts in ((C2, (4, 5)), (S3, (3, 5))):
+        W = wreath(G, sum(parts))
+        for d, box in ((1, box1), (2, box2)):
+            for _ in range(2):
+                blocks = [rng.choice([c.representative for c in
+                                      tuple_conjugacy_classes(wreath(G, m), d)])
+                          for m in parts]
+                cases.append((block_sum(W, blocks), box))
+    # a transposition, a 3-cycle, and two commuting pairs
+    for els in ((1,), (3,), (1, 0), (3, 4)):
+        H = CommutingTuple(S3, els)
+        cases.append((cayley_torsion_tuple(H, 3), box1 if H.d == 1 else box2))
+    out = []
+    for H, box in cases:
+        W = H.group
+        z = rng.randrange(W.size)
+        out.append((H.conjugate(z), rng.sample(box, min(len(box), 20))))
+    return out
+
+
+def test_decoded_walk_matches_wreath_law():
+    """Coordinate p of H(v) from the decoded walk equals the one read off the
+    wreath element H(v) built by repeated squaring, for negative v too."""
+    checked = 0
+    for H, vectors in walk_cases():
+        red = reduce_tuple(H)
+        W = H.group
+        for v in vectors:
+            bases = W.decode(H.at(v))[0]
+            for p in range(W.n):
+                assert red.coordinate(v, p) == bases[p]
+                checked += 1
+        for orbit, rows, h_k, i_k in zip(red.orbits, red.matrices, red.reduced,
+                                         red.basepoints):
+            assert h_k.elements == tuple(W.decode(H.at(r))[0][i_k] for r in rows)
+    assert checked > 1500
+
+
+def test_basis_hook_must_span_the_stabilizer():
+    C2 = cyclic_group(2)
+    W = wreath(C2, 2)
+    H = CommutingTuple(W, (W.encode((1, 0), (1, 0)), W.encode((1, 1), (0, 1))))
+    # the stabilizer is spanned by (2, 0) and (0, 1)
+    assert reduce_tuple(H, basis=lambda L: ((0, 1), (2, 0))).reduced[0].elements == (1, 1)
+    for rows in (mat_identity(2), ((2, 0), (0, 2)), ((2, 0), (4, 0)),
+                 ((2, 0),), ((2, 0), (0, 1), (0, 1))):
+        with pytest.raises(GroupError):
+            reduce_tuple(H, basis=lambda L: rows)
 
 
 # --- cycle products ------------------------------------------------------------
@@ -177,8 +265,14 @@ def test_reduce_choice_robustness_bases():
         pairs.append(CommutingTuple(W, (a, rng.choice(cent))))
     for H in pairs:
         red0 = reduce_tuple(H)
-        twists = [random_unimodular(2, rng) for _ in red0.orbits]
-        red1 = reduce_tuple(H, basis_twists=twists)
+        twists = []
+
+        def basis(L):
+            twists.append(random_unimodular(2, rng))
+            return mat_mul(twists[-1], L.basis)
+
+        red1 = reduce_tuple(H, basis=basis)
+        assert len(twists) == len(red0.orbits)
         for k in range(len(red0.orbits)):
             # M' = U . M for the supplied unimodular U
             assert red1.matrices[k] == mat_mul(twists[k], red0.matrices[k])
@@ -249,6 +343,38 @@ def test_transport_free_action_empty():
     data = fixed_point_transport(X, H)
     assert data.product_fixed == []
     assert data.orbit_fixed == [[]]
+
+
+def product_fixed_oracle(X, H):
+    """Enumerate X^n and keep the tuples every entry of H fixes."""
+    W = H.group
+    parts = [(bases, perm_inverse(sigma))
+             for bases, sigma in (W.decode(e) for e in H.elements)]
+
+    def is_fixed(xt):
+        for bases, si in parts:
+            for a in range(W.n):
+                if X.apply(bases[a], xt[si[a]]) != xt[a]:
+                    return False
+        return True
+
+    return [xt for xt in itertools.product(range(X.size), repeat=W.n)
+            if is_fixed(xt)]
+
+
+def test_transport_product_fixed_matches_enumeration():
+    C2, S3 = cyclic_group(2), symmetric_group(3)
+    natural = GSet(S3, 3, [[p[x] for p in S3.perms] for x in range(3)])
+    cases = [(X, n) for n in (1, 2, 3)
+             for X in (GSet.trivial(C2, 2), GSet(C2, 2, [[0, 1], [1, 0]]),
+                       GSet(C2, 3, [[0, 1], [1, 0], [2, 2]]))]
+    cases.append((natural, 2))
+    for X, n in cases:
+        W = wreath(X.group, n)
+        for d in (1, 2):
+            for H in commuting_tuples(W, d):
+                assert fixed_point_transport(X, H).product_fixed == \
+                    product_fixed_oracle(X, H)
 
 
 def test_transport_bijection_sweep_small():

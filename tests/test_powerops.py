@@ -90,7 +90,7 @@ def test_power_warns_on_non_invariant_input():
         kind="lat", elliptic=True)
     with w.catch_warnings(record=True) as caught:
         w.simplefilter("always")
-        power_operation(bad, 2, check_input=True, mode="lazy")
+        power_operation(bad, 2, mode="lazy")
     assert [c for c in caught if "non-invariant" in str(c.message)]
 
 
@@ -349,6 +349,24 @@ def _pow2_order(W, e):
     while k % 2 == 0:
         k //= 2
     return k == 1
+
+
+def test_pseudo_power_rejects_a_section_off_the_stabilizer():
+    """A section whose rows span another lattice than the stabilizer raises
+    GroupError, at d = 1 (rows Z instead of 2Z) and at d = 2."""
+    from charops.lattices import mat_identity
+    from charops.powerops import SectionPhi
+    C2 = cyclic_group(2)
+    W = wreath(C2, 2)
+    swap = W.encode((0, 0), (1, 0))
+    identity_rows = SectionPhi(lambda L: mat_identity(L.d), name="identity")
+    for d, els in ((1, (swap,)), (2, (swap, W.identity))):
+        Q = pseudo_power_etheory(ClassFunction.constant(C2, d, 1.0), 2, p=2,
+                                 section=identity_rows)
+        with pytest.raises(GroupError):
+            Q.evaluate(CommutingTuple(W, els), 0)
+        # on a tuple whose orbits all have stabilizer Z^d the section is fine
+        assert Q.evaluate(CommutingTuple(W, (W.identity,) * d), 0).components[0] == 1.0
 
 
 def test_pseudo_power_rejects_bad_order():
