@@ -283,7 +283,7 @@ class ClassFunction:
             raise ValueError("a class function is an object with a \"values\" list")
         kind = data.get("kind", "complex")
         d = data["d"] if "d" in data else data["height"]
-        if kind not in ("complex", "lat") or not isinstance(d, int):
+        if kind not in ("complex", "lat") or type(d) is not int:
             raise ValueError(f"unknown kind {kind!r} or arity {d!r}")
         kernels = kernels_from_json(data.get("kernels", []))
         values = {}
@@ -293,6 +293,8 @@ class ClassFunction:
                 raise ValueError(f"a value needs a \"tuple\" list and a \"graded\" "
                                  f"object, got {row!r}")
             key = (tuple(row["tuple"]), row.get("point", 0))
+            if any(isinstance(v, (list, dict)) for v in key[0] + key[1:]):
+                raise ValueError(f"a key holds element and point indices, got {row!r}")
             values[key] = graded_from_json(row["graded"], kind, kernels)
         return cls.from_values(group, d, values, space=space, kind=kind,
                                elliptic=data.get("elliptic", False))
@@ -394,7 +396,7 @@ def external_product(f, g):
 
 
 # ---------------------------------------------------------------------------
-# canonical wreath inclusions
+# canonical wreath inclusions, given on the source generators
 
 
 def wreath_block_inclusion(G, j, k):
@@ -410,8 +412,7 @@ def wreath_block_inclusion(G, j, k):
         perm = tuple(s1) + tuple(p + j for p in s2)
         return W.encode(b1 + b2, perm)
 
-    image = [fn(a) for a in range(P.size)]
-    return GroupHomomorphism(P, W, image)
+    return GroupHomomorphism.from_generators(P, W, [fn(a) for a in P.generators()])
 
 
 def wreath_composition_inclusion(G, j, k):
@@ -437,8 +438,7 @@ def wreath_composition_inclusion(G, j, k):
                 perm[b * k + c] = pi[b] * k + rho[c]
         return W.encode(tuple(bases), tuple(perm))
 
-    image = [fn(a) for a in range(WW.size)]
-    return GroupHomomorphism(WW, W, image)
+    return GroupHomomorphism.from_generators(WW, W, [fn(a) for a in WW.generators()])
 
 
 def wreath_diagonal(G, G2, k):
@@ -455,5 +455,4 @@ def wreath_diagonal(G, G2, k):
         g2 = tuple(P.decode(b)[1] for b in bases)
         return T.encode(W1.encode(g1, s), W2.encode(g2, s))
 
-    image = [fn(a) for a in range(WP.size)]
-    return GroupHomomorphism(WP, T, image)
+    return GroupHomomorphism.from_generators(WP, T, [fn(a) for a in WP.generators()])

@@ -192,6 +192,13 @@ def cmd_hecke(cfg, form_name):
         F = eisenstein_series(int(form_name[1]), 400)
     else:
         data = json.loads(form_name)
+        number = lambda c: type(c) in (int, float)      # bool is a subclass of int
+        if not (isinstance(data, dict) and type(data.get("weight")) is int
+                and isinstance(data.get("q"), list) and all(
+                    number(c) or isinstance(c, list) and len(c) == 2 and all(map(number, c))
+                    for c in data["q"])):
+            raise ValueError("a form is an object with an integer \"weight\" and a "
+                             "\"q\" list of numbers or [re, im] pairs")
         F = LatFunction.from_q_expansion(data["weight"],
                                          [complex(c[0], c[1]) if isinstance(c, list)
                                           else c for c in data["q"]])

@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,42 +161,43 @@ class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
 
     def __init__(self, table, labels=None, name=None):
-        self.size = len(table)
-        self._table = [list(row) for row in table]
+        try:
+            t = np.asarray(table)
+        except ValueError:      # ragged rows
+            t = np.zeros(0)
+        if t.ndim != 2 or len(t) != t.shape[1] or not t.size or t.dtype.kind not in "iu" \
+                or t.min() < 0 or t.max() >= len(t):
+            raise GroupError("a multiplication table is an n x n array of integers in [0, n)")
+        self._table_array = t = t.astype(np.int64)
+        self._table = t.tolist()
+        self.size = len(t)
         self.labels = labels
         self.name = name
-        ident = None
-        for e in range(self.size):
-            if all(self._table[e][x] == x == self._table[x][e] for x in range(self.size)):
-                ident = e
-                break
-        if ident is None:
+        elements = np.arange(self.size)
+        neutral = np.flatnonzero(((t == elements) & (t.T == elements)).all(axis=1))
+        if not neutral.size:
             raise GroupError("table has no two-sided identity")
-        self.identity = ident
-        inv = [None] * self.size
-        for a in range(self.size):
-            for b in range(self.size):
-                if self._table[a][b] == ident and self._table[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise GroupError(f"element {a} has no inverse")
-        self._inverse = inv
+        self.identity = int(neutral[0])
+        has_inverse = (t == self.identity) & (t.T == self.identity)
+        if not has_inverse.any(axis=1).all():
+            raise GroupError(f"element {np.argmin(has_inverse.any(axis=1))} has no inverse")
+        self._inverse_table = has_inverse.argmax(axis=1)
+        self._inverse = self._inverse_table.tolist()
         self.validate_associativity()
 
     def validate_associativity(self):
-        """Full triple loop up to size 64, seeded sampling above."""
-        n = self.size
-        t = self._table
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(20000))
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupError(f"non-associative triple ({a},{b},{c})")
+        """Light's test, exact at every order: (x g) y = x (g y) for all x, y
+        and every generator g.  The g satisfying this are closed under
+        products, so it then holds for every g.  Compared in row blocks of x
+        to bound the temporaries."""
+        t = self._table_array
+        for g in self.generators():
+            for start in range(0, self.size, _VALIDATE_BLOCK):
+                rows = t[start:start + _VALIDATE_BLOCK]
+                bad = t[rows[:, g]] != rows[:, t[g]]
+                if bad.any():
+                    x, y = np.argwhere(bad)[0]
+                    raise GroupError(f"non-associative triple ({start + x},{g},{y})")
 
     def mul(self, a, b):
         return self._table[a][b]
@@ -205,19 +205,11 @@ class TableGroup(FiniteGroup):
     def mul_array(self, a, b):
         return self._table_array[a, b]
 
-    @functools.cached_property
-    def _table_array(self):
-        return np.array(self._table, dtype=np.int64)
-
     def inv(self, a):
         return self._inverse[a]
 
     def inv_array(self, a):
         return self._inverse_table[a]
-
-    @functools.cached_property
-    def _inverse_table(self):
-        return np.array(self._inverse, dtype=np.int64)
 
     def generators(self):
         if getattr(self, "_gens", None) is None:
@@ -283,13 +275,12 @@ def dihedral_group(n):
 
 
 def symmetric_group(n):
-    """Symmetric group on n letters; elements indexed in lexicographic order."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[perm_compose(p, q)] for q in perms] for p in perms]
-    labels = ["".join(map(str, p)) for p in perms]
-    G = TableGroup(table, labels=labels, name=f"S{n}")
-    G.perms = perms
+    """Symmetric group on n letters; elements indexed in lexicographic order.
+    It is the permutation group of an n-cycle and a transposition, so it
+    shares `perm_group`'s bound: n <= 7 (order 5040)."""
+    gens = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))] if n >= 2 else []
+    G = perm_group(n, gens)
+    G.name = f"S{n}"
     return G
 
 
@@ -326,6 +317,10 @@ def perm_group(degree, generator_perms, size_bound=5040):
 
     The result stores its |G| x |G| multiplication table, so orders above
     size_bound (7! by default) are refused."""
+    if not (isinstance(generator_perms, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and all(type(i) is int for i in p)
+            for p in generator_perms)):
+        raise GroupError("permutation generators are a list of integer lists")
     gens = [tuple(p) for p in generator_perms]
     for p in gens:
         if sorted(p) != list(range(degree)):
@@ -360,23 +355,31 @@ def build_group(spec):
     | {"type":"quaternion"} | {"type":"table","size":m,"table":[[...]]}
     | {"type":"perm","degree":k,"generators":[[...]]}
     """
+    if not isinstance(spec, dict):
+        raise GroupError(f"a group descriptor is an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(_int_field(spec, "n"))
     if kind == "dihedral":
-        return dihedral_group(int(spec["n"]))
+        return dihedral_group(_int_field(spec, "n"))
     if kind == "symmetric":
-        return symmetric_group(int(spec["n"]))
+        return symmetric_group(_int_field(spec, "n"))
     if kind == "quaternion":
         return quaternion_group()
     if kind == "table":
-        table = spec["table"]
-        if "size" in spec and len(table) != spec["size"]:
+        G = TableGroup(spec["table"])
+        if "size" in spec and G.size != spec["size"]:
             raise GroupError("declared size does not match table")
-        return TableGroup(table)
+        return G
     if kind == "perm":
-        return perm_group(int(spec["degree"]), spec["generators"])
+        return perm_group(_int_field(spec, "degree"), spec["generators"])
     raise GroupError(f"unknown group descriptor type {kind!r}")
+
+
+def _int_field(spec, key):
+    if type(spec[key]) is not int:      # bool is a subclass of int
+        raise GroupError(f"descriptor field {key!r} must be an integer, got {spec[key]!r}")
+    return spec[key]
 
 
 # ---------------------------------------------------------------------------
@@ -599,26 +602,30 @@ class GroupHomomorphism:
         if validate:
             self.validate()
 
+    @classmethod
+    def from_generators(cls, source, target, images):
+        """The homomorphism sending source.generators()[k] to images[k],
+        built and checked by one walk over the source (`_extend`)."""
+        images = np.asarray(images, dtype=np.int64)
+        if images.size and (images.min() < 0 or images.max() >= target.size):
+            raise GroupError("generator images leave the target group")
+        image = _extend(source, images, target.mul_array, target.identity,
+                        "not a homomorphism")
+        return cls(source, target, image.tolist(), validate=False)
+
     def __call__(self, a):
         return self.image[a]
 
     def validate(self):
-        """Exact check: phi(x g) = phi(x) phi(g) for every source element x
-        and every source generator g, and the generators reach every
-        element.  Every y is then a word g_1 ... g_k, and induction on k
-        gives phi(x y) = phi(x) phi(y)."""
-        S, T = self.source, self.target
+        """Exact check: the image array equals the extension of its values on
+        the source generators (`from_generators`)."""
         image = np.array(self.image, dtype=np.int64)
-        if image.min() < 0 or image.max() >= T.size:
+        if image.min() < 0 or image.max() >= self.target.size:
             raise GroupError("image array leaves the target group")
-        if image[S.identity] != T.identity:
-            raise GroupError("homomorphism does not preserve identity")
-        gens = np.array(S.generators(), dtype=np.int64)
-        for xs, xg in _right_multiples(S, gens, _VALIDATE_BLOCK):
-            bad = image[xg] != T.mul_array(image[xs][:, None], image[gens])
-            if bad.any():
-                i, k = np.argwhere(bad)[0]
-                raise GroupError(f"not a homomorphism at ({xs[i]},{gens[k]})")
+        gens = self.source.generators()
+        if self.from_generators(self.source, self.target, image[gens]).image != self.image:
+            raise GroupError("not a homomorphism: the image array is not the extension "
+                             "of its generator images")
 
     def compose(self, other):
         """self after other."""
@@ -677,25 +684,41 @@ class CommutingTuple:
         return sorted(mulclose_indices(self.group, list(self.elements) or [self.group.identity]))
 
 
-def _right_multiples(G, gens, block):
-    """Visit every element x of G once, breadth first from the identity
-    along right multiplication by `gens`: yields (xs, xs[:, None] * gens)
-    in blocks of at most `block` elements, then raises GroupError if some
-    element was never reached."""
+def _extend(G, images, mul, identity, what):
+    """The map phi on G with phi(e) = identity, phi(gens[k]) = images[k] and
+    phi(x g) = mul(phi(x), phi(g)), as an array over G (images may carry
+    trailing axes).  One breadth-first walk in blocks of _VALIDATE_BLOCK
+    elements (divided by the trailing size) sets each element when first
+    reached and checks every later product x g against it: GroupError
+    "<what> at (x,g)" on a disagreement, or if the generators miss part of G."""
+    gens = np.array(G.generators(), dtype=np.int64)
+    images = np.asarray(images, dtype=np.int64)
+    if images.shape[:1] != gens.shape:
+        raise GroupError(f"{len(images)} images for {len(gens)} generators")
+    trailing = images.shape[1:]
+    block = max(1, _VALIDATE_BLOCK // max(1, math.prod(trailing)))
+    phi = np.empty((G.size,) + trailing, dtype=np.int64)
+    phi[G.identity] = identity
     seen = np.zeros(G.size, dtype=bool)
     seen[G.identity] = True
     frontier = np.array([G.identity], dtype=np.int64)
     while frontier.size:
-        reached = np.zeros(G.size, dtype=bool)
+        fresh = np.zeros(G.size, dtype=bool)
         for start in range(0, frontier.size, block):
             xs = frontier[start:start + block]
             xg = G.mul_array(xs[:, None], gens)
-            yield xs, xg
-            reached[xg] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen |= reached
+            value = mul(phi[xs][:, None], images[None])
+            new = ~seen[xg]
+            phi[xg[new]] = value[new]
+            seen[xg] = fresh[xg[new]] = True
+            bad = phi[xg] != value
+            if bad.any():
+                i, k = np.argwhere(bad)[0][:2]
+                raise GroupError(f"{what} at ({xs[i]},{gens[k]})")
+        frontier = np.flatnonzero(fresh)
     if not seen.all():
         raise GroupError(f"generators reach {int(seen.sum())} of {G.size} elements")
+    return phi
 
 
 def commuting_tuples(G, d):
@@ -994,25 +1017,17 @@ class GSet:
         return np.array(self.action, dtype=np.int64).reshape(self.size, self.group.size)
 
     def validate(self):
-        """Exact check: rho(h g)(x) = rho(h)(rho(g)(x)) for every h in G,
-        every generator g of G and every point x, with the identity acting
-        trivially; by induction on word length rho is then an action."""
+        """Exact check: the table equals the extension (`_extend_action`)
+        of its generator columns."""
         G = self.group
         act = np.array(self.action, dtype=np.int64)
         if act.shape != (self.size, G.size) or act.min(initial=0) < 0 \
                 or act.max(initial=0) >= self.size:
             raise GroupError("action table is not a map G x X -> X")
-        if (act[:, G.identity] != np.arange(self.size)).any():
-            raise GroupError("identity does not act trivially")
-        gens = np.array(G.generators(), dtype=np.int64)
-        moved = act[:, gens][:, None, :]
-        block = max(1, _VALIDATE_BLOCK // max(1, self.size))
-        for hs, hg in _right_multiples(G, gens, block):
-            bad = act[:, hg] != act[moved, hs[:, None]]
-            if bad.any():
-                x, i, k = np.argwhere(bad)[0]
-                raise GroupError(
-                    f"action not compatible at h={hs[i]}, g={gens[k]}, x={x}")
+        bad = _extend_action(G, act[:, G.generators()].T, self.size) != act.T
+        if bad.any():
+            h, x = np.argwhere(bad)[0]
+            raise GroupError(f"action not compatible at h={h}, x={x}")
 
     @classmethod
     def point(cls, group):
@@ -1025,45 +1040,36 @@ class GSet:
     @classmethod
     def left_translation(cls, group):
         """The group acting on itself by left translation (a free action)."""
-        act = [[group.mul(g, x) for g in range(group.size)] for x in range(group.size)]
-        return cls(group, group.size, act, validate=False)
+        elements = np.arange(group.size, dtype=np.int64)
+        act = group.mul_array(elements, elements[:, None])
+        return cls(group, group.size, act.tolist(), validate=False)
 
     @classmethod
     def from_perms(cls, group, size, perm_of_generator):
-        """Build the action table from images of the group's generators."""
-        gens = group.generators()
-        act = [[None] * group.size for _ in range(size)]
-        for x in range(size):
-            act[x][group.identity] = x
-        known = {group.identity}
-        bdy = [group.identity]
-        while bdy:
-            new = []
-            for g in bdy:
-                for gen, pg in zip(gens, perm_of_generator):
-                    h = group.mul(gen, g)
-                    if h not in known:
-                        known.add(h)
-                        for x in range(size):
-                            act[x][h] = pg[act[x][g]]
-                        new.append(h)
-            bdy = new
-        if len(known) != group.size:
-            raise GroupError("generator images do not cover the group")
-        return cls(group, size, act)
+        """The action whose generators act by the given permutations of
+        0..size-1, built and checked by one walk over the group."""
+        perms = np.array(perm_of_generator, dtype=np.int64)
+        if perms.shape != (len(group.generators()), size) or perms.min(initial=0) < 0 \
+                or perms.max(initial=0) >= size:
+            raise GroupError("generator images are not maps of the points")
+        return cls(group, size, _extend_action(group, perms, size).T.tolist(),
+                   validate=False)
 
     def product(self, other):
         """Product G-set of two sets over the two groups' direct product."""
         P = direct_product(self.group, other.group)
-        size = self.size * other.size
-        act = [[0] * P.size for _ in range(size)]
-        for x1 in range(self.size):
-            for x2 in range(other.size):
-                x = x1 + x2 * self.size
-                for g in range(P.size):
-                    g1, g2 = P.decode(g)
-                    act[x][g] = self.apply(g1, x1) + other.apply(g2, x2) * self.size
-        return GSet(P, size, act, validate=False)
+        g2, g1 = np.divmod(np.arange(P.size, dtype=np.int64), self.group.size)
+        x2, x1 = np.divmod(np.arange(self.size * other.size, dtype=np.int64)[:, None],
+                           self.size)
+        act = self.apply_array(g1, x1) + other.apply_array(g2, x2) * self.size
+        return GSet(P, self.size * other.size, act.tolist(), validate=False)
+
+
+def _extend_action(G, perms, npoints):
+    """`_extend` into permutation arrays of 0..npoints-1: row h of the result
+    lists the images of the points under h."""
+    return _extend(G, perms, lambda p, q: np.take_along_axis(p, q, axis=-1),
+                   np.arange(npoints), "action not compatible")
 
 
 class _PointGSet(GSet):

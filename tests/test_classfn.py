@@ -21,6 +21,7 @@ from charops.coefficients import (
 )
 from charops.groups import (
     CommutingTuple,
+    DirectProductGroup,
     GroupError,
     GroupHomomorphism,
     GSet,
@@ -289,3 +290,83 @@ def test_evaluate_rejects_wrong_group():
     f = ClassFunction.from_values(C2, 1, regular_values(C2))
     with pytest.raises(GroupError):
         f.evaluate(CommutingTuple(C4, (1,)), 0)
+
+
+# --- the inclusions against their element-by-element formulas -------------
+
+
+def block_inclusion_formula(G, j, k):
+    """Image of every source element, decoded and re-encoded one by one."""
+    Wj, Wk, W = wreath(G, j), wreath(G, k), wreath(G, j + k)
+    P = DirectProductGroup(Wj, Wk)
+
+    def fn(a):
+        a1, a2 = P.decode(a)
+        b1, s1 = Wj.decode(a1)
+        b2, s2 = Wk.decode(a2)
+        return W.encode(b1 + b2, tuple(s1) + tuple(p + j for p in s2))
+
+    return [fn(a) for a in range(P.size)]
+
+
+def composition_inclusion_formula(G, j, k):
+    Wk, WW, W = wreath(G, k), wreath(wreath(G, k), j), wreath(G, j * k)
+
+    def fn(a):
+        inner, pi = WW.decode(a)
+        decoded = [Wk.decode(i) for i in inner]
+        bases = [decoded[b][0][c] for b in range(j) for c in range(k)]
+        perm = [pi[b] * k + decoded[pi[b]][1][c] for b in range(j) for c in range(k)]
+        return W.encode(tuple(bases), tuple(perm))
+
+    return [fn(a) for a in range(WW.size)]
+
+
+def diagonal_formula(G, k):
+    P = DirectProductGroup(G, G)
+    WP, W1 = wreath(P, k), wreath(G, k)
+    T = DirectProductGroup(W1, W1)
+
+    def fn(a):
+        bases, s = WP.decode(a)
+        return T.encode(W1.encode(tuple(P.decode(b)[0] for b in bases), s),
+                        W1.encode(tuple(P.decode(b)[1] for b in bases), s))
+
+    return [fn(a) for a in range(WP.size)]
+
+
+JK = [(1, 1), (2, 1), (1, 2), (2, 2)]
+INCLUSION_CASES = (
+    [("block", G, j, k) for G in ("C2", "S3") for j, k in JK + [(0, 2)]]
+    + [("composition", G, j, k) for G in ("C2", "S3") for j, k in JK]
+    + [("diagonal", G, 1, k) for G in ("C2", "S3") for k in (1, 2)]
+    + [("diagonal", "C2", 1, 3)])
+
+
+@pytest.mark.parametrize("kind,name,j,k", INCLUSION_CASES,
+                         ids=["-".join(map(str, case)) for case in INCLUSION_CASES])
+def test_inclusions_from_generators_match_formulas(kind, name, j, k):
+    G = cyclic_group(2) if name == "C2" else symmetric_group(3)
+    if kind == "block":
+        hom, expected = wreath_block_inclusion(G, j, k), block_inclusion_formula(G, j, k)
+    elif kind == "composition":
+        hom = wreath_composition_inclusion(G, j, k)
+        expected = composition_inclusion_formula(G, j, k)
+    else:
+        hom, expected = wreath_diagonal(G, G, k), diagonal_formula(G, k)
+    assert hom.image == expected
+    assert all(type(x) is int for x in hom.image)
+
+
+def test_from_generators_rejects_images_that_extend_to_no_homomorphism():
+    """A transposition t of S3 sent to c in C3: t^2 = e but c^2 != e."""
+    S3, C3 = symmetric_group(3), cyclic_group(3)
+    images = [1 if S3.perms[g] in ((0, 2, 1), (1, 0, 2)) else 0
+              for g in S3.generators()]
+    assert images == [1, 1]
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        GroupHomomorphism.from_generators(S3, C3, images)
+    with pytest.raises(GroupError, match="leave the target"):
+        GroupHomomorphism.from_generators(S3, C3, [0, 3])
+    sign = GroupHomomorphism.from_generators(S3, cyclic_group(2), [1, 1])
+    assert sign.image == [0, 1, 1, 0, 0, 1]

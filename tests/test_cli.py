@@ -359,3 +359,45 @@ def test_out_flag(tmp_path, capsys):
                          "--out", str(dest), "classes")
     assert code == 0
     assert dest.read_text().startswith("class,")
+
+
+# (label, argv) of malformed descriptors and forms, each rejected where it
+# enters the program
+MALFORMED_ARGUMENTS = [
+    ("descriptor not an object", ["--group", "[1,2]", "classes"]),
+    ("ragged table", ["--group", '{"type":"table","table":[[0,1],[1]]}', "classes"]),
+    ("table not a list", ["--group", '{"type":"table","table":5}', "classes"]),
+    ("table of bools", ["--group", '{"type":"table","table":[[true]]}', "classes"]),
+    ("generators not a list",
+     ["--group", '{"type":"perm","degree":3,"generators":5}', "classes"]),
+    ("order above 5040", ["--group", '{"type":"symmetric","n":9}', "classes"]),
+    ("order not an integer", ["--group", '{"type":"cyclic","n":[3]}', "classes"]),
+    ("weight not an integer", ["--n", "2", "hecke", '{"weight":"a","q":[1,2]}']),
+    ("q not a list", ["--n", "2", "hecke", '{"weight":4,"q":5}']),
+    ("q pair too short", ["--n", "2", "hecke", '{"weight":4,"q":[[1]]}']),
+    ("form not an object", ["--n", "2", "hecke", "[1,2]"]),
+]
+
+
+@pytest.mark.parametrize("label,argv", MALFORMED_ARGUMENTS,
+                         ids=[case[0] for case in MALFORMED_ARGUMENTS])
+def test_malformed_arguments_exit_2(capsys, label, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("command", ["power", "adams", "pseudo"])
+@pytest.mark.parametrize("edit", [_set(["d"], True), _set(["values", 0, "tuple"], [[0]]),
+                                  _set(["values", 0, "point"], [0])],
+                         ids=["bool arity", "list entry", "list point"])
+def test_malformed_keys_exit_2_in_every_command(tmp_path, capsys, command, edit):
+    data = _height1_input()
+    edit(data)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "--group", "C2", "--n", "2", command, str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err

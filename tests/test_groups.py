@@ -535,3 +535,60 @@ def test_direct_product():
     P = direct_product(cyclic_group(2), symmetric_group(3))
     assert P.size == 12
     check_group_axioms(P)
+
+
+def test_gset_from_perms_rejects_non_actions():
+    """Both generators of S3 are transpositions; sending them to a 3-cycle
+    (whose square is not the identity) or to a non-permutation gives no
+    action."""
+    S3 = symmetric_group(3)
+    with pytest.raises(GroupError, match="action not compatible"):
+        GSet.from_perms(S3, 3, [(1, 2, 0), (1, 2, 0)])
+    with pytest.raises(GroupError, match="action not compatible"):
+        GSet.from_perms(S3, 3, [(0, 0, 1), (1, 0, 2)])
+    with pytest.raises(GroupError):
+        GSet.from_perms(S3, 3, [(0, 1, 3), (1, 0, 2)])
+    with pytest.raises(GroupError):
+        GSet.from_perms(S3, 3, [(1, 0, 2)])
+
+
+def _c2_spaces():
+    C2 = cyclic_group(2)
+    return [GSet.trivial(C2, 2), GSet(C2, 2, [[0, 1], [1, 0]]),
+            GSet(C2, 3, [[0, 1], [1, 0], [2, 2]])]
+
+
+@pytest.mark.parametrize("G", [symmetric_group(3), wreath(quaternion_group(), 2)],
+                         ids=repr)
+def test_left_translation_matches_scalar_definition(G):
+    X = GSet.left_translation(G)
+    assert X.action == [[G.mul(g, x) for g in range(G.size)] for x in range(G.size)]
+    assert all(type(a) is int for a in X.action[0])
+    GSet(G, G.size, X.action)
+
+
+@pytest.mark.parametrize("pair", range(4))
+def test_gset_product_matches_scalar_definition(pair):
+    S3 = symmetric_group(3)
+    spaces = _c2_spaces() + [GSet.left_translation(S3)]
+    X, Y = [(spaces[0], spaces[1]), (spaces[1], spaces[2]), (spaces[2], spaces[2]),
+            (spaces[2], spaces[3])][pair]
+    Z = X.product(Y)
+    P = Z.group
+    expected = [[X.apply(P.decode(g)[0], x1) + Y.apply(P.decode(g)[1], x2) * X.size
+                 for g in range(P.size)]
+                for x2 in range(Y.size) for x1 in range(X.size)]
+    assert Z.action == expected
+    GSet(P, Z.size, Z.action)
+
+
+def test_associativity_check_is_exact_above_64_elements():
+    """C256 with one product changed (3 + 5 = 9) keeps its identity and
+    inverses, and a sample of 20,000 triples misses the defect; Light's test
+    over the generator does not."""
+    n = 256
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    build_group({"type": "table", "table": table})
+    table[3][5] = 9
+    with pytest.raises(GroupError, match="non-associative"):
+        build_group({"type": "table", "table": table})

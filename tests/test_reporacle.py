@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -196,3 +197,44 @@ def test_builtin_representations_lists():
     assert "irrep2" in names
     small = builtin_representations(S3, max_dim=3)
     assert all(r.dim <= 3 for r in small)
+
+
+def kron_tensor_power_trace(rep, n, bases, perm):
+    """Reference: build the dim^n x dim^n matrix of (bases, perm) on V
+    tensor n column by column, each column the Kronecker product over slots
+    a of column j_{perm^-1(a)} of rho(g_a), and take its trace."""
+    dim = rep.dim
+    si = [perm.index(a) for a in range(n)]
+    idx = list(itertools.product(range(dim), repeat=n))
+    M = np.zeros((dim ** n, dim ** n), dtype=complex)
+    for col, jt in enumerate(idx):
+        vec = rep.matrices[bases[0]][:, jt[si[0]]]
+        for a in range(1, n):
+            vec = np.kron(vec, rep.matrices[bases[a]][:, jt[si[a]]])
+        M[:, col] = vec
+    return complex(np.trace(M))
+
+
+@pytest.mark.parametrize("G", [cyclic_group(2), cyclic_group(3), symmetric_group(3),
+                               quaternion_group()], ids=lambda G: G.name)
+def test_tensor_trace_matches_kron_matrix(G):
+    """Every built-in representation within the dimension budget, n <= 3,
+    every element of G wr Sigma_n."""
+    for rep in builtin_representations(G, max_dim=3):
+        for n in (1, 2, 3):
+            W = wreath(G, n)
+            for w in range(W.size):
+                bases, perm = W.decode(w)
+                assert abs(tensor_power_trace(rep, n, bases, perm)
+                           - kron_tensor_power_trace(rep, n, bases, perm)) < 1e-12
+
+
+def test_regular_representation_is_left_translation():
+    for G in (cyclic_group(3), symmetric_group(3)):
+        rho = regular_representation(G)
+        assert rho.name == "regular"
+        for g in range(G.size):
+            expected = np.zeros((G.size, G.size))
+            for x in range(G.size):
+                expected[G.mul(g, x), x] = 1.0
+            assert np.array_equal(rho.matrices[g], expected)
