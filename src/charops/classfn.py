@@ -15,6 +15,7 @@ the generators S and T.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -161,30 +162,33 @@ class ClassFunction:
         except TypeError:
             raise GroupError(f"key {els!r}, {x!r} is not a tuple of element "
                              f"indices and a point index") from None
-        G = self.group
+        G, space = self.group, self.space
         if len(els) != self.d:
             raise GroupError(f"expected a {self.d}-tuple, got {els}")
         if not all(0 <= e < G.size for e in els):
             raise GroupError(f"tuple {els} leaves the group of order {G.size}")
-        if not 0 <= x < self.space.size:
-            raise GroupError(f"point {x} is not among the {self.space.size} points")
-        CommutingTuple(G, els)      # raises unless the entries commute
-        if any(self.space.apply(e, x) != x for e in els):
+        if not 0 <= x < space.size:
+            raise GroupError(f"point {x} is not among the {space.size} points")
+        for a, b in itertools.combinations(els, 2):
+            if not G.commutes(a, b):
+                raise GroupError(f"entries of {els} do not commute")
+        if any(space.apply(e, x) != x for e in els):
             raise GroupError(f"point {x} is not fixed by the tuple {els}")
         return els, x
 
     # evaluation ----------------------------------------------------------------
 
     def evaluate(self, h, x=0):
-        els = _as_elements(h)
+        """Value at the tuple h (a CommutingTuple or a sequence of element
+        indices) and the point x; a pair outside the domain raises
+        GroupError."""
         if isinstance(h, CommutingTuple) and h.group != self.group:
             raise GroupError("tuple lives over the wrong group")
-        if len(els) != self.d:
-            raise GroupError(f"expected a {self.d}-tuple")
-        G = self.group
-        for e in els:
-            if self.space.apply(e, x) != x:
-                raise GroupError(f"point {x} is not fixed by the tuple")
+        return self._value(*self._checked_key(_as_elements(h), x))
+
+    def _value(self, els, x):
+        """evaluate for a pair (els, x) already known to be in the domain:
+        the package's rules derive their keys from checked ones."""
         if self.rule is not None:
             key = (els, x)
             hit = self._cache.get(key)
@@ -207,7 +211,7 @@ class ClassFunction:
         canon = {}
         for orbit in pair_orbits(self.group, self.d, self.space):
             rep = orbit[0]
-            values[rep] = self.evaluate(CommutingTuple(self.group, rep[0]), rep[1])
+            values[rep] = self._value(*rep)
             for key in orbit:
                 canon[key] = rep
         return ClassFunction(self.group, self.d, self.space, self.kind,
@@ -226,6 +230,8 @@ class ClassFunction:
             else:
                 sample_pairs = [o[0] for o in
                                 pair_orbits(G, self.d, self.space)]
+        else:
+            sample_pairs = [self._checked_key(els, x) for els, x in sample_pairs]
         violations = []
         worst = 0.0
         checked = 0
@@ -237,10 +243,10 @@ class ClassFunction:
             self.space)
         moved, points = moved.tolist(), points.tolist()
         for i, (els, x) in enumerate(sample_pairs):
-            base = self.evaluate(CommutingTuple(G, els), x)
+            base = self._value(els, x)
             for k, z in enumerate(gens):
                 dev = graded_deviation(
-                    self.evaluate(tuple(moved[k][i]), points[k][i]), base, tau_samples)
+                    self._value(tuple(moved[k][i]), points[k][i]), base, tau_samples)
                 checked += 1
                 worst = max(worst, dev)
                 if dev > tol:
@@ -249,7 +255,7 @@ class ClassFunction:
             if self.elliptic and self.d == 2:
                 for gamma in (SL2_S, SL2_T):
                     t2 = gl_act_on_tuple(gamma, CommutingTuple(G, els))
-                    lhs = self.evaluate(t2, x)
+                    lhs = self._value(t2.elements, x)
                     rhs = weight_slash_graded(gamma, base)
                     dev = graded_deviation(lhs, rhs, tau_samples)
                     checked += 1
@@ -323,8 +329,7 @@ def restrict_along(f, phi, space_map=None):
         _check_equivariance(phi, src_space, f.space, mapping)
 
     def rule(els, x):
-        mapped = CommutingTuple(f.group, tuple(phi(e) for e in els))
-        return f.evaluate(mapped, mapping(x))
+        return f._value(tuple(phi(e) for e in els), mapping(x))
 
     return ClassFunction.from_rule(source, f.d, rule, space=src_space,
                                    kind=f.kind, elliptic=f.elliptic)
@@ -342,16 +347,19 @@ def _check_equivariance(phi, src_space, dst_space, mapping):
                     f"space map is not equivariant at generator {g}, point {x}")
 
 
-def multiply(f, g):
-    """Pointwise graded product of two class functions with matching shape."""
+def _check_same_domain(f, g, what):
     if f.group != g.group or f.d != g.d or f.kind != g.kind:
-        raise GroupError("shape mismatch in class function product")
+        raise GroupError(f"shape mismatch in class function {what}")
     if f.space is not g.space and (f.space.size, g.space.size) != (1, 1):
         raise GroupError("class functions live on different spaces")
 
+
+def multiply(f, g):
+    """Pointwise graded product of two class functions with matching shape."""
+    _check_same_domain(f, g, "product")
+
     def rule(els, x):
-        t = CommutingTuple(f.group, els)
-        return graded_product(f.evaluate(t, x), g.evaluate(t, x))
+        return graded_product(f._value(els, x), g._value(els, x))
 
     return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
                                    kind=f.kind, elliptic=f.elliptic and g.elliptic)
@@ -359,12 +367,10 @@ def multiply(f, g):
 
 def add(f, g):
     """Pointwise sum (plumbing; power operations do not respect it)."""
-    if f.group != g.group or f.d != g.d or f.kind != g.kind:
-        raise GroupError("shape mismatch in class function sum")
+    _check_same_domain(f, g, "sum")
 
     def rule(els, x):
-        t = CommutingTuple(f.group, els)
-        return graded_sum(f.evaluate(t, x), g.evaluate(t, x))
+        return graded_sum(f._value(els, x), g._value(els, x))
 
     return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
                                    kind=f.kind, elliptic=f.elliptic and g.elliptic)
@@ -387,9 +393,7 @@ def external_product(f, g):
         e1 = tuple(P.decode(e)[0] for e in els)
         e2 = tuple(P.decode(e)[1] for e in els)
         x1, x2 = split_point(x)
-        return graded_product(
-            f.evaluate(CommutingTuple(f.group, e1), x1),
-            g.evaluate(CommutingTuple(g.group, e2), x2))
+        return graded_product(f._value(e1, x1), g._value(e2, x2))
 
     return ClassFunction.from_rule(P, f.d, rule, space=space, kind=f.kind,
                                    elliptic=f.elliptic and g.elliptic)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .classfn import ClassFunction
 from .coefficients import DEFAULT_TAU_SAMPLES, LatFunction, eisenstein_series
 from .groups import (
+    GROUP_SHORTHANDS,
     GroupError,
     WreathGroup,
     build_group,
@@ -37,15 +38,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "table"
     out: object = None
-
-
-GROUP_SHORTHANDS = {
-    "C1": {"type": "cyclic", "n": 1}, "C2": {"type": "cyclic", "n": 2},
-    "C3": {"type": "cyclic", "n": 3}, "C4": {"type": "cyclic", "n": 4},
-    "C6": {"type": "cyclic", "n": 6}, "S2": {"type": "symmetric", "n": 2},
-    "S3": {"type": "symmetric", "n": 3}, "S4": {"type": "symmetric", "n": 4},
-    "D4": {"type": "dihedral", "n": 4}, "Q8": {"type": "quaternion"},
-}
 
 
 def parse_group(text, wreath_n=0):

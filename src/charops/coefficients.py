@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .groups import int_mat_det
@@ -30,6 +31,9 @@ DEFAULT_TAU_SAMPLES = (1j, 2j, 0.5 + 1j, 0.25 + 2j)
 # term per choice of component in each orbit factor); a sum or product
 # passing it raises instead of growing without bound.
 _MAX_TERMS = 4096
+
+# Logarithm of the largest q-expansion tail an evaluation may drop.
+_LOG_TAIL_BOUND = math.log(1e-10)
 
 _IDENTITY = ((1, 0), (0, 1))
 
@@ -266,11 +270,13 @@ class _Kernel:
             raise LatticeError(f"lattice is not oriented: tau = {tau}")
         q = cmath.exp(2j * cmath.pi * tau)
         # Truncation guard: coefficients grow at most like n^weight, so the
-        # dropped tail is bounded by N^(weight+1) |q|^N / (1 - |q|).
+        # dropped tail is bounded by N^(weight+1) |q|^N / (1 - |q|), compared
+        # in logarithms so that no weight overflows a float.
         absq = abs(q)
         n_terms = len(self.coeffs)
-        tail = n_terms ** (self.weight + 1) * absq ** n_terms / (1 - absq)
-        if tail > 1e-10:
+        if n_terms and absq and (absq >= 1 or (
+                (self.weight + 1) * math.log(n_terms) + n_terms * math.log(absq)
+                - math.log1p(-absq) > _LOG_TAIL_BOUND)):
             raise LatticeError(
                 f"q-expansion with {n_terms} terms cannot reach tolerance at "
                 f"|q| = {absq:.4f}; evaluate closer to the fundamental domain "

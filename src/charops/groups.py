@@ -24,6 +24,11 @@ import numpy as np
 # of building the S3 wreath inclusions by about 1.6 MB over blocks of 512.
 _VALIDATE_BLOCK = 512
 
+# Largest order of a group stored as an explicit |G| x |G| table (7!):
+# cyclic, dihedral, symmetric and permutation groups above it are refused
+# before anything is built.
+TABLE_ORDER_BOUND = 5040
+
 
 class GroupError(ValueError):
     pass
@@ -243,9 +248,16 @@ def mulclose_indices(G, gens):
 # built-in families
 
 
+def _check_table_order(order, name):
+    if order > TABLE_ORDER_BOUND:
+        raise GroupError(f"{name} has more than {TABLE_ORDER_BOUND} elements, "
+                         f"too many for a multiplication table")
+
+
 def cyclic_group(n):
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
+    _check_table_order(n, f"C{n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["e"] + [f"c^{k}" if k > 1 else "c" for k in range(1, n)]
     return TableGroup(table, labels=labels, name=f"C{n}")
@@ -256,6 +268,7 @@ def dihedral_group(n):
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     size = 2 * n
+    _check_table_order(size, f"D{n}")
 
     def mul(a, b):
         fa, ka = divmod(a, n)[0], a % n
@@ -276,8 +289,9 @@ def dihedral_group(n):
 
 def symmetric_group(n):
     """Symmetric group on n letters; elements indexed in lexicographic order.
-    It is the permutation group of an n-cycle and a transposition, so it
-    shares `perm_group`'s bound: n <= 7 (order 5040)."""
+    It is the permutation group of an n-cycle and a transposition; its
+    order n! is checked against TABLE_ORDER_BOUND first, so n <= 7."""
+    _check_table_order(math.factorial(min(max(n, 0), 8)), f"S{n}")   # 8! > bound
     gens = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))] if n >= 2 else []
     G = perm_group(n, gens)
     G.name = f"S{n}"
@@ -312,11 +326,11 @@ def quaternion_group():
     return TableGroup(table, labels=list(_QUAT_UNITS), name="Q8")
 
 
-def perm_group(degree, generator_perms, size_bound=5040):
+def perm_group(degree, generator_perms, size_bound=TABLE_ORDER_BOUND):
     """Group generated by permutations of {0..degree-1}, by orbit closure.
 
     The result stores its |G| x |G| multiplication table, so orders above
-    size_bound (7! by default) are refused."""
+    size_bound (TABLE_ORDER_BOUND by default) are refused."""
     if not (isinstance(generator_perms, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and all(type(i) is int for i in p)
             for p in generator_perms)):
@@ -346,6 +360,16 @@ def perm_group(degree, generator_perms, size_bound=5040):
                    name=f"perm{degree}")
     G.perms = perms
     return G
+
+
+# the named groups of the command line and the verification suites
+GROUP_SHORTHANDS = {
+    "C1": {"type": "cyclic", "n": 1}, "C2": {"type": "cyclic", "n": 2},
+    "C3": {"type": "cyclic", "n": 3}, "C4": {"type": "cyclic", "n": 4},
+    "C6": {"type": "cyclic", "n": 6}, "S2": {"type": "symmetric", "n": 2},
+    "S3": {"type": "symmetric", "n": 3}, "S4": {"type": "symmetric", "n": 4},
+    "D4": {"type": "dihedral", "n": 4}, "Q8": {"type": "quaternion"},
+}
 
 
 def build_group(spec):

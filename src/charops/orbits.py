@@ -37,6 +37,53 @@ class OrbitReduction:
         """Coordinate p of H(v), read off the decoded entries."""
         return _coordinate(self.group.base, self.parts, v, p)
 
+    def transport(self, X):
+        """Fixed points of X^n under im(H) against the product of orbit fixed sets.
+
+        Returns TransportData whose forward map picks basepoint coordinates
+        and whose inverse transports each orbit representative around the
+        orbit by the stored labels.  Both composites are asserted to be
+        identities.
+        """
+        W, H = self.group, self.tuple
+        if X.group != W.base:
+            raise GroupError("G-set group does not match the wreath base")
+        moves = [None] * W.n
+        for k, (orbit, labels) in enumerate(zip(self.orbits, self.labels)):
+            for p in orbit:
+                moves[p] = (k, self.coordinate(labels[p], p))
+
+        # codes list the points of X^n little-endian; sorting the decoded
+        # tuples restores lexicographic order
+        power = PowerGSet(X, W)
+        codes = np.arange(power.size, dtype=np.int64)
+        moved = power.apply_array(np.array(H.elements, dtype=np.int64)[:, None], codes)
+        fixed = (moved == codes).all(axis=0)
+        product_fixed = sorted(power.decode_point(c)
+                               for c in np.flatnonzero(fixed).tolist())
+        orbit_fixed = [fixed_points(X, h_k) for h_k in self.reduced]
+
+        data = TransportData(product_fixed, orbit_fixed, self, X, moves)
+
+        expected = 1
+        for fs in orbit_fixed:
+            expected *= len(fs)
+        if expected != len(product_fixed):
+            raise GroupError(
+                f"transport cardinality mismatch: {len(product_fixed)} vs {expected}"
+            )
+        fixed_set = set(product_fixed)
+        for xt in product_fixed:
+            if data.inverse(data.forward(xt)) != xt:
+                raise GroupError("inverse . forward is not the identity")
+        for ys in itertools.product(*orbit_fixed):
+            back = data.inverse(ys)
+            if back not in fixed_set:
+                raise GroupError("inverse does not land in the product fixed set")
+            if data.forward(back) != tuple(ys):
+                raise GroupError("forward . inverse is not the identity")
+        return data
+
     def to_json(self):
         return {
             "orbits": [list(o) for o in self.orbits],
@@ -175,52 +222,6 @@ class TransportData:
 
 
 def fixed_point_transport(X, H):
-    """Fixed points of X^n under im(H) against the product of orbit fixed sets.
-
-    Returns TransportData whose forward map picks basepoint coordinates and
-    whose inverse transports each orbit representative around the orbit by
-    the stored labels.  Both composites are asserted to be identities.
-    """
-    W = H.group
-    if not isinstance(W, WreathGroup):
-        raise GroupError("expected a tuple over a wreath product")
-    if X.group != W.base:
-        raise GroupError("G-set group does not match the wreath base")
-    red = reduce_tuple(H)
-    n = W.n
-
-    moves = [None] * n
-    for k, (orbit, labels) in enumerate(zip(red.orbits, red.labels)):
-        for p in orbit:
-            moves[p] = (k, red.coordinate(labels[p], p))
-
-    # codes list the points of X^n little-endian; sorting the decoded
-    # tuples restores lexicographic order
-    power = PowerGSet(X, W)
-    codes = np.arange(power.size, dtype=np.int64)
-    moved = power.apply_array(np.array(H.elements, dtype=np.int64)[:, None], codes)
-    fixed = (moved == codes).all(axis=0)
-    product_fixed = sorted(power.decode_point(c)
-                           for c in np.flatnonzero(fixed).tolist())
-    orbit_fixed = [fixed_points(X, h_k) for h_k in red.reduced]
-
-    data = TransportData(product_fixed, orbit_fixed, red, X, moves)
-
-    expected = 1
-    for fs in orbit_fixed:
-        expected *= len(fs)
-    if expected != len(product_fixed):
-        raise GroupError(
-            f"transport cardinality mismatch: {len(product_fixed)} vs {expected}"
-        )
-    fixed_set = set(product_fixed)
-    for xt in product_fixed:
-        if data.inverse(data.forward(xt)) != xt:
-            raise GroupError("inverse . forward is not the identity")
-    for ys in itertools.product(*orbit_fixed):
-        back = data.inverse(ys)
-        if back not in fixed_set:
-            raise GroupError("inverse does not land in the product fixed set")
-        if data.forward(back) != tuple(ys):
-            raise GroupError("forward . inverse is not the identity")
-    return data
+    """Fixed points of X^n under im(H) against the product of orbit fixed
+    sets: `reduce_tuple(H).transport(X)`."""
+    return reduce_tuple(H).transport(X)

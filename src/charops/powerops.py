@@ -40,7 +40,7 @@ def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
                        basis=basis)
     acc = GradedValue.unit(f.kind)
     for k, orbit in enumerate(red.orbits):
-        v = f.evaluate(red.reduced[k], x_points[red.basepoints[k]])
+        v = f._value(red.reduced[k].elements, x_points[red.basepoints[k]])
         if f.kind == "lat":
             v = weight_slash_graded(red.matrices[k], v)
         v = scale_by_degree(len(orbit), v)
@@ -104,8 +104,8 @@ def adams(f, n):
         raise GroupError("adams operation needs n >= 1")
 
     def rule(els, x):
-        powered = CommutingTuple(f.group, els).entry_power(n)
-        return scale_by_degree(n, f.evaluate(powered, x))
+        G = f.group
+        return scale_by_degree(n, f._value(tuple(G.power(e, n) for e in els), x))
 
     return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
                                    kind=f.kind, elliptic=f.elliptic)
@@ -176,14 +176,10 @@ class SectionPhi:
     """A section of (finite-index endomorphisms of Z^d) -> (sublattices).
 
     rule(L) returns an integer matrix whose rows span the sublattice L; the
-    induced isomorphism Z^d -> L sends e_j to the j-th row.  The optional
-    coefficient_action(L, value) models a nontrivial action on the
-    coefficient ring; the default (None) is the trivial action, valid on
-    automorphism-invariant inputs.
+    induced isomorphism Z^d -> L sends e_j to the j-th row.
     """
 
     rule: object
-    coefficient_action: object = None
     name: str = "section"
 
 
@@ -220,6 +216,8 @@ def pseudo_power_etheory(f, n, p, section=None):
     exactly the degree-0 height-1 power operation.  Raises on tuples whose
     entries do not have p-power order.
     """
+    if f.space.size != 1:
+        raise GroupError("the pseudo-power operation takes functions on the point")
     if section is None:
         section = hnf_section()
     G = f.group
@@ -231,13 +229,10 @@ def pseudo_power_etheory(f, n, p, section=None):
                 raise GroupError(f"tuple entry of non-{p}-power order")
         red = reduce_tuple(CommutingTuple(W, els), basis=section.rule)
         acc = GradedValue.unit(f.kind)
-        for L, t in zip(red.stabilizers, red.reduced):
+        for t in red.reduced:
             if not all(_is_prime_power_order(G, e, p) for e in t.elements):
                 raise GroupError(f"reduced entry of non-{p}-power order")
-            v = f.evaluate(t, 0)
-            if section.coefficient_action is not None:
-                v = section.coefficient_action(L, v)
-            acc = graded_product(acc, v)
+            acc = graded_product(acc, f._value(t.elements, 0))
         return acc
 
     return ClassFunction.from_rule(W, f.d, rule, kind=f.kind)

@@ -43,15 +43,19 @@ class Representation:
             self.validate()
 
     def validate(self):
+        """rho(e) = I and rho(x g) = rho(x) rho(g) for every x and every
+        generator g, one batched product per generator; by induction on
+        word length rho is then multiplicative on all pairs."""
         G = self.group
         if not np.allclose(self.matrices[G.identity], np.eye(self.dim), atol=ORACLE_TOL):
             raise GroupError("representation does not send identity to identity")
-        for x in range(G.size):
-            for y in range(G.size):
-                lhs = self.matrices[G.mul(x, y)]
-                rhs = self.matrices[x] @ self.matrices[y]
-                if not np.allclose(lhs, rhs, atol=ORACLE_TOL):
-                    raise GroupError(f"not a representation at ({x},{y})")
+        mats = np.array(self.matrices)
+        xs = np.arange(G.size)
+        for g in G.generators():
+            bad = ~np.isclose(mats[G.mul_array(xs, g)], mats @ mats[g],
+                              atol=ORACLE_TOL).all(axis=(1, 2))
+            if bad.any():
+                raise GroupError(f"not a representation at ({int(np.argmax(bad))},{g})")
 
     def __repr__(self):
         return f"<Representation {self.name} dim={self.dim} of {self.group!r}>"

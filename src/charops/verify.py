@@ -7,6 +7,7 @@ and the command line runs them all and exits nonzero on any failure.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -26,23 +27,23 @@ from .classfn import (
 from .coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,
+    LatFunction,
     eisenstein_series,
     graded_deviation,
     scale_by_degree,
 )
 from .groups import (
+    GROUP_SHORTHANDS,
     CommutingTuple,
     GroupError,
     GSet,
+    build_group,
     commuting_tuples,
-    cyclic_group,
-    quaternion_group,
-    symmetric_group,
     tuple_conjugacy_classes,
     wreath,
 )
 from .lattices import LatticeError, mat_mul, random_unimodular, sublattices_of_index
-from .orbits import fixed_point_transport
+from .orbits import reduce_tuple
 from .powerops import (
     _is_prime_power_order,
     adams,
@@ -63,14 +64,9 @@ from .reporacle import (
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
 
-GROUP_BUILDERS = {
-    "C1": lambda: cyclic_group(1),
-    "C2": lambda: cyclic_group(2),
-    "C3": lambda: cyclic_group(3),
-    "C4": lambda: cyclic_group(4),
-    "S3": lambda: symmetric_group(3),
-    "Q8": quaternion_group,
-}
+
+def _group(name):
+    return build_group(GROUP_SHORTHANDS[name])
 
 
 @dataclass
@@ -88,14 +84,22 @@ class SuiteResult:
                 f"({self.checks} checks, {self.seconds:.1f}s) {self.detail}")
 
 
+def _graded_result(name, worst, tol, checks):
+    """Result of a suite that holds exactly at height 1 and within tol at
+    height 2; worst maps each height to its largest deviation."""
+    return SuiteResult(
+        name, worst[1] == 0.0 and worst[2] < tol, max(worst[1], worst[2]),
+        detail=f"height-1 exact dev {worst[1]:.1e}, height-2 dev {worst[2]:.3e}",
+        checks=checks)
+
+
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         out.seconds = time.perf_counter() - t0
         return out
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -141,13 +145,10 @@ def sample_commuting_pairs(W, count, rng):
     return out
 
 
-def _d1_class_points(W, cap=80):
-    classes = tuple_conjugacy_classes(W, 1)
-    reps = [c.representative for c in classes]
-    if len(reps) > cap:
-        step = -(-len(reps) // cap)
-        reps = reps[::step]
-    return reps
+def _d1_class_points(W):
+    """Class representatives of W, thinned evenly to at most 80."""
+    reps = [c.representative for c in tuple_conjugacy_classes(W, 1)]
+    return reps[::-(-len(reps) // 80)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def suite_oracle_equivalence(tol=1e-9, arities=(2, 3)):
     worst = 0.0
     checks = 0
     for gname in ("C2", "C3", "S3", "Q8"):
-        G = GROUP_BUILDERS[gname]()
+        G = _group(gname)
         for rep in builtin_representations(G, max_dim=3):
             for n in arities:
                 dev = compare_with_geometric(rep, n)
@@ -173,36 +174,32 @@ def suite_oracle_equivalence(tol=1e-9, arities=(2, 3)):
 # criterion 2: consistency relations
 
 
-def _relation_points(source, height, rng, cap=80, n_pairs=6):
+def _relation_points(source, height, rng):
     if height == 1:
-        return [(t, 0) for t in _d1_class_points(source, cap)]
-    return [(t, 0) for t in sample_commuting_pairs(source, n_pairs, rng)]
+        return _d1_class_points(source)
+    return sample_commuting_pairs(source, 6, rng)
 
 
-def _compare_at(points, lhs, rhs, samples):
-    worst = 0.0
-    for t, x in points:
-        worst = max(worst, graded_deviation(lhs.evaluate(t, x),
-                                            rhs.evaluate(t, x), samples))
-    return worst
+def _compare_at(points, lhs, rhs):
+    return max((graded_deviation(lhs.evaluate(t, 0), rhs.evaluate(t, 0))
+                for t in points), default=0.0)
 
 
 @_timed
-def suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20,
-                                groups=("C2", "S3"),
-                                jk_list=((1, 1), (2, 1), (1, 2), (2, 2)),
-                                samples=DEFAULT_TAU_SAMPLES):
-    """The three restriction relations of the power operations.
+def suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20):
+    """The three restriction relations of the power operations on C2 and
+    S3 for (j, k) in (1, 1), (2, 1), (1, 2), (2, 2).
 
     Height 1 degree 0 must hold exactly (deviation 0.0); height 2 within
     tolerance at the published tau samples.
     """
     rng = random.Random(seed)
-    worst_exact = 0.0
-    worst_tol = 0.0
+    P = functools.partial(power_operation, mode="lazy")
+    jk_list = ((1, 1), (2, 1), (1, 2), (2, 2))
+    worst = {1: 0.0, 2: 0.0}
     checks = 0
-    for gname in groups:
-        G = GROUP_BUILDERS[gname]()
+    for gname in ("C2", "S3"):
+        G = _group(gname)
         homs = {}
         for (j, k) in jk_list:
             homs[(j, k)] = (
@@ -221,44 +218,23 @@ def suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20,
                             if beta is not None else None)
                 pts_delta = _relation_points(delta.source, height, rng)
                 for f, g in funcs:
-                    Pj = power_operation(f, j, mode="lazy")
-                    Pk = power_operation(f, k, mode="lazy")
+                    Pk = P(f, k)
                     # relation 1: alpha* P_{j+k}(f) = P_j(f) x P_k(f)
-                    lhs = restrict_along(power_operation(f, j + k, mode="lazy"),
-                                         alpha)
-                    rhs = external_product(Pj, Pk)
-                    dev = _compare_at(pts_alpha, lhs, rhs, samples)
-                    checks += 1
-                    if height == 1:
-                        worst_exact = max(worst_exact, dev)
-                    else:
-                        worst_tol = max(worst_tol, dev)
+                    relations = [(pts_alpha, restrict_along(P(f, j + k), alpha),
+                                  external_product(P(f, j), Pk))]
                     # relation 2: beta* P_{jk}(f) = P_j(P_k(f))
                     if beta is not None:
-                        lhs = restrict_along(
-                            power_operation(f, j * k, mode="lazy"), beta)
-                        rhs = power_operation(Pk, j, mode="lazy")
-                        dev = _compare_at(pts_beta, lhs, rhs, samples)
-                        checks += 1
-                        if height == 1:
-                            worst_exact = max(worst_exact, dev)
-                        else:
-                            worst_tol = max(worst_tol, dev)
+                        relations.append((pts_beta, restrict_along(P(f, j * k), beta),
+                                          P(Pk, j)))
                     # relation 3: delta*(P_k(f) x P_k(g)) = P_k(f x g)
-                    Pkg = power_operation(g, k, mode="lazy")
-                    lhs = restrict_along(external_product(Pk, Pkg), delta)
-                    rhs = power_operation(external_product(f, g), k, mode="lazy")
-                    dev = _compare_at(pts_delta, lhs, rhs, samples)
-                    checks += 1
-                    if height == 1:
-                        worst_exact = max(worst_exact, dev)
-                    else:
-                        worst_tol = max(worst_tol, dev)
-    passed = worst_exact == 0.0 and worst_tol < tol
-    return SuiteResult(
-        "consistency-relations", passed, max(worst_exact, worst_tol),
-        detail=f"height-1 exact dev {worst_exact:.1e}, height-2 dev {worst_tol:.3e}",
-        checks=checks)
+                    relations.append((pts_delta,
+                                      restrict_along(external_product(Pk, P(g, k)), delta),
+                                      P(external_product(f, g), k)))
+                    for points, lhs, rhs in relations:
+                        worst[height] = max(worst[height],
+                                            _compare_at(points, lhs, rhs))
+                        checks += 1
+    return _graded_result("consistency-relations", worst, tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +242,15 @@ def suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20,
 
 
 @_timed
-def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None,
-                          groups=("C2", "C4", "S3"), arities=(2, 3)):
-    """adams_via_power must equal adams: exactly at height 1 degree 0,
-    within tolerance at height 2."""
+def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None, arities=(2, 3)):
+    """adams_via_power must equal adams on C2, C4 and S3: exactly at height 1
+    degree 0, within tolerance at height 2."""
     adams_impl = adams_impl or adams
     rng = random.Random(seed)
-    worst_exact = 0.0
-    worst_tol = 0.0
+    worst = {1: 0.0, 2: 0.0}
     checks = 0
-    for gname in groups:
-        G = GROUP_BUILDERS[gname]()
+    for gname in ("C2", "C4", "S3"):
+        G = _group(gname)
         f1 = random_height1_function(G, rng)
         f2 = random_height2_function(G, rng)
         for n in arities:
@@ -284,19 +258,15 @@ def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None,
             ref = adams_impl(f1, n)
             for t in [c.representative for c in tuple_conjugacy_classes(G, 1)]:
                 dev = graded_deviation(via.evaluate(t, 0), ref.evaluate(t, 0))
-                worst_exact = max(worst_exact, dev)
+                worst[1] = max(worst[1], dev)
                 checks += 1
             via = adams_via_power(f2, n)
             ref = adams_impl(f2, n)
             for t in commuting_tuples(G, 2):
                 dev = graded_deviation(via.evaluate(t, 0), ref.evaluate(t, 0))
-                worst_tol = max(worst_tol, dev)
+                worst[2] = max(worst[2], dev)
                 checks += 1
-    passed = worst_exact == 0.0 and worst_tol < tol
-    return SuiteResult(
-        "adams-coherence", passed, max(worst_exact, worst_tol),
-        detail=f"height-1 exact dev {worst_exact:.1e}, height-2 dev {worst_tol:.3e}",
-        checks=checks)
+    return _graded_result("adams-coherence", worst, tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +278,7 @@ def suite_adams_character(tol=1e-9, max_n=4):
     worst = 0.0
     checks = 0
     for gname in ("C2", "C3", "C4", "S3", "Q8"):
-        G = GROUP_BUILDERS[gname]()
+        G = _group(gname)
         for rep in builtin_representations(G):
             for n in range(1, max_n + 1):
                 worst = max(worst, adams_character_check(rep, n))
@@ -322,9 +292,10 @@ def suite_adams_character(tol=1e-9, max_n=4):
 
 @_timed
 def suite_fixed_point_bijection(max_n=4, max_d=2):
-    """fixed_point_transport verifies the two-sided inverse internally; this
-    suite sweeps every commuting tuple of C2 wr Sigma_n over three spaces."""
-    C2 = cyclic_group(2)
+    """OrbitReduction.transport verifies the two-sided inverse internally;
+    this suite sweeps every commuting tuple of C2 wr Sigma_n over three
+    spaces, reducing each tuple once."""
+    C2 = _group("C2")
     spaces = [
         GSet.trivial(C2, 2),
         GSet(C2, 2, [[0, 1], [1, 0]]),
@@ -336,9 +307,10 @@ def suite_fixed_point_bijection(max_n=4, max_d=2):
         tuples = [CommutingTuple(W, (a,)) for a in range(W.size)]
         if max_d >= 2:
             tuples += commuting_tuples(W, 2)
-        for X in spaces:
-            for H in tuples:
-                fixed_point_transport(X, H)   # raises on any mismatch
+        for H in tuples:
+            red = reduce_tuple(H)
+            for X in spaces:
+                red.transport(X)   # raises on any mismatch
                 checks += 1
     return SuiteResult("fixed-point-bijection", True, 0.0, checks=checks)
 
@@ -353,9 +325,12 @@ def suite_sl2_invariance(seed=0, tol=1e-9, arities=(2, 3)):
     worst = 0.0
     checks = 0
     for gname in ("C1", "C2"):
-        G = GROUP_BUILDERS[gname]()
+        G = _group(gname)
         f = random_height2_function(G, rng)
-        assert f.is_invariant(tol=tol).ok
+        rep = f.is_invariant(tol=tol)
+        if not rep.ok:
+            return SuiteResult("sl2-invariance", False, rep.max_deviation,
+                               detail=f"{gname} input", checks=checks)
         for n in arities:
             Pn = power_operation(f, n, mode="eager")
             rep = Pn.is_invariant(tol=tol)
@@ -383,7 +358,6 @@ def suite_hecke(tol=1e-6):
             worst = max(worst, abs(r - eig))
             checks += 1
         # independent q-expansion oracle for the normalization S_n = n^(1-w) T_n
-        from .coefficients import LatFunction
         Tn = LatFunction.from_q_expansion(4, hecke_q_oracle(E4.q_coefficients(), 4, n))
         for t in DEFAULT_TAU_SAMPLES:
             worst = max(worst, abs(Sn.at_tau(t) - n ** (1 - 4) * Tn.at_tau(t)))
@@ -396,16 +370,15 @@ def suite_hecke(tol=1e-6):
 
 
 @_timed
-def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
+def suite_choice_independence(seed=0, tol=1e-9, runs=50):
     """Randomized basepoints (and bases at height 2) must not change the
-    power operation's output: exactly at height 1, within tolerance at
-    height 2."""
+    power operation's output on C2 and S3: exactly at height 1, within
+    tolerance at height 2."""
     rng = random.Random(seed)
-    worst_exact = 0.0
-    worst_tol = 0.0
+    worst = {1: 0.0, 2: 0.0}
     checks = 0
-    for gname in groups:
-        G = GROUP_BUILDERS[gname]()
+    for gname in ("C2", "S3"):
+        G = _group(gname)
         # height 1
         f = random_height1_function(G, rng)
         W = wreath(G, 2)
@@ -418,7 +391,7 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
                 basepoint_rng=random.Random(rng.randrange(10 ** 9)))
             for t, v in zip(pts, ref_vals):
                 dev = graded_deviation(alt.evaluate(t, 0), v)
-                worst_exact = max(worst_exact, dev)
+                worst[1] = max(worst[1], dev)
                 checks += 1
         # height 2
         f2 = random_height2_function(G, rng)
@@ -436,13 +409,9 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
                     2, twist_rng, steps=2, max_coeff=1), L.basis))
             for t, v in zip(pairs, ref_vals):
                 dev = graded_deviation(alt.evaluate(t, 0), v)
-                worst_tol = max(worst_tol, dev)
+                worst[2] = max(worst[2], dev)
                 checks += 1
-    passed = worst_exact == 0.0 and worst_tol < tol
-    return SuiteResult(
-        "choice-independence", passed, max(worst_exact, worst_tol),
-        detail=f"height-1 exact dev {worst_exact:.1e}, height-2 dev {worst_tol:.3e}",
-        checks=checks)
+    return _graded_result("choice-independence", worst, tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +421,19 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50, groups=("C2", "S3")):
 def aut_invariant_height1_function(G, rng):
     """Random degree-0 function invariant under entry inversion (the
     automorphism action of GL_1(Z))."""
-    raw = {}
-    for cls in tuple_conjugacy_classes(G, 1):
-        g = cls.representative.elements[0]
-        raw[g] = complex(rng.randint(-3, 3), rng.randint(-3, 3))
+    reps = [cls.representative.elements for cls in tuple_conjugacy_classes(G, 1)]
+    f = ClassFunction.from_values(G, 1, {
+        (els, 0): GradedValue("complex", {0: complex(rng.randint(-3, 3),
+                                                     rng.randint(-3, 3))})
+        for els in reps})
 
     def canon_value(g):
-        f = ClassFunction.from_values(
-            G, 1, {((h,), 0): GradedValue("complex", {0: raw[h]})
-                   for h in raw})
-        a = f.evaluate(CommutingTuple(G, (g,)), 0).components[0]
-        b = f.evaluate(CommutingTuple(G, (G.inv(g),)), 0).components[0]
+        a = f.evaluate((g,), 0).components[0]
+        b = f.evaluate((G.inv(g),), 0).components[0]
         return (a + b) / 2
 
-    values = {}
-    for cls in tuple_conjugacy_classes(G, 1):
-        g = cls.representative.elements[0]
-        values[(cls.representative.elements, 0)] = GradedValue(
-            "complex", {0: canon_value(g)})
-    return ClassFunction.from_values(G, 1, values)
+    return ClassFunction.from_values(G, 1, {
+        (els, 0): GradedValue("complex", {0: canon_value(els[0])}) for els in reps})
 
 
 @_timed
@@ -481,7 +444,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
     worst = 0.0
     checks = 0
     for gname in ("C2", "C4", "Q8"):
-        G = GROUP_BUILDERS[gname]()
+        G = _group(gname)
         f = aut_invariant_height1_function(G, rng)
         sec1 = hnf_section()
         sec2 = twisted_section(((-1,),))
@@ -501,7 +464,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
                 checks += 1
     # d = 2 cross-check with an SL_2(Z) unit on a small group; the input is
     # a function of the generated subgroup, hence automorphism invariant
-    C2 = GROUP_BUILDERS["C2"]()
+    C2 = _group("C2")
     vals = {}
     for t in commuting_tuples(C2, 2):
         sub = t.image_subgroup()
@@ -555,7 +518,7 @@ def suite_counts():
     (Burnside; k(W) the number of classes at d = 1), which checks the
     centralizer formula behind the sizes.
     """
-    S3 = GROUP_BUILDERS["S3"]()
+    S3 = _group("S3")
     ok = len(tuple_conjugacy_classes(S3, 2)) == 8
     detail = []
     if not ok:
@@ -567,7 +530,7 @@ def suite_counts():
             detail.append(f"sublattice count at index {n} is wrong")
     checks = 7
     for gname in ("C2", "C3", "S3"):
-        G = GROUP_BUILDERS[gname]()
+        G = _group(gname)
         base_counts = {d: len(tuple_conjugacy_classes(G, d)) for d in (1, 2)}
         for n in range(1, 5):
             W = wreath(G, n)

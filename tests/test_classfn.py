@@ -19,6 +19,8 @@ from charops.coefficients import (
     eisenstein_series,
     graded_deviation,
 )
+from charops.powerops import power_operation
+from charops.reporacle import character, regular_representation
 from charops.groups import (
     CommutingTuple,
     DirectProductGroup,
@@ -87,6 +89,49 @@ def test_missing_orbit_warns_and_defaults_zero():
     with pytest.warns(UserWarning):
         v = f.evaluate(CommutingTuple(S3, (3,)), 0)
     assert v.components == {}
+
+
+def _s3_stored_pairs():
+    S3 = symmetric_group(3)
+    return ClassFunction.from_values(
+        S3, 2, {((0, 0), 0): GradedValue("complex", {0: 1.0})})
+
+
+def _regular_power_s3():
+    return power_operation(character(regular_representation(symmetric_group(3))), 2,
+                           mode="lazy")
+
+
+# (label, function builder, tuple, point) of pairs outside the domain
+OUT_OF_DOMAIN = [
+    ("negative index", _regular_power_s3, (-1,), 0),
+    ("index past the wreath order", _regular_power_s3, (72,), 0),
+    ("index far past the wreath order", _regular_power_s3, (10 ** 6,), 0),
+    ("entry past the group order",
+     lambda: ClassFunction.constant(symmetric_group(3), 2, 1.0), (99, 0), 0),
+    ("non-commuting entries of a rule",
+     lambda: ClassFunction.constant(symmetric_group(3), 2, 1.0), (1, 2), 0),
+    ("negative entry",
+     lambda: ClassFunction.constant(symmetric_group(3), 2, 1.0), (-1, 0), 0),
+    ("entry outside C2 on two points",
+     lambda: ClassFunction.constant(cyclic_group(2), 1, 1.0,
+                                    space=GSet(cyclic_group(2), 2, [[0, 1], [1, 0]])),
+     (5,), 0),
+    ("point outside two points",
+     lambda: ClassFunction.constant(cyclic_group(2), 1, 1.0,
+                                    space=GSet(cyclic_group(2), 2, [[0, 1], [1, 0]])),
+     (0,), 7),
+    ("non-commuting entries of stored values", _s3_stored_pairs, (1, 2), 0),
+]
+
+
+@pytest.mark.parametrize("label,build,els,x", OUT_OF_DOMAIN,
+                         ids=[case[0] for case in OUT_OF_DOMAIN])
+def test_evaluate_rejects_pairs_outside_the_domain(label, build, els, x):
+    """Both storage paths check the key: no index aliases another element,
+    and no lookup fails with IndexError or falls back to a warning."""
+    with pytest.raises(GroupError):
+        build().evaluate(els, x)
 
 
 def test_is_invariant_constant():
@@ -282,6 +327,14 @@ def test_add_is_pointwise():
     f = ClassFunction.from_values(C2, 1, regular_values(C2))
     s = add(f, f)
     assert s.evaluate(CommutingTuple(C2, (0,)), 0).components[0] == 4.0
+
+
+def test_add_rejects_functions_on_different_spaces():
+    C2 = cyclic_group(2)
+    swap = GSet(C2, 2, [[0, 1], [1, 0]])
+    with pytest.raises(GroupError, match="different spaces"):
+        add(ClassFunction.constant(C2, 1, 1.0, space=swap),
+            ClassFunction.constant(C2, 1, 1.0, space=GSet.trivial(C2, 3)))
 
 
 def test_evaluate_rejects_wrong_group():

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from charops import cli, groups, lattices, verify
+from charops.classfn import ClassFunction
+from charops.coefficients import GradedValue, LatFunction
 from charops.groups import GroupError
 from charops.lattices import LatticeError
 from charops.verify import SuiteResult
@@ -346,6 +348,17 @@ def test_verify_reports_construction_error_as_fail(monkeypatch, capsys,
     assert not failed["passed"] and exc.__name__ in failed["detail"]
 
 
+def test_sl2_invariance_reports_a_non_invariant_input_as_fail(monkeypatch):
+    """The input check is a FAIL result, not an assert that `python -O`
+    drops or that escapes run_all_suites."""
+    tau = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
+    monkeypatch.setattr(verify, "random_height2_function", lambda G, rng: (
+        ClassFunction.from_values(G, 2, {((0, 0), 0): GradedValue("lat", {0: tau})},
+                                  kind="lat", elliptic=True)))
+    r = verify.suite_sl2_invariance()
+    assert not r.passed and r.detail == "C1 input" and r.max_deviation > 0
+
+
 def test_tau_samples_flag(capsys):
     code, out, _ = run_cli(capsys, "--n", "2", "--tau-samples", "3j,0.5+2j",
                            "--format", "csv", "hecke", "E4")
@@ -371,11 +384,17 @@ MALFORMED_ARGUMENTS = [
     ("generators not a list",
      ["--group", '{"type":"perm","degree":3,"generators":5}', "classes"]),
     ("order above 5040", ["--group", '{"type":"symmetric","n":9}', "classes"]),
+    ("cyclic order above 5040", ["--group", '{"type":"cyclic","n":100000}', "classes"]),
+    ("dihedral order above 5040",
+     ["--group", '{"type":"dihedral","n":100000}', "classes"]),
     ("order not an integer", ["--group", '{"type":"cyclic","n":[3]}', "classes"]),
     ("weight not an integer", ["--n", "2", "hecke", '{"weight":"a","q":[1,2]}']),
     ("q not a list", ["--n", "2", "hecke", '{"weight":4,"q":5}']),
     ("q pair too short", ["--n", "2", "hecke", '{"weight":4,"q":[[1]]}']),
     ("form not an object", ["--n", "2", "hecke", "[1,2]"]),
+    ("weight past float range in the tail bound",
+     ["--n", "2", "hecke", '{"weight": 700, "q": [1, 240, 2160]}']),
+    ("tau sample where |q| rounds to 1", ["--tau-samples", "1e-20j", "--n", "2", "hecke", "E4"]),
 ]
 
 
@@ -386,6 +405,21 @@ def test_malformed_arguments_exit_2(capsys, label, argv):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("descriptor", ['{"type":"cyclic","n":100000}',
+                                        '{"type":"dihedral","n":100000}',
+                                        '{"type":"symmetric","n":2000}'])
+def test_orders_above_the_table_bound_are_refused_before_building(
+        monkeypatch, capsys, descriptor):
+    def build(*args, **kwargs):
+        raise AssertionError("a group above the bound was built")
+
+    monkeypatch.setattr(groups, "TableGroup", build)
+    monkeypatch.setattr(groups, "perm_group", build)
+    code, _, err = run_cli(capsys, "--group", descriptor, "classes")
+    assert code == 2
+    assert f"more than {groups.TABLE_ORDER_BOUND} elements" in err
 
 
 @pytest.mark.parametrize("command", ["power", "adams", "pseudo"])

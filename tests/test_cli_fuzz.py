@@ -2,8 +2,9 @@
 `adams`, `pseudo` and `hecke` inputs, mutated at random (a key dropped, a
 value replaced by an int, float, bool, string, list, dict or null, a list
 truncated or nested), must make `cli.main` return 0, 1 or 2 and never
-raise.  Mutated integers stay in [-2, 5], so every group built has at most
-120 elements."""
+raise.  Mutated integers are small ([-2, 5]) or large (10**4, 10**6): a
+large group order, key entry, point or weight must be refused at once, not
+hang or overflow."""
 
 import copy
 import json
@@ -33,6 +34,7 @@ VALID_FORM = {"weight": 4, "q": [1, 240, [2160, 0.0], 6720]}
 
 REPLACEMENTS = [
     lambda rng: rng.randint(-2, 5),
+    lambda rng: rng.choice([10 ** 4, 10 ** 6]),
     lambda rng: rng.choice([0.5, -1.0, 2.5]),
     lambda rng: rng.choice([True, False]),
     lambda rng: rng.choice(["", "a", "3"]),

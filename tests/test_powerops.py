@@ -14,6 +14,7 @@ from charops.coefficients import (
 from charops.groups import (
     CommutingTuple,
     GroupError,
+    GSet,
     commuting_tuples,
     cyclic_group,
     symmetric_group,
@@ -308,6 +309,13 @@ def test_pseudo_power_matches_height1():
         a = P2.evaluate(cls.representative, 0).components[0]
         b = Q2.evaluate(cls.representative, 0).components[0]
         assert a == b
+
+
+def test_pseudo_power_takes_functions_on_the_point():
+    C2 = cyclic_group(2)
+    swap = GSet(C2, 2, [[0, 1], [1, 0]])
+    with pytest.raises(GroupError, match="on the point"):
+        pseudo_power_etheory(ClassFunction.constant(C2, 1, 1.0, space=swap), 2, p=2)
 
 
 def test_pseudo_power_of_one():

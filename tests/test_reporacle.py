@@ -238,3 +238,16 @@ def test_regular_representation_is_left_translation():
             for x in range(G.size):
                 expected[G.mul(g, x), x] = 1.0
             assert np.array_equal(rho.matrices[g], expected)
+
+
+def test_validate_is_batched_and_rejects_a_bad_non_generator_matrix(monkeypatch):
+    """Validation compares rho(x g) with rho(x) rho(g) for generators g in
+    batched products, never by scalar multiplication, and still catches a
+    corrupted matrix of an element that is no generator."""
+    G = wreath(symmetric_group(3), 2)
+    mats = [m.copy() for m in regular_representation(G).matrices]
+    bad = max(set(range(G.size)) - set(G.generators()) - {G.identity})
+    mats[bad] = mats[bad][::-1]
+    monkeypatch.setattr(G, "mul", lambda a, b: pytest.fail("scalar multiplication"))
+    with pytest.raises(GroupError, match="not a representation"):
+        Representation(G, mats)
