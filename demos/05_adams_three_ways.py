@@ -21,7 +21,8 @@ from charops import (
 )
 from charops.coefficients import GradedValue
 from charops.classfn import ClassFunction
-from charops.powerops import cayley_torsion_tuple, hnf_section, twisted_section
+from charops.lattices import mat_mul
+from charops.powerops import cayley_torsion_tuple
 
 C4 = cyclic_group(4)
 vals = {((k,), 0): GradedValue("complex", {0: 1j ** k}) for k in range(4)}
@@ -54,8 +55,8 @@ for cls in tuple_conjugacy_classes(Q8, 1):
     raw[(cls.representative.elements, 0)] = GradedValue(
         "complex", {0: float(Q8.order(g))})   # order is inversion invariant
 g8 = ClassFunction.from_values(Q8, 1, raw)
-Q1 = pseudo_power_etheory(g8, 2, p=2, section=hnf_section())
-Q2 = pseudo_power_etheory(g8, 2, p=2, section=twisted_section(((-1,),)))
+Q1 = pseudo_power_etheory(g8, 2, p=2)      # HNF rows
+Q2 = pseudo_power_etheory(g8, 2, p=2, basis=lambda L: mat_mul(((-1,),), L.basis))
 P2 = power_operation(g8, 2)
 W = Q1.group
 agree = 0

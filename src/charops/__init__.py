@@ -55,14 +55,11 @@ from .classfn import (
     wreath_diagonal,
 )
 from .powerops import (
-    SectionPhi,
     adams,
     adams_via_power,
     hecke_like,
-    hnf_section,
     power_operation,
     pseudo_power_etheory,
-    twisted_section,
 )
 from .reporacle import (
     Representation,

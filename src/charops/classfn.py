@@ -36,40 +36,20 @@ from .coefficients import (
     weight_slash_graded,
 )
 from .groups import (
-    SL2_S,
-    SL2_T,
     CommutingTuple,
     DirectProductGroup,
     GroupError,
     GroupHomomorphism,
     GSet,
-    commuting_tuple_array,
-    conjugate_pairs,
     conjugation_orbit,
-    gl_act_on_tuple,
-    pair_orbit_partition,
+    pair_moves,
+    pair_orbits,
     wreath,
 )
 
 
 def _as_elements(h):
     return h.elements if isinstance(h, CommutingTuple) else tuple(h)
-
-
-def pair_orbits(G, d, space, elliptic=False):
-    """Orbits of (commuting tuple, fixed point) pairs.
-
-    Moves: simultaneous conjugation by group generators, plus the S and T
-    basis changes on the tuple when elliptic=True (these do not move the
-    point: the generated subgroup is unchanged).  Returns a list of orbits
-    (sorted key lists) ordered by canonical representative.
-    """
-    tuples = commuting_tuple_array(G, d)
-    # a point is fixed by a tuple iff every entry fixes it
-    xs = np.arange(space.size)
-    rows, points = np.nonzero((space.apply_array(tuples[:, :, None], xs) == xs).all(axis=1))
-    moves = (SL2_S, SL2_T) if elliptic and d == 2 else ()
-    return pair_orbit_partition(G, tuples[rows], points, space, basis_changes=moves)
 
 
 @dataclass
@@ -232,37 +212,25 @@ class ClassFunction:
                                 pair_orbits(G, self.d, self.space)]
         else:
             sample_pairs = [self._checked_key(els, x) for els, x in sample_pairs]
+        tuples = np.array([els for els, _ in sample_pairs], dtype=np.int64).reshape(
+            len(sample_pairs), self.d)
+        points = np.array([x for _, x in sample_pairs], dtype=np.int64)
+        moves = [(kind, move, moved.tolist(), moved_points.tolist())
+                 for kind, move, moved, moved_points
+                 in pair_moves(G, tuples, points, self.space, self.elliptic)]
         violations = []
         worst = 0.0
         checked = 0
-        gens = G.generators()
-        tuples = np.array([els for els, _ in sample_pairs], dtype=np.int64).reshape(
-            len(sample_pairs), self.d)
-        moved, points = conjugate_pairs(
-            G, gens, tuples, np.array([x for _, x in sample_pairs], dtype=np.int64),
-            self.space)
-        moved, points = moved.tolist(), points.tolist()
         for i, (els, x) in enumerate(sample_pairs):
             base = self._value(els, x)
-            for k, z in enumerate(gens):
-                dev = graded_deviation(
-                    self._value(tuple(moved[k][i]), points[k][i]), base, tau_samples)
+            for kind, move, moved, moved_points in moves:
+                expected = base if kind == "conjugation" else weight_slash_graded(move, base)
+                dev = graded_deviation(self._value(tuple(moved[i]), moved_points[i]),
+                                       expected, tau_samples)
                 checked += 1
                 worst = max(worst, dev)
                 if dev > tol:
-                    violations.append(
-                        InvarianceViolation("conjugation", (els, x), z, dev))
-            if self.elliptic and self.d == 2:
-                for gamma in (SL2_S, SL2_T):
-                    t2 = gl_act_on_tuple(gamma, CommutingTuple(G, els))
-                    lhs = self._value(t2.elements, x)
-                    rhs = weight_slash_graded(gamma, base)
-                    dev = graded_deviation(lhs, rhs, tau_samples)
-                    checked += 1
-                    worst = max(worst, dev)
-                    if dev > tol:
-                        violations.append(
-                            InvarianceViolation("sl2", (els, x), gamma, dev))
+                    violations.append(InvarianceViolation(kind, (els, x), move, dev))
         return InvarianceReport(violations, worst, checked)
 
     # serialization -------------------------------------------------------------
@@ -289,8 +257,10 @@ class ClassFunction:
             raise ValueError("a class function is an object with a \"values\" list")
         kind = data.get("kind", "complex")
         d = data["d"] if "d" in data else data["height"]
-        if kind not in ("complex", "lat") or type(d) is not int:
-            raise ValueError(f"unknown kind {kind!r} or arity {d!r}")
+        if kind not in ("complex", "lat"):
+            raise ValueError(f"unknown kind {kind!r}")
+        if type(d) is not int or d not in (1, 2):
+            raise ValueError(f"arity {d!r} is not one of the heights 1 and 2")
         kernels = kernels_from_json(data.get("kernels", []))
         values = {}
         for row in data["values"]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .groups import (
 )
 from .lattices import LatticeError
 from .orbits import reduce_tuple
-from .powerops import adams, hecke_like, hnf_section, power_operation, pseudo_power_etheory
+from .powerops import adams, hecke_like, power_operation, pseudo_power_etheory
 from .verify import run_all_suites
 
 
@@ -143,8 +144,8 @@ def emit_class_function(f, cfg, extra=None):
 
 def cmd_power(cfg, fn_path):
     f = load_class_function(cfg, fn_path)
-    out = power_operation(f, cfg.n)
-    rep = out.materialize().is_invariant(tau_samples=cfg.tau_samples, tol=cfg.tol)
+    out = power_operation(f, cfg.n).materialize()
+    rep = out.is_invariant(tau_samples=cfg.tau_samples, tol=cfg.tol)
     emit_class_function(out, cfg, extra={"invariance": {
         "ok": rep.ok, "max_deviation": rep.max_deviation}})
     return 0 if rep.ok else 1
@@ -163,7 +164,7 @@ def cmd_pseudo(cfg, fn_path, prime):
     """Emits the pseudo-power class function restricted to the classes where
     it is defined (all tuple entries of p-power order)."""
     f = load_class_function(cfg, fn_path)
-    out = pseudo_power_etheory(f, cfg.n, p=prime, section=hnf_section())
+    out = pseudo_power_etheory(f, cfg.n, p=prime)
     W = out.group
     values = {}
     skipped = 0
@@ -233,7 +234,9 @@ def cmd_verify(cfg, mutate=None):
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use: parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="charops",
         description="power operations on generalized class functions")

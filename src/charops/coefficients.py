@@ -423,7 +423,11 @@ def graded_close(u, v, samples=DEFAULT_TAU_SAMPLES, tol=TOL):
 
 
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
-    """Max componentwise deviation between two graded values."""
+    """Max componentwise deviation between two graded values.  A value
+    compared with itself deviates by 0.0 without evaluation: x - x is 0 or
+    NaN, and the running max never takes a NaN."""
+    if u is v:
+        return 0.0
     if u.kind != v.kind:
         raise LatticeError("kind mismatch")
     worst = 0.0

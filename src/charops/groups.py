@@ -258,7 +258,8 @@ def cyclic_group(n):
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
     _check_table_order(n, f"C{n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    a = np.arange(n)
+    table = (a[:, None] + a) % n
     labels = ["e"] + [f"c^{k}" if k > 1 else "c" for k in range(1, n)]
     return TableGroup(table, labels=labels, name=f"C{n}")
 
@@ -269,19 +270,11 @@ def dihedral_group(n):
         raise GroupError("dihedral parameter must be >= 1")
     size = 2 * n
     _check_table_order(size, f"D{n}")
-
-    def mul(a, b):
-        fa, ka = divmod(a, n)[0], a % n
-        fb, kb = divmod(b, n)[0], b % n
-        if fa == 0 and fb == 0:
-            return (ka + kb) % n
-        if fa == 0 and fb == 1:
-            return n + (kb - ka) % n
-        if fa == 1 and fb == 0:
-            return n + (ka + kb) % n
-        return (kb - ka) % n
-
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
+    b = np.arange(size)
+    fb, kb = b // n, b % n
+    fa, ka = fb[:, None], kb[:, None]
+    # r^a r^b = r^(a+b), r^a sr^b = sr^(b-a), sr^a r^b = sr^(a+b), sr^a sr^b = r^(b-a)
+    table = np.where(fb == 0, (ka + kb) % n, (kb - ka) % n) + n * (fa != fb)
     labels = [f"r^{k}" for k in range(n)] + [f"sr^{k}" for k in range(n)]
     labels[0] = "e"
     return TableGroup(table, labels=labels, name=f"D{n}")
@@ -354,12 +347,35 @@ def perm_group(degree, generator_perms, size_bound=TABLE_ORDER_BOUND):
                     new.append(y)
         bdy = new
     perms = sorted(els)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[perm_compose(p, q)] for q in perms] for p in perms]
-    G = TableGroup(table, labels=["".join(map(str, p)) for p in perms],
+    G = TableGroup(_perm_table(perms, degree), labels=["".join(map(str, p)) for p in perms],
                    name=f"perm{degree}")
     G.perms = perms
     return G
+
+
+def _perm_table(perms, degree):
+    """Multiplication table of the distinct, lexicographically sorted
+    permutations `perms` of 0..degree-1: entry [a, b] is the index of
+    perms[a] after perms[b].  Each row block composes with every
+    permutation in one gather; a composite is then located column by column,
+    by binary search of (index of the first permutation sharing its prefix)
+    * degree + next entry among the same codes of the sorted permutations.
+    The codes stay below |G| * degree at any degree."""
+    P = np.array(perms, dtype=np.int64).reshape(len(perms), degree)
+    keys = []
+    first = np.zeros(len(P), dtype=np.int64)
+    for i in range(degree):
+        keys.append(first * degree + P[:, i])
+        first = np.searchsorted(keys[-1], keys[-1])
+    table = np.empty((len(P), len(P)), dtype=np.int64)
+    block = max(1, (1 << 16) // len(P))        # about 2**16 composites per step
+    for start in range(0, len(P), block):
+        composed = P[start:start + block][:, P]
+        at = np.zeros(composed.shape[:2], dtype=np.int64)
+        for i, key in enumerate(keys):
+            at = np.searchsorted(key, at * degree + composed[..., i])
+        table[start:start + block] = at
+    return table
 
 
 # the named groups of the command line and the verification suites
@@ -755,10 +771,16 @@ def commuting_tuple_array(G, d):
     lexicographic order.
 
     Brute force: each prefix filters every remaining candidate for the next
-    entry with one batched commutation test.
+    entry with one batched commutation test.  An arity with more than
+    TABLE_ORDER_BOUND**2 candidate tuples |G|^d (the most entries a stored
+    table holds) is refused; the trivial group counts as order 2 here, so
+    that the depth d of the recursion is bounded too.
     """
     if d < 0:
         raise GroupError("arity must be >= 0")
+    if max(G.size, 2) ** min(d, 64) > TABLE_ORDER_BOUND ** 2:    # as is any d >= 64
+        raise GroupError(f"{d}-tuples over a group of order {G.size} are more than "
+                         f"{TABLE_ORDER_BOUND}**2 candidates")
     if d == 0:
         return np.zeros((1, 0), dtype=np.int64)
     blocks = []
@@ -815,19 +837,12 @@ def tuple_conjugacy_classes(G, d):
 
 
 def tuple_conjugacy_classes_bfs(G, d):
-    """Brute-force classification: enumerate every commuting d-tuple and
-    split them into orbits with the generator moves of
-    `pair_orbit_partition`.  Representatives are lexicographic minima.  It
-    tests up to |G|^d tuples for commutation, so it serves as the oracle for
-    the constructive wreath-product path at desk scale."""
-    tuples = commuting_tuple_array(G, d)
-    orbits = pair_orbit_partition(G, tuples, np.zeros(len(tuples), dtype=np.int64),
-                                  GSet.point(G))
-    classes = []
-    for orbit in orbits:
-        members = [els for els, _ in orbit]
-        classes.append(TupleClass(CommutingTuple(G, members[0]), len(members), members))
-    return classes
+    """Brute-force classification: the orbits of `pair_orbits` on the point.
+    Representatives are lexicographic minima.  It tests up to |G|^d tuples
+    for commutation, so it serves as the oracle for the constructive
+    wreath-product path at desk scale."""
+    return [TupleClass(CommutingTuple(G, orbit[0][0]), len(orbit), [els for els, _ in orbit])
+            for orbit in pair_orbits(G, d, GSet.point(G))]
 
 
 def _wreath_tuple_classes(W, d):
@@ -1232,30 +1247,50 @@ def conjugation_orbit(G, els, x=0, space=None):
     return list(zip(map(tuple, moved[keep].tolist()), points[keep].tolist()))
 
 
-def pair_orbit_partition(G, tuples, points, space, basis_changes=()):
-    """Split a set of pairs, closed under simultaneous conjugation (and under
-    the GL_d(Z) matrices in basis_changes, which keep the point), into
-    orbits.  The pairs are the rows of the (M, d) array tuples with the
-    entries of points, distinct and in lexicographic order.
+def pair_moves(G, tuples, points, space, elliptic=False):
+    """The moves on (tuple, point) pairs, applied to the M pairs given by the
+    rows of the (M, d) array tuples and the entries of points: simultaneous
+    conjugation by every generator of G, in one batched call, then, when
+    elliptic and d = 2, the basis changes S and T of the tuple, which keep
+    the point (the generated subgroup is unchanged).  Returns one
+    (kind, move, moved_tuples, moved_points) per move in that order, kind
+    "conjugation" (move a generator) or "sl2" (move a matrix)."""
+    gens = G.generators()
+    moved, moved_points = conjugate_pairs(G, gens, tuples, points, space)
+    out = [("conjugation", z, moved[k], moved_points[k]) for k, z in enumerate(gens)]
+    if elliptic and tuples.shape[1] == 2:
+        out += [("sl2", gamma, gl_act_on_tuple_array(G, gamma, tuples), points)
+                for gamma in (SL2_S, SL2_T)]
+    return out
 
-    Each move acts on all M pairs at once: one batched conjugation per
-    generator of G, one batched `gl_act_on_tuple_array` per matrix.  Each
-    image is found by binary search among the sorted pair codes, and every
-    pair takes the least label of its images (min-label propagation with
-    pointer jumping) until nothing changes, so a round costs O(M |moves|).
-    Returns the orbits as sorted lists of (tuple, point) pairs, ordered by
-    their least members.
+
+def pair_orbits(G, d, space, elliptic=False):
+    """Orbits of (commuting d-tuple, fixed point) pairs under `pair_moves`:
+    sorted lists of pairs, ordered by their least members."""
+    tuples = commuting_tuple_array(G, d)
+    # a point is fixed by a tuple iff every entry fixes it
+    xs = np.arange(space.size)
+    rows, points = np.nonzero((space.apply_array(tuples[:, :, None], xs) == xs).all(axis=1))
+    return pair_orbit_partition(G, tuples[rows], points, space, elliptic)
+
+
+def pair_orbit_partition(G, tuples, points, space, elliptic=False):
+    """Split a set of pairs, closed under `pair_moves`, into orbits.  The
+    pairs are the rows of the (M, d) array tuples with the entries of
+    points, distinct and in lexicographic order.
+
+    Each move acts on all M pairs at once.  Each image is found by binary
+    search among the sorted pair codes, and every pair takes the least label
+    of its images (min-label propagation with pointer jumping) until nothing
+    changes, so a round costs O(M |moves|).  Returns the orbits as sorted
+    lists of (tuple, point) pairs, ordered by their least members.
     """
     codes = PairCodes(G, tuples.shape[1], space.size)
     code = codes.encode(tuples, points)
     if (code[1:] <= code[:-1]).any():
         raise GroupError("the pairs are not distinct and in lexicographic order")
-    images = []
-    for z in G.generators():
-        moved, moved_points = conjugate_pairs(G, [z], tuples, points, space)
-        images.append(codes.encode(moved[0], moved_points[0]))
-    for gamma in basis_changes:
-        images.append(codes.encode(gl_act_on_tuple_array(G, gamma, tuples), points))
+    images = [codes.encode(moved, moved_points) for _, _, moved, moved_points
+              in pair_moves(G, tuples, points, space, elliptic)]
     steps = []
     for image in images:
         at = np.minimum(np.searchsorted(code, image), len(code) - 1)

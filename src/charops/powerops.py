@@ -16,8 +16,6 @@ section-dependent pseudo-power operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classfn import ClassFunction
 from .coefficients import (
     GradedValue,
@@ -171,34 +169,6 @@ def adams_via_power(f, n):
 # E-theory pseudo-power operation
 
 
-@dataclass
-class SectionPhi:
-    """A section of (finite-index endomorphisms of Z^d) -> (sublattices).
-
-    rule(L) returns an integer matrix whose rows span the sublattice L; the
-    induced isomorphism Z^d -> L sends e_j to the j-th row.
-    """
-
-    rule: object
-    name: str = "section"
-
-
-def hnf_section():
-    return SectionPhi(lambda L: L.basis, name="hnf")
-
-
-def twisted_section(unit):
-    """HNF basis premultiplied by a fixed unimodular matrix (same row span)."""
-    from .lattices import mat_mul
-
-    def rule(L):
-        if L.d == 0:
-            return ()
-        return mat_mul(unit, L.basis)
-
-    return SectionPhi(rule, name="twisted")
-
-
 def _is_prime_power_order(W, element, p):
     k = W.order(element)
     while k % p == 0:
@@ -206,20 +176,19 @@ def _is_prime_power_order(W, element, p):
     return k == 1
 
 
-def pseudo_power_etheory(f, n, p, section=None):
+def pseudo_power_etheory(f, n, p, basis=None):
     """The section-dependent power operation on degree-0 class functions of
     p-power-order tuples.
 
     Value at [h over G wr Sigma_n] is the product over orbits k of
-    f([psi* h_k]), where psi: Z^d -> L_k is the isomorphism picked by the
-    section for the stabilizer sublattice L_k.  With the HNF section this is
-    exactly the degree-0 height-1 power operation.  Raises on tuples whose
-    entries do not have p-power order.
+    f([psi* h_k]), where psi: Z^d -> L_k is the isomorphism sending e_j to
+    the j-th row that the section basis(L) -> rows (the `reduce_tuple` hook)
+    picks for the stabilizer sublattice L_k.  With the default HNF basis this
+    is exactly the degree-0 height-1 power operation.  Raises on tuples
+    whose entries do not have p-power order.
     """
     if f.space.size != 1:
         raise GroupError("the pseudo-power operation takes functions on the point")
-    if section is None:
-        section = hnf_section()
     G = f.group
     W = wreath(G, n)
 
@@ -227,7 +196,7 @@ def pseudo_power_etheory(f, n, p, section=None):
         for e in els:
             if not _is_prime_power_order(W, e, p):
                 raise GroupError(f"tuple entry of non-{p}-power order")
-        red = reduce_tuple(CommutingTuple(W, els), basis=section.rule)
+        red = reduce_tuple(CommutingTuple(W, els), basis=basis)
         acc = GradedValue.unit(f.kind)
         for t in red.reduced:
             if not all(_is_prime_power_order(G, e, p) for e in t.elements):

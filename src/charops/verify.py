@@ -18,7 +18,6 @@ import numpy as np
 from .classfn import (
     ClassFunction,
     external_product,
-    pair_orbits,
     restrict_along,
     wreath_block_inclusion,
     wreath_composition_inclusion,
@@ -39,6 +38,7 @@ from .groups import (
     GSet,
     build_group,
     commuting_tuples,
+    pair_orbits,
     tuple_conjugacy_classes,
     wreath,
 )
@@ -50,10 +50,8 @@ from .powerops import (
     adams_via_power,
     hecke_like,
     hecke_q_oracle,
-    hnf_section,
     power_operation,
     pseudo_power_etheory,
-    twisted_section,
 )
 from .reporacle import (
     adams_character_check,
@@ -446,11 +444,9 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
     for gname in ("C2", "C4", "Q8"):
         G = _group(gname)
         f = aut_invariant_height1_function(G, rng)
-        sec1 = hnf_section()
-        sec2 = twisted_section(((-1,),))
         for n in arities:
-            Q1 = pseudo_power_etheory(f, n, p=p, section=sec1)
-            Q2 = pseudo_power_etheory(f, n, p=p, section=sec2)
+            Q1 = pseudo_power_etheory(f, n, p=p)
+            Q2 = pseudo_power_etheory(f, n, p=p, basis=lambda L: mat_mul(((-1,),), L.basis))
             Pn = power_operation(f, n, mode="lazy")
             W = Q1.group
             for cls in tuple_conjugacy_classes(W, 1):
@@ -470,8 +466,8 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
         sub = t.image_subgroup()
         vals[(t.elements, 0)] = GradedValue("complex", {0: float(len(sub))})
     f2 = ClassFunction.from_values(C2, 2, vals)
-    Qs = [pseudo_power_etheory(f2, 2, p=p, section=sec)
-          for sec in (hnf_section(), twisted_section(((1, 1), (0, 1))))]
+    Qs = [pseudo_power_etheory(f2, 2, p=p),
+          pseudo_power_etheory(f2, 2, p=p, basis=lambda L: mat_mul(((1, 1), (0, 1)), L.basis))]
     W = Qs[0].group
     for t in commuting_tuples(W, 2):
         if not all(_is_prime_power_order(W, e, p) for e in t.elements):

@@ -29,6 +29,7 @@ def test_criterion_01_oracle_equivalence():
     """Tensor-trace oracle equals the geometric power operation, 1e-9."""
     r = report(suite_oracle_equivalence(tol=1e-9, arities=(2, 3)))
     assert r.passed
+    assert r.checks == 22
     assert r.max_deviation < 1e-9
     assert r.seconds < 30
 
@@ -38,6 +39,7 @@ def test_criterion_02_consistency_relations():
     configuration: exact at height 1 degree 0, 1e-9 at height 2."""
     r = report(suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20))
     assert r.passed
+    assert r.checks == 880
     assert "height-1 exact dev 0.0e+00" in r.detail
     assert r.seconds < 60
 
@@ -47,6 +49,7 @@ def test_criterion_03_adams_coherence():
     G in {C2, C4, S3}: exact at height 1, 1e-9 at height 2."""
     r = report(suite_adams_coherence(seed=0, tol=1e-9))
     assert r.passed
+    assert r.checks == 94
     assert "height-1 exact dev 0.0e+00" in r.detail
     assert r.seconds < 60
 
@@ -63,6 +66,7 @@ def test_criterion_04_adams_character_formula():
     all built-in representations, n <= 4."""
     r = report(suite_adams_character(tol=1e-9, max_n=4))
     assert r.passed
+    assert r.checks == 64
 
 
 def test_criterion_05_fixed_point_bijection():
@@ -81,6 +85,7 @@ def test_criterion_06_sl2_invariance_propagation():
     published tau samples; inputs include E4 and E6 slots."""
     r = report(suite_sl2_invariance(seed=0, tol=1e-9, arities=(2, 3)))
     assert r.passed
+    assert r.checks == 564
 
 
 def test_criterion_07_hecke_eigencheck():
@@ -88,12 +93,14 @@ def test_criterion_07_hecke_eigencheck():
     the q-expansion Hecke oracle under S_n = n^(1-w) T_n."""
     r = report(suite_hecke(tol=1e-6))
     assert r.passed
+    assert r.checks == 16
 
 
 def test_criterion_08_choice_independence():
     """50 randomized basepoint/basis reductions leave outputs unchanged."""
     r = report(suite_choice_independence(seed=0, tol=1e-9, runs=50))
     assert r.passed
+    assert r.checks == 1200
     assert "height-1 exact dev 0.0e+00" in r.detail
 
 
@@ -102,6 +109,7 @@ def test_criterion_09_etheory_agreement():
     other and with the height-1 power operation, exactly, on 2-groups."""
     r = report(suite_etheory(seed=0, p=2, arities=(2, 4)))
     assert r.passed
+    assert r.checks == 349
     assert r.max_deviation == 0.0
 
 
@@ -109,6 +117,7 @@ def test_criterion_10_count_checks():
     """|S3 commuting pairs / conj| = 8; sublattice counts are sigma_1(n)."""
     r = report(suite_counts())
     assert r.passed
+    assert r.checks == 55
 
 
 def test_seed_variation_same_verdicts():

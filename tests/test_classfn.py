@@ -4,6 +4,7 @@ import pytest
 
 from charops.classfn import (
     ClassFunction,
+    InvarianceViolation,
     add,
     external_product,
     multiply,
@@ -18,10 +19,14 @@ from charops.coefficients import (
     LatFunction,
     eisenstein_series,
     graded_deviation,
+    weight_slash_graded,
 )
 from charops.powerops import power_operation
 from charops.reporacle import character, regular_representation
+from charops.verify import random_height2_function
 from charops.groups import (
+    SL2_S,
+    SL2_T,
     CommutingTuple,
     DirectProductGroup,
     GroupError,
@@ -29,6 +34,7 @@ from charops.groups import (
     GSet,
     commuting_tuples,
     cyclic_group,
+    gl_act_on_tuple,
     symmetric_group,
     tuple_conjugacy_classes,
     wreath,
@@ -160,6 +166,56 @@ def test_is_invariant_detects_tau_violation():
     rep = f.is_invariant()
     assert not rep.ok
     assert any(v.kind == "sl2" for v in rep.violations)
+
+
+def reference_is_invariant(f):
+    """is_invariant pair by pair with scalar moves: G.conj and
+    gl_act_on_tuple."""
+    G = f.group
+    if f.values is not None:
+        pairs = list(f.values)
+    else:
+        pairs = [orbit[0] for orbit in pair_orbits(G, f.d, f.space)]
+    violations, worst, checked = [], 0.0, 0
+    for els, x in pairs:
+        base = f.evaluate(els, x)
+        checks = [("conjugation", z, tuple(G.conj(z, e) for e in els), f.space.apply(z, x),
+                   base) for z in G.generators()]
+        if f.elliptic and f.d == 2:
+            checks += [("sl2", gamma, gl_act_on_tuple(gamma, CommutingTuple(G, els)).elements,
+                        x, weight_slash_graded(gamma, base)) for gamma in (SL2_S, SL2_T)]
+        for kind, move, moved, y, expected in checks:
+            dev = graded_deviation(f.evaluate(moved, y), expected)
+            checked += 1
+            worst = max(worst, dev)
+            if dev > 1e-9:
+                violations.append(InvarianceViolation(kind, (els, x), move, dev))
+    return violations, worst, checked
+
+
+def _invariance_cases():
+    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
+    C2, S3 = cyclic_group(2), symmetric_group(3)
+    stored = {name: random_height2_function(G, random.Random(3))
+              for name, G in (("C2", C2), ("S3", S3))}
+    tau_slot = ClassFunction.from_values(
+        C2, 2, {(t.elements, 0): GradedValue("lat", {0: tau_fn, 4: E4})
+                for t in commuting_tuples(C2, 2)}, kind="lat", elliptic=True)
+    first_entry = ClassFunction.from_rule(
+        S3, 2, lambda els, x: GradedValue("lat", {4: E4.scale(els[0] + 1)}),
+        kind="lat", elliptic=True)
+    return [pytest.param(stored["C2"], id="C2 stored"),
+            pytest.param(stored["S3"], id="S3 stored"),
+            pytest.param(multiply(stored["C2"], stored["C2"]), id="C2 rule"),
+            pytest.param(multiply(stored["S3"], stored["S3"]), id="S3 rule"),
+            pytest.param(tau_slot, id="C2 tau slot"),
+            pytest.param(first_entry, id="S3 rule not invariant")]
+
+
+@pytest.mark.parametrize("f", _invariance_cases())
+def test_is_invariant_matches_scalar_reference(f):
+    rep = f.is_invariant()
+    assert (rep.violations, rep.max_deviation, rep.checked) == reference_is_invariant(f)
 
 
 def test_restrict_identity():

@@ -395,6 +395,7 @@ MALFORMED_ARGUMENTS = [
     ("weight past float range in the tail bound",
      ["--n", "2", "hecke", '{"weight": 700, "q": [1, 240, 2160]}']),
     ("tau sample where |q| rounds to 1", ["--tau-samples", "1e-20j", "--n", "2", "hecke", "E4"]),
+    ("arity past the candidate bound", ["--group", "C2", "--d", "1000000", "classes"]),
 ]
 
 
@@ -424,8 +425,11 @@ def test_orders_above_the_table_bound_are_refused_before_building(
 
 @pytest.mark.parametrize("command", ["power", "adams", "pseudo"])
 @pytest.mark.parametrize("edit", [_set(["d"], True), _set(["values", 0, "tuple"], [[0]]),
-                                  _set(["values", 0, "point"], [0])],
-                         ids=["bool arity", "list entry", "list point"])
+                                  _set(["values", 0, "point"], [0]),
+                                  lambda data: data.update(d=8, values=[]),
+                                  lambda data: data.update(d=1000000, values=[])],
+                         ids=["bool arity", "list entry", "list point", "arity 8",
+                              "arity 1000000"])
 def test_malformed_keys_exit_2_in_every_command(tmp_path, capsys, command, edit):
     data = _height1_input()
     edit(data)

@@ -12,6 +12,7 @@ from charops.coefficients import (
     divisor_power_sums,
     eisenstein_series,
     graded_close,
+    graded_deviation,
     graded_product,
     graded_scale,
     graded_sum,
@@ -230,3 +231,15 @@ def test_graded_sum_scale():
     b = GradedValue("complex", {0: 2.0, 2: 1.0})
     assert graded_sum(a, b).components[0] == 3.0
     assert graded_scale(2.0, b).components[2] == 2.0
+
+
+def test_a_value_compared_with_itself_is_not_evaluated():
+    """graded_deviation(v, v) is 0.0 without evaluating v, which is what the
+    evaluation gives: x - x is 0 or NaN, and the running max drops a NaN."""
+    def fail(l, lp):
+        raise AssertionError("evaluated")
+
+    v = GradedValue("lat", {0: LatFunction.from_evaluator(0, fail)})
+    assert graded_deviation(v, v) == 0.0
+    nan = GradedValue("lat", {0: LatFunction.from_evaluator(0, lambda l, lp: float("nan"))})
+    assert graded_deviation(nan, GradedValue("lat", dict(nan.components))) == 0.0

@@ -16,6 +16,7 @@ from charops.groups import (
     direct_product,
     fixed_points,
     gl_act_on_tuple,
+    perm_compose,
     perm_group,
     quaternion_group,
     symmetric_group,
@@ -107,6 +108,55 @@ def test_build_group_descriptors():
     assert G.size == 6
     with pytest.raises(GroupError):
         perm_group(8, [[1, 2, 3, 4, 5, 6, 7, 0]], size_bound=4)
+
+
+# The per-entry formulas the builders used before they built their tables as
+# arrays, kept as the reference.
+
+def _full_table(G):
+    els = np.arange(G.size)
+    return G.mul_array(els[:, None], els).tolist()
+
+
+def _reference_dihedral_mul(n, a, b):
+    fa, ka = divmod(a, n)[0], a % n
+    fb, kb = divmod(b, n)[0], b % n
+    if fa == 0 and fb == 0:
+        return (ka + kb) % n
+    if fa == 0 and fb == 1:
+        return n + (kb - ka) % n
+    if fa == 1 and fb == 0:
+        return n + (ka + kb) % n
+    return (kb - ka) % n
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_table_matches_reference(n):
+    G = cyclic_group(n)
+    assert _full_table(G) == [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert G.labels == ["e"] + [f"c^{k}" if k > 1 else "c" for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_table_matches_reference(n):
+    G = dihedral_group(n)
+    assert _full_table(G) == [[_reference_dihedral_mul(n, a, b) for b in range(2 * n)]
+                              for a in range(2 * n)]
+    assert G.labels == ["e"] + [f"r^{k}" for k in range(1, n)] + [f"sr^{k}" for k in range(n)]
+
+
+@pytest.mark.parametrize("G", [symmetric_group(n) for n in range(1, 6)] + [
+    build_group({"type": "perm", "degree": 6,
+                 "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]}),
+    perm_group(17, [list(range(1, 17)) + [0]])], ids=lambda G: f"{G.name}-order{G.size}")
+def test_perm_table_matches_reference(G):
+    """Elements are the sorted permutations, entry [a, b] the index of
+    perms[a] after perms[b]; degree 17 puts 17**17 past 64-bit codes."""
+    perms = G.perms
+    assert perms == sorted(set(perms))
+    assert G.labels == ["".join(map(str, p)) for p in perms]
+    index = {p: i for i, p in enumerate(perms)}
+    assert _full_table(G) == [[index[perm_compose(p, q)] for q in perms] for p in perms]
 
 
 # --- wreath products ----------------------------------------------------------

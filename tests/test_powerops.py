@@ -27,13 +27,11 @@ from charops.powerops import (
     cayley_torsion_tuple,
     hecke_like,
     hecke_q_oracle,
-    hnf_section,
     power_operation,
     pseudo_power_etheory,
-    twisted_section,
 )
 from charops.classfn import add
-from charops.lattices import LatticeError
+from charops.lattices import LatticeError, mat_mul
 
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
@@ -337,11 +335,10 @@ def test_pseudo_power_section_independence():
         sym = (raw[g] + raw[C4.inv(g)]) / 2
         vals[((g,), 0)] = GradedValue("complex", {0: sym})
     f = ClassFunction.from_values(C4, 1, vals)
-    sec1 = hnf_section()
-    sec2 = twisted_section(((-1,),))  # rows negated: same span
     for n in (2, 4):
-        Q1 = pseudo_power_etheory(f, n, p=2, section=sec1)
-        Q2 = pseudo_power_etheory(f, n, p=2, section=sec2)
+        Q1 = pseudo_power_etheory(f, n, p=2)
+        # rows negated: same span
+        Q2 = pseudo_power_etheory(f, n, p=2, basis=lambda L: mat_mul(((-1,),), L.basis))
         W = Q1.group
         for cls in tuple_conjugacy_classes(W, 1):
             els = cls.representative.elements
@@ -363,14 +360,12 @@ def test_pseudo_power_rejects_a_section_off_the_stabilizer():
     """A section whose rows span another lattice than the stabilizer raises
     GroupError, at d = 1 (rows Z instead of 2Z) and at d = 2."""
     from charops.lattices import mat_identity
-    from charops.powerops import SectionPhi
     C2 = cyclic_group(2)
     W = wreath(C2, 2)
     swap = W.encode((0, 0), (1, 0))
-    identity_rows = SectionPhi(lambda L: mat_identity(L.d), name="identity")
     for d, els in ((1, (swap,)), (2, (swap, W.identity))):
         Q = pseudo_power_etheory(ClassFunction.constant(C2, d, 1.0), 2, p=2,
-                                 section=identity_rows)
+                                 basis=lambda L: mat_identity(L.d))
         with pytest.raises(GroupError):
             Q.evaluate(CommutingTuple(W, els), 0)
         # on a tuple whose orbits all have stabilizer Z^d the section is fine
