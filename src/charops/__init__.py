@@ -20,7 +20,6 @@ from .groups import (
     dihedral_group,
     direct_product,
     fixed_points,
-    gl_act_on_tuple,
     perm_group,
     quaternion_group,
     symmetric_group,
@@ -34,7 +33,7 @@ from .lattices import (
     stabilizer_lattice,
     sublattices_of_index,
 )
-from .orbits import OrbitReduction, cycle_product, fixed_point_transport, reduce_tuple
+from .orbits import OrbitReduction, fixed_point_transport, reduce_tuple
 from .coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,

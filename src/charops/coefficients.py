@@ -4,10 +4,10 @@ A GradedValue is a finitely supported map j -> coefficient modeling an even
 cohomological degree 2j.  At height 1 the coefficients are complex numbers;
 at height 2 they are LatFunctions: weight-j functions F of a based oriented
 lattice, F(mu l, mu l') = mu^-j F(l, l'), in one normal form: a sum of
-scale * prod_i kernel_i(M_i . (l, l')) with q-expansion (or plain evaluator)
-kernels and exact integer matrices M_i.  The slash by a positive-determinant
-matrix composes the matrices exactly, so slashes never accumulate round-off
-and q-expansion-built functions serialize exactly.  Equality of lattice
+scale * prod_i kernel_i(M_i . (l, l')) with stored q-expansion kernels and
+exact integer matrices M_i.  The slash by a positive-determinant matrix
+composes the matrices exactly, so slashes never accumulate round-off and
+every lattice function serializes exactly.  Equality of lattice
 functions is numerical agreement on a fixed list of tau samples.
 """
 
@@ -38,13 +38,6 @@ _LOG_TAIL_BOUND = math.log(1e-10)
 _IDENTITY = ((1, 0), (0, 1))
 
 _serials = itertools.count()
-
-
-def divisor_power_sum(n, k):
-    """sigma_k(n), brute force over divisors."""
-    if n <= 0:
-        return 0
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
 def divisor_power_sums(n_terms, k):
@@ -82,7 +75,7 @@ class LatFunction:
     __slots__ = ("weight", "terms")
 
     def __init__(self, weight, terms):
-        _check_term_count(terms)
+        _check_term_count(len(terms))
         self.weight = weight
         self.terms = terms
 
@@ -95,11 +88,6 @@ class LatFunction:
         return cls(weight, {((kernel, _IDENTITY),): 1 + 0j})
 
     @classmethod
-    def from_evaluator(cls, weight, fn):
-        """F(l, l') = fn(l, l'); such a function has no JSON form."""
-        return cls(weight, {((_Kernel(weight, fn=fn), _IDENTITY),): 1 + 0j})
-
-    @classmethod
     def constant(cls, value):
         value = complex(value)
         return cls(0, {(): value} if value else {})
@@ -109,8 +97,7 @@ class LatFunction:
         (possibly scaled) q-expansion, such as E4 or E6."""
         if len(self.terms) == 1:
             (factors, s), = self.terms.items()
-            if len(factors) == 1 and factors[0][1] == _IDENTITY \
-                    and factors[0][0].coeffs is not None:
+            if len(factors) == 1 and factors[0][1] == _IDENTITY:
                 return tuple(s * c for c in factors[0][0].coeffs)
         raise LatticeError("not a single untransformed q-expansion")
 
@@ -171,7 +158,7 @@ class LatFunction:
             for fb, sb in other.terms.items():
                 _accumulate(terms, tuple(sorted(fa + fb)) if fa and fb else fa or fb,
                             sa * sb)
-                _check_term_count(terms)
+                _check_term_count(len(terms))
         return LatFunction(self.weight + other.weight, terms)
 
     __rmul__ = __mul__
@@ -218,8 +205,8 @@ class LatFunction:
         return f"<LatFunction weight={self.weight} terms={len(self.terms)}>"
 
 
-def _check_term_count(terms):
-    if len(terms) > _MAX_TERMS:
+def _check_term_count(count):
+    if count > _MAX_TERMS:
         raise LatticeError(
             f"lattice function would hold more than {_MAX_TERMS} terms")
 
@@ -235,14 +222,12 @@ def _accumulate(terms, factors, s):
 
 class _Kernel:
     """Atomic evaluator: a truncated q-expansion with memoized lattice
-    evaluations, or (coeffs None) a plain function fn(l, l') with no JSON
-    form.  Kernels compare by creation serial, which fixes the order of the
-    factors inside a term."""
+    evaluations.  Kernels compare by creation serial, which fixes the order
+    of the factors inside a term."""
 
-    def __init__(self, weight, coeffs=None, fn=None):
+    def __init__(self, weight, coeffs):
         self.weight = weight
         self.coeffs = coeffs
-        self.fn = fn
         self.serial = next(_serials)
         self._cache = {}
 
@@ -250,14 +235,9 @@ class _Kernel:
         return self.serial < other.serial
 
     def to_json(self):
-        if self.coeffs is None:
-            raise LatticeError("a lattice function built from an evaluator has no "
-                               "JSON form; only q-expansions serialize")
         return {"weight": self.weight, "q": [[c.real, c.imag] for c in self.coeffs]}
 
     def __call__(self, l, lp):
-        if self.fn is not None:
-            return self.fn(l, lp)
         key = (complex(l), complex(lp))
         hit = self._cache.get(key)
         if hit is not None:
@@ -301,19 +281,6 @@ def eisenstein_series(weight, n_terms=256):
         raise LatticeError("need at least 2 terms")
     coeffs = [1] + [c * s for s in divisor_power_sums(n_terms, weight - 1)[1:]]
     return LatFunction.from_q_expansion(weight, coeffs)
-
-
-def check_weight_homogeneity(F, rng, samples=8, tol=TOL):
-    """Max |F(mu l, mu l') - mu^-w F(l, l')| over random sample points."""
-    worst = 0.0
-    for _ in range(samples):
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
-        l = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3))
-        mu = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
-        lhs = F.evaluate(mu * l, mu * l * tau)
-        rhs = mu ** (-F.weight) * F.evaluate(l, l * tau)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +371,11 @@ def graded_sum(u, v):
     return GradedValue(u.kind, comp)
 
 
-def graded_scale(s, v):
-    """Multiply every component by the scalar s (no degree dependence)."""
-    s = complex(s)
-    return GradedValue(v.kind, {j: c * s for j, c in v.components.items()})
-
-
 def weight_slash_graded(M, v):
     """Apply the slash to every component of a height-2 graded value."""
     if v.kind != "lat":
         raise LatticeError("weight_slash_graded needs lattice-function coefficients")
     return GradedValue("lat", {j: F.slash(M) for j, F in v.components.items()})
-
-
-def graded_close(u, v, samples=DEFAULT_TAU_SAMPLES, tol=TOL):
-    """Numerical equality of two graded values."""
-    return u.kind == v.kind and graded_deviation(u, v, samples) <= tol
 
 
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):

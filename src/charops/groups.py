@@ -29,6 +29,10 @@ _VALIDATE_BLOCK = 512
 # before anything is built.
 TABLE_ORDER_BOUND = 5040
 
+# Element indices are int64 in every batched kernel, so wreath and direct
+# products of larger order are refused before anything is built.
+INDEX_BOUND = 2 ** 63
+
 
 class GroupError(ValueError):
     pass
@@ -173,8 +177,7 @@ class TableGroup(FiniteGroup):
         if t.ndim != 2 or len(t) != t.shape[1] or not t.size or t.dtype.kind not in "iu" \
                 or t.min() < 0 or t.max() >= len(t):
             raise GroupError("a multiplication table is an n x n array of integers in [0, n)")
-        self._table_array = t = t.astype(np.int64)
-        self._table = t.tolist()
+        self._table = t = t.astype(np.int64)
         self.size = len(t)
         self.labels = labels
         self.name = name
@@ -186,8 +189,7 @@ class TableGroup(FiniteGroup):
         has_inverse = (t == self.identity) & (t.T == self.identity)
         if not has_inverse.any(axis=1).all():
             raise GroupError(f"element {np.argmin(has_inverse.any(axis=1))} has no inverse")
-        self._inverse_table = has_inverse.argmax(axis=1)
-        self._inverse = self._inverse_table.tolist()
+        self._inverse = has_inverse.argmax(axis=1)
         self.validate_associativity()
 
     def validate_associativity(self):
@@ -195,7 +197,7 @@ class TableGroup(FiniteGroup):
         and every generator g.  The g satisfying this are closed under
         products, so it then holds for every g.  Compared in row blocks of x
         to bound the temporaries."""
-        t = self._table_array
+        t = self._table
         for g in self.generators():
             for start in range(0, self.size, _VALIDATE_BLOCK):
                 rows = t[start:start + _VALIDATE_BLOCK]
@@ -205,16 +207,16 @@ class TableGroup(FiniteGroup):
                     raise GroupError(f"non-associative triple ({start + x},{g},{y})")
 
     def mul(self, a, b):
-        return self._table[a][b]
+        return self._table.item(a, b)
 
     def mul_array(self, a, b):
-        return self._table_array[a, b]
+        return self._table[a, b]
 
     def inv(self, a):
-        return self._inverse[a]
+        return self._inverse.item(a)
 
     def inv_array(self, a):
-        return self._inverse_table[a]
+        return self._inverse[a]
 
     def generators(self):
         if getattr(self, "_gens", None) is None:
@@ -246,6 +248,18 @@ def mulclose_indices(G, gens):
 
 # ---------------------------------------------------------------------------
 # built-in families
+
+
+def _checked_order(factors, name):
+    """The product of the positive integers `factors`, refused as soon as a
+    partial product passes INDEX_BOUND, so a huge order is never formed."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > INDEX_BOUND:
+            raise GroupError(f"{name} has more than 2**63 elements, too many for "
+                             f"64-bit element indices")
+    return order
 
 
 def _check_table_order(order, name):
@@ -283,8 +297,10 @@ def dihedral_group(n):
 def symmetric_group(n):
     """Symmetric group on n letters; elements indexed in lexicographic order.
     It is the permutation group of an n-cycle and a transposition; its
-    order n! is checked against TABLE_ORDER_BOUND first, so n <= 7."""
-    _check_table_order(math.factorial(min(max(n, 0), 8)), f"S{n}")   # 8! > bound
+    order n! is checked against TABLE_ORDER_BOUND first, so 0 <= n <= 7."""
+    if n < 0:
+        raise GroupError("symmetric degree must be >= 0")
+    _check_table_order(math.factorial(min(n, 8)), f"S{n}")   # 8! > bound
     gens = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))] if n >= 2 else []
     G = perm_group(n, gens)
     G.name = f"S{n}"
@@ -328,6 +344,8 @@ def perm_group(degree, generator_perms, size_bound=TABLE_ORDER_BOUND):
             isinstance(p, (list, tuple)) and all(type(i) is int for i in p)
             for p in generator_perms)):
         raise GroupError("permutation generators are a list of integer lists")
+    if degree < 0:
+        raise GroupError("permutation degree must be >= 0")
     gens = [tuple(p) for p in generator_perms]
     for p in gens:
         if sorted(p) != list(range(degree)):
@@ -439,12 +457,14 @@ class WreathGroup(FiniteGroup):
     def __init__(self, base, n):
         if n < 0:
             raise GroupError("wreath arity must be >= 0")
+        # |G|^n n! = prod_{i <= n} |G| i
+        self.size = _checked_order((base.size * i for i in range(1, n + 1)),
+                                   f"{getattr(base, 'name', None) or 'G'} wr S{n}")
         self.base = base
         self.n = n
         self._bs = base.size
         self._bn = self._bs ** n
         self._powers = [self._bs ** i for i in range(n)]
-        self.size = self._bn * math.factorial(n)
         self.identity = 0
         if n <= 7:
             self._perms = list(itertools.permutations(range(n)))
@@ -579,9 +599,9 @@ class DirectProductGroup(FiniteGroup):
     """G1 x G2 with index = a1 + a2 * |G1|."""
 
     def __init__(self, g1, g2):
+        self.size = _checked_order((g1.size, g2.size), "the direct product")
         self.g1 = g1
         self.g2 = g2
-        self.size = g1.size * g2.size
         self.identity = self.encode(g1.identity, g2.identity)
 
     def encode(self, a1, a2):
@@ -666,16 +686,6 @@ class GroupHomomorphism:
         if self.from_generators(self.source, self.target, image[gens]).image != self.image:
             raise GroupError("not a homomorphism: the image array is not the extension "
                              "of its generator images")
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source:
-            raise GroupError("composition mismatch")
-        return GroupHomomorphism(
-            other.source, self.target,
-            [self.image[other.image[a]] for a in range(other.source.size)],
-            validate=False,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -977,8 +987,9 @@ def int_mat_inverse_unimodular(M):
     return [[a * det for a in row] for row in adj]  # det is +-1
 
 
-def gl_act_on_tuple(gamma, h):
-    """Basis-change action of GL_d(Z) on commuting d-tuples.
+def gl_act_on_tuple_array(G, gamma, tuples):
+    """Basis-change action of GL_d(Z) on the rows of an (M, d) array of
+    commuting d-tuples over G.
 
     The convention is precomposition with the inverse transpose: the j-th
     entry of gamma.h is h evaluated at the j-th row of gamma^-1.  For d = 2
@@ -988,15 +999,6 @@ def gl_act_on_tuple(gamma, h):
     opposite group).  The coefficient-side slash composes the same way, so
     the two twists pair coherently in invariance checks.
     """
-    d = h.d
-    if len(gamma) != d or any(len(r) != d for r in gamma):
-        raise GroupError("matrix shape does not match tuple arity")
-    ginv = int_mat_inverse_unimodular([list(r) for r in gamma])
-    return CommutingTuple(h.group, tuple(h.at(ginv[j]) for j in range(d)))
-
-
-def gl_act_on_tuple_array(G, gamma, tuples):
-    """`gl_act_on_tuple` on the rows of an (M, d) array of commuting tuples."""
     tuples = np.asarray(tuples, dtype=np.int64)
     d = tuples.shape[-1]
     if len(gamma) != d or any(len(r) != d for r in gamma):
@@ -1082,17 +1084,6 @@ class GSet:
         elements = np.arange(group.size, dtype=np.int64)
         act = group.mul_array(elements, elements[:, None])
         return cls(group, group.size, act.tolist(), validate=False)
-
-    @classmethod
-    def from_perms(cls, group, size, perm_of_generator):
-        """The action whose generators act by the given permutations of
-        0..size-1, built and checked by one walk over the group."""
-        perms = np.array(perm_of_generator, dtype=np.int64)
-        if perms.shape != (len(group.generators()), size) or perms.min(initial=0) < 0 \
-                or perms.max(initial=0) >= size:
-            raise GroupError("generator images are not maps of the points")
-        return cls(group, size, _extend_action(group, perms, size).T.tolist(),
-                   validate=False)
 
     def product(self, other):
         """Product G-set of two sets over the two groups' direct product."""
@@ -1204,7 +1195,7 @@ class PairCodes:
     whose codes could reach 2**63 raises GroupError instead of wrapping."""
 
     def __init__(self, G, d, npoints):
-        if G.size ** d * npoints >= 2 ** 63:
+        if G.size ** d * npoints >= INDEX_BOUND:
             raise GroupError(f"pairs of {d}-tuples over a group of order {G.size} "
                              f"and {npoints} points overflow 64-bit codes")
         self.radix = G.size

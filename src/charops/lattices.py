@@ -122,10 +122,6 @@ class Sublattice:
         return [list(r) for r in self.basis]
 
 
-def full_lattice(d):
-    return Sublattice(mat_identity(d), d=d)
-
-
 def sublattices_of_index(d, n):
     """All sublattices of Z^d of index n, canonically ordered.
 

@@ -6,7 +6,11 @@ L_k of Z^d (index |I_k|), a basis matrix M_k of L_k (its oriented HNF unless
 a `basis` hook picks other rows), and a reduced commuting tuple h_k in G:
 entry j of h_k is coordinate i_k of H(row j of M_k), read off the decoded
 entries of H by one walk (`_coordinate`).  This is the single code path used
-for every arity; the cycle product is only a cross-check at d=1.
+for every arity.  At d = 1 it is the cycle product: the basepoint coordinate
+of (bases, sigma)^m, m the cycle length, is the ordered product of the base
+entries at i_k, sigma^-1(i_k), sigma^-2(i_k), ... under the twisted product
+of WreathGroup.  Two basepoints in one cycle give conjugate products, and
+for commuting entries the product does not depend on the direction.
 """
 
 from __future__ import annotations
@@ -177,30 +181,6 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
         all_labels.append(labels)
     return OrbitReduction(W, H, orbits, basepoints, stabs, mats, reduced,
                           all_labels, parts)
-
-
-def cycle_product(G, bases, sigma, cycle, basepoint):
-    """Ordered product of base entries along a cycle of sigma.
-
-    The traversal runs basepoint, sigma^-1(basepoint), sigma^-2(basepoint), ...
-    so that the result equals the basepoint coordinate of (bases, sigma)^m in
-    the wreath product, m the cycle length; this matches the twisted product
-    convention of WreathGroup and hence agrees with reduce_tuple at d = 1.
-    Any two basepoints in the same cycle give conjugate products, and for
-    commuting entries the product is independent of the traversal direction.
-    """
-    if basepoint not in cycle:
-        raise GroupError("basepoint not contained in the cycle")
-    si = perm_inverse(tuple(sigma))
-    pts = [basepoint]
-    while si[pts[-1]] != basepoint:
-        pts.append(si[pts[-1]])
-    if sorted(pts) != sorted(cycle):
-        raise GroupError("cycle is not a single sigma-orbit")
-    out = G.identity
-    for p in pts:
-        out = G.mul(out, bases[p])
-    return out
 
 
 @dataclass

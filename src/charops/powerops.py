@@ -16,9 +16,12 @@ section-dependent pseudo-power operation.
 
 from __future__ import annotations
 
+import math
+
 from .classfn import ClassFunction
 from .coefficients import (
     GradedValue,
+    _check_term_count,
     graded_product,
     scale_by_degree,
     weight_slash_graded,
@@ -219,11 +222,20 @@ def hecke_like(F, n):
     classical Hecke operator T_n, so S_2(E4) = (9/8) E4 and
     S_3(E4) = (28/27) E4.  (The power-operation orbit factor would add a
     det^w twist; that variant is n^w S_n and has the same eigenvectors.)
+    An index with more sublattices than a lattice function may hold terms
+    is refused before they are enumerated.
     """
     if n < 1:
         raise GroupError("hecke operator needs index >= 1")
     if n == 1:
         return F
+    # sigma_1(n) sublattices, summed over divisor pairs (a, n/a) and checked
+    # as the sum grows: a = 1 alone adds n + 1
+    count = 0
+    for a in range(1, math.isqrt(n) + 1):
+        if n % a == 0:
+            count += a + n // a if a * a != n else a
+            _check_term_count(count)
     out = None
     for L in sublattices_of_index(2, n):
         term = F.slash(L.basis)
@@ -237,7 +249,6 @@ def hecke_q_oracle(coeffs, weight, n):
     a_m(T_n f) = sum over d | gcd(m, n) of d^(weight-1) a_{mn/d^2}; used as an
     independent check of hecke_like's normalization.
     """
-    import math
     m_max = (len(coeffs) - 1) // n
     out = []
     for m in range(m_max + 1):

@@ -166,12 +166,6 @@ def quaternion_2d(G):
     return Representation(G, mats, name="irrep2")
 
 
-def representation_from_json(G, data):
-    mats = [np.array([[complex(re, im) for re, im in row] for row in m])
-            for m in data["matrices"]]
-    return Representation(G, mats, name=data.get("name", "rep"))
-
-
 # oracle operations -----------------------------------------------------------
 
 

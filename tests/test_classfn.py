@@ -16,7 +16,6 @@ from charops.classfn import (
 )
 from charops.coefficients import (
     GradedValue,
-    LatFunction,
     eisenstein_series,
     graded_deviation,
     weight_slash_graded,
@@ -34,11 +33,12 @@ from charops.groups import (
     GSet,
     commuting_tuples,
     cyclic_group,
-    gl_act_on_tuple,
     symmetric_group,
     tuple_conjugacy_classes,
     wreath,
 )
+
+from references import eisenstein_e2, gl_act_on_tuple
 
 E4 = eisenstein_series(4, 400)
 
@@ -159,13 +159,13 @@ def test_is_invariant_e4_trivial_group():
 
 def test_is_invariant_detects_tau_violation():
     one = cyclic_group(1)
-    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
     f = ClassFunction.from_values(
-        one, 2, {((0, 0), 0): GradedValue("lat", {0: tau_fn})},
+        one, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
         kind="lat", elliptic=True)
     rep = f.is_invariant()
     assert not rep.ok
     assert any(v.kind == "sl2" for v in rep.violations)
+    assert {v.move for v in rep.violations} == {SL2_S, SL2_T}
 
 
 def reference_is_invariant(f):
@@ -194,12 +194,12 @@ def reference_is_invariant(f):
 
 
 def _invariance_cases():
-    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
     C2, S3 = cyclic_group(2), symmetric_group(3)
     stored = {name: random_height2_function(G, random.Random(3))
               for name, G in (("C2", C2), ("S3", S3))}
+    E2 = eisenstein_e2()
     tau_slot = ClassFunction.from_values(
-        C2, 2, {(t.elements, 0): GradedValue("lat", {0: tau_fn, 4: E4})
+        C2, 2, {(t.elements, 0): GradedValue("lat", {2: E2, 4: E4})
                 for t in commuting_tuples(C2, 2)}, kind="lat", elliptic=True)
     first_entry = ClassFunction.from_rule(
         S3, 2, lambda els, x: GradedValue("lat", {4: E4.scale(els[0] + 1)}),
@@ -256,7 +256,7 @@ def test_restrict_functorial():
     psi = GroupHomomorphism(C1, C2, [0])
     f = ClassFunction.from_values(S3, 1, regular_values(S3))
     lhs = restrict_along(restrict_along(f, phi), psi)
-    rhs = restrict_along(f, phi.compose(psi))
+    rhs = restrict_along(f, GroupHomomorphism(C1, S3, [phi(psi(a)) for a in range(C1.size)]))
     t = CommutingTuple(C1, (0,))
     assert graded_deviation(lhs.evaluate(t, 0), rhs.evaluate(t, 0)) == 0.0
 

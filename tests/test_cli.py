@@ -7,10 +7,11 @@ import pytest
 
 from charops import cli, groups, lattices, verify
 from charops.classfn import ClassFunction
-from charops.coefficients import GradedValue, LatFunction
+from charops.coefficients import GradedValue
 from charops.groups import GroupError
 from charops.lattices import LatticeError
 from charops.verify import SuiteResult
+from references import eisenstein_e2
 
 
 def run_cli(capsys, *argv):
@@ -351,9 +352,9 @@ def test_verify_reports_construction_error_as_fail(monkeypatch, capsys,
 def test_sl2_invariance_reports_a_non_invariant_input_as_fail(monkeypatch):
     """The input check is a FAIL result, not an assert that `python -O`
     drops or that escapes run_all_suites."""
-    tau = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
+    E2 = eisenstein_e2()
     monkeypatch.setattr(verify, "random_height2_function", lambda G, rng: (
-        ClassFunction.from_values(G, 2, {((0, 0), 0): GradedValue("lat", {0: tau})},
+        ClassFunction.from_values(G, 2, {((0, 0), 0): GradedValue("lat", {2: E2})},
                                   kind="lat", elliptic=True)))
     r = verify.suite_sl2_invariance()
     assert not r.passed and r.detail == "C1 input" and r.max_deviation > 0
@@ -396,6 +397,12 @@ MALFORMED_ARGUMENTS = [
      ["--n", "2", "hecke", '{"weight": 700, "q": [1, 240, 2160]}']),
     ("tau sample where |q| rounds to 1", ["--tau-samples", "1e-20j", "--n", "2", "hecke", "E4"]),
     ("arity past the candidate bound", ["--group", "C2", "--d", "1000000", "classes"]),
+    ("negative symmetric degree", ["--group", '{"type":"symmetric","n":-3}', "classes"]),
+    ("negative permutation degree",
+     ["--group", '{"type":"perm","degree":-2,"generators":[]}', "classes"]),
+    ("wreath order past 64-bit indices",
+     ["--group", "C2", "--wreath", "17", "--format", "json", "classes"]),
+    ("Hecke index past the term bound", ["--n", "1000000", "hecke", "E4"]),
 ]
 
 

@@ -4,11 +4,14 @@ value replaced by an int, float, bool, string, list, dict or null, a list
 truncated or nested), must make `cli.main` return 0, 1 or 2 and never
 raise.  Mutated integers are small ([-2, 5]) or large (10**4, 10**6): a
 large group order, key entry, point or weight must be refused at once, not
-hang or overflow."""
+hang or overflow.  The integer flags `--n`, `--d` and `--wreath` are swept
+over the same small and large values on every command, each call within a
+second."""
 
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -110,4 +113,33 @@ def test_mutated_inputs_exit_0_1_or_2(command, tmp_path, capsys):
         capsys.readouterr()
         if code not in (0, 1, 2):
             failures.append((argv, code))
+    assert not failures, failures
+
+
+FLAG_VALUES = [-2, -1, 0, 10 ** 4, 10 ** 6]
+
+
+@pytest.mark.filterwarnings("ignore:no value stored:UserWarning")
+@pytest.mark.parametrize("command", ["classes", "power", "adams", "pseudo", "hecke"])
+def test_integer_flags_exit_0_1_or_2_within_a_second(command, tmp_path, capsys):
+    """A wreath or power arity whose group order passes 64-bit indices, or a
+    Hecke index with more sublattices than a lattice function may hold, is
+    refused before anything is built."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(VALID_FUNCTION))
+    tail = {"classes": ["classes"], "hecke": ["hecke", "E4"]}.get(command,
+                                                                  [command, str(path)])
+    failures = []
+    for flag in ("--n", "--d", "--wreath"):
+        for value in FLAG_VALUES:
+            argv = ["--group", "C3", flag, str(value)] + tail
+            start = time.perf_counter()
+            try:
+                code = cli.main(argv)
+            except Exception as exc:        # the contract under test
+                code = f"{type(exc).__name__}: {exc}"
+            seconds = time.perf_counter() - start
+            capsys.readouterr()
+            if code not in (0, 1, 2) or seconds > 1.0:
+                failures.append((argv, code, round(seconds, 2)))
     assert not failures, failures

