@@ -16,9 +16,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 
-from .groups import int_mat_det
+import numpy as np
+
 from .lattices import LatticeError
 
 TOL = 1e-9
@@ -34,6 +37,11 @@ _MAX_TERMS = 4096
 
 # Logarithm of the largest q-expansion tail an evaluation may drop.
 _LOG_TAIL_BOUND = math.log(1e-10)
+
+# Most sample vectors one kernel keeps, one per (matrix, tau samples) pair;
+# the oldest goes first.  `charops verify` after three passes of the
+# benchmark's elliptic workload leaves 301 in each of E4 and E6.
+_SAMPLE_MEMO_BOUND = 4096
 
 _IDENTITY = ((1, 0), (0, 1))
 
@@ -53,14 +61,17 @@ def divisor_power_sums(n_terms, k):
 
 def _exact_matrix(M):
     """M as nested int tuples; LatticeError unless 2x2, integral, det > 0."""
-    if len(M) != 2 or any(len(row) != 2 for row in M):
-        raise LatticeError("slash needs a 2x2 matrix")
-    if any(x != int(x) for row in M for x in row):
+    try:
+        (a, b), (c, d) = M
+    except (TypeError, ValueError):
+        raise LatticeError("slash needs a 2x2 matrix") from None
+    exact = int(a), int(b), int(c), int(d)
+    if exact != (a, b, c, d):
         raise LatticeError("slash matrix entries must be integers")
-    M = tuple(tuple(int(x) for x in row) for row in M)
-    if int_mat_det([list(r) for r in M]) <= 0:
+    a, b, c, d = exact
+    if a * d - b * c <= 0:
         raise LatticeError("slash matrix must have positive determinant")
-    return M
+    return (a, b), (c, d)
 
 
 class LatFunction:
@@ -70,14 +81,18 @@ class LatFunction:
     kernels ordered by creation serial, to a complex scale; F is the sum of
     scale * prod kernel(a l + b l', c l + d l').  Equal terms merge, zero
     terms drop, and a constant is the empty product.
+
+    The values at the last tuple of tau samples asked for are kept as one
+    (samples, values) pair.
     """
 
-    __slots__ = ("weight", "terms")
+    __slots__ = ("weight", "terms", "_sampled")
 
     def __init__(self, weight, terms):
         _check_term_count(len(terms))
         self.weight = weight
         self.terms = terms
+        self._sampled = None
 
     # construction ----------------------------------------------------------
 
@@ -104,6 +119,7 @@ class LatFunction:
     # evaluation --------------------------------------------------------------
 
     def evaluate(self, l, lp):
+        """F(l, l') term by term: the scalar definition of every sampled value."""
         total = 0j
         for factors, s in self.terms.items():
             for kernel, ((a, b), (c, d)) in factors:
@@ -112,10 +128,26 @@ class LatFunction:
         return total
 
     def at_tau(self, tau):
-        return self.evaluate(1.0, tau)
+        return self._sample_vector((tau,))[0]
 
     def values(self, samples=DEFAULT_TAU_SAMPLES):
-        return [self.at_tau(t) for t in samples]
+        return list(self._sample_vector(tuple(samples)))
+
+    def _sample_vector(self, samples):
+        """(F(1.0, tau) for tau in samples), samples a tuple.  Products run in
+        the order and terms are summed in the order of evaluate, so every
+        value equals evaluate(1.0, tau) bit for bit."""
+        hit = self._sampled
+        if hit is not None and hit[0] == samples:
+            return hit[1]
+        totals = (0j,) * len(samples)
+        for factors, s in self.terms.items():
+            vec = (s,) * len(samples)
+            for kernel, M in factors:
+                vec = tuple(map(operator.mul, vec, kernel.sample_vector(M, samples)))
+            totals = tuple(map(operator.add, totals, vec))
+        self._sampled = (samples, totals)
+        return totals
 
     # algebra -----------------------------------------------------------------
 
@@ -125,7 +157,14 @@ class LatFunction:
         M must be a 2x2 integer matrix with positive determinant; every
         factor matrix N becomes the exact product N M.
         """
-        (e, f), (g, h) = _exact_matrix(M)
+        return self._slash_exact(_exact_matrix(M))
+
+    def _slash_exact(self, M):
+        """slash by a matrix already checked by _exact_matrix.  A constant
+        (every term an empty product) slashes to itself."""
+        if not any(self.terms):
+            return self
+        (e, f), (g, h) = M
         return LatFunction(self.weight, {
             tuple(sorted((k, ((a * e + b * g, a * f + b * h),
                               (c * e + d * g, c * f + d * h)))
@@ -220,16 +259,29 @@ def _accumulate(terms, factors, s):
         terms.pop(factors, None)
 
 
+def _log_growth(weight, coeffs):
+    """log C for the least C >= 1 with |c_n| <= C n^weight for every n >= 1;
+    infinite when a coefficient is not finite."""
+    sizes = np.abs(np.array(coeffs[1:], dtype=complex))
+    if not np.isfinite(sizes).all():
+        return math.inf
+    with np.errstate(divide="ignore"):      # log 0 = -inf drops out of the max
+        logs = np.log(sizes) - weight * np.log(np.arange(1, len(coeffs)))
+    return float(logs.max(initial=0.0))
+
+
 class _Kernel:
-    """Atomic evaluator: a truncated q-expansion with memoized lattice
-    evaluations.  Kernels compare by creation serial, which fixes the order
-    of the factors inside a term."""
+    """Atomic evaluator: a truncated q-expansion with memoized sample
+    vectors.  Kernels compare by creation serial, which fixes the order of
+    the factors inside a term."""
 
     def __init__(self, weight, coeffs):
         self.weight = weight
         self.coeffs = coeffs
         self.serial = next(_serials)
-        self._cache = {}
+        self._log_growth = _log_growth(weight, coeffs)
+        self._samples = {}
+        self._write_lock = threading.Lock()
 
     def __lt__(self, other):
         return self.serial < other.serial
@@ -237,26 +289,39 @@ class _Kernel:
     def to_json(self):
         return {"weight": self.weight, "q": [[c.real, c.imag] for c in self.coeffs]}
 
+    def sample_vector(self, M, samples):
+        """(kernel(a 1.0 + b tau, c 1.0 + d tau) for tau in samples) for an
+        exact matrix M = ((a, b), (c, d)), memoized per (M, samples).  Readers
+        take no lock; writers hold one so that the size check, the eviction of
+        the oldest entry and the insert happen together."""
+        key = (M, samples)
+        hit = self._samples.get(key)
+        if hit is None:
+            (a, b), (c, d) = M
+            hit = tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples])
+            with self._write_lock:
+                if len(self._samples) >= _SAMPLE_MEMO_BOUND:
+                    self._samples.pop(next(iter(self._samples)), None)
+                self._samples[key] = hit
+        return hit
+
     def __call__(self, l, lp):
-        key = (complex(l), complex(lp))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        l, lp = key
+        l, lp = complex(l), complex(lp)
         if l == 0:
             raise LatticeError("degenerate lattice: l = 0")
         tau = lp / l
         if tau.imag <= 0:
             raise LatticeError(f"lattice is not oriented: tau = {tau}")
         q = cmath.exp(2j * cmath.pi * tau)
-        # Truncation guard: coefficients grow at most like n^weight, so the
-        # dropped tail is bounded by N^(weight+1) |q|^N / (1 - |q|), compared
-        # in logarithms so that no weight overflows a float.
+        # Truncation guard: the stored coefficients grow at most like
+        # C n^weight (C from _log_growth), so the dropped tail is bounded by
+        # C N^(weight+1) |q|^N / (1 - |q|), compared in logarithms so that no
+        # weight overflows a float.
         absq = abs(q)
         n_terms = len(self.coeffs)
         if n_terms and absq and (absq >= 1 or (
-                (self.weight + 1) * math.log(n_terms) + n_terms * math.log(absq)
-                - math.log1p(-absq) > _LOG_TAIL_BOUND)):
+                self._log_growth + (self.weight + 1) * math.log(n_terms)
+                + n_terms * math.log(absq) - math.log1p(-absq) > _LOG_TAIL_BOUND)):
             raise LatticeError(
                 f"q-expansion with {n_terms} terms cannot reach tolerance at "
                 f"|q| = {absq:.4f}; evaluate closer to the fundamental domain "
@@ -264,9 +329,7 @@ class _Kernel:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        out = l ** (-self.weight) * acc
-        self._cache[key] = out
-        return out
+        return l ** (-self.weight) * acc
 
 
 def eisenstein_series(weight, n_terms=256):
@@ -375,7 +438,8 @@ def weight_slash_graded(M, v):
     """Apply the slash to every component of a height-2 graded value."""
     if v.kind != "lat":
         raise LatticeError("weight_slash_graded needs lattice-function coefficients")
-    return GradedValue("lat", {j: F.slash(M) for j, F in v.components.items()})
+    M = _exact_matrix(M)
+    return GradedValue("lat", {j: F._slash_exact(M) for j, F in v.components.items()})
 
 
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
@@ -386,12 +450,14 @@ def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
         return 0.0
     if u.kind != v.kind:
         raise LatticeError("kind mismatch")
+    samples = tuple(samples)
     worst = 0.0
     for j in sorted(set(u.degrees) | set(v.degrees)):
         a, b = u.component(j), v.component(j)
         if u.kind == "lat":
             worst = max(worst, max(
-                (abs(x - y) for x, y in zip(a.values(samples), b.values(samples))),
+                (abs(x - y) for x, y in zip(a._sample_vector(samples),
+                                            b._sample_vector(samples))),
                 default=0.0))
         else:
             worst = max(worst, abs(a - b))

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 
 import pytest
@@ -20,7 +22,11 @@ from charops.coefficients import (
     scale_by_degree,
     weight_slash_graded,
 )
+from charops.classfn import ClassFunction
+from charops.groups import cyclic_group
 from charops.lattices import LatticeError, mat_mul
+from charops.powerops import hecke_like, power_operation
+from charops.verify import random_height2_function, sample_commuting_pairs
 from references import check_weight_homogeneity, eisenstein_e2
 
 E4 = eisenstein_series(4, 400)
@@ -244,3 +250,105 @@ def test_a_value_compared_with_itself_is_not_evaluated():
     assert graded_deviation(v, v) == 0.0
     nan = GradedValue("lat", {0: LatFunction.from_q_expansion(0, [float("nan")] + [0] * 399)})
     assert graded_deviation(nan, GradedValue("lat", dict(nan.components))) == 0.0
+
+
+# sampled values against the scalar definition ---------------------------------
+
+
+def assert_sampled_equals_scalar(F, samples=DEFAULT_TAU_SAMPLES):
+    """values() and at_tau agree with evaluate(1.0, tau) bit for bit, on a
+    fresh function and again once its sample vector is stored."""
+    scalar = [F.evaluate(1.0, tau) for tau in samples]
+    assert F.values(samples) == scalar
+    assert F.values(samples) == scalar
+    assert [F.at_tau(tau) for tau in samples] == scalar
+    assert F.values(samples) == scalar
+
+
+def test_sampled_values_equal_scalar_evaluation():
+    for F in (E4, E6, E4.slash(((1, 1), (0, 2))) * E6, hecke_like(E4, 5)):
+        assert_sampled_equals_scalar(F)
+    C2 = cyclic_group(2)
+    P = power_operation(random_height2_function(C2, random.Random(3)), 3, mode="lazy")
+    W = P.group
+    values = {(t.elements, 0): P.evaluate(t, 0)
+              for t in sample_commuting_pairs(W, 6, random.Random(4))}
+    assert any(len(F.terms) > 1 for v in values.values() for F in v.components.values())
+    back = ClassFunction.from_json(W, ClassFunction.from_values(W, 2, values, kind="lat").to_json())
+    for v in list(values.values()) + list(back.values.values()):
+        for F in v.components.values():
+            assert_sampled_equals_scalar(F)
+            assert_sampled_equals_scalar(F, (0.1 + 1.5j, 2j))
+
+
+def test_exact_matrix_messages():
+    check = coefficients._exact_matrix
+    for M in (((1, 0),), ((1, 0, 0), (0, 1)), ((1, 0), (0, 1), (0, 0)), 5, ((1, 0), 2)):
+        with pytest.raises(LatticeError, match="slash needs a 2x2 matrix"):
+            check(M)
+    for M in (((1.5, 0), (0, 1)), ((1, 0), (0, 1 + 1e-9))):
+        with pytest.raises(LatticeError, match="slash matrix entries must be integers"):
+            check(M)
+    for M in (((0, 1), (1, 0)), ((1, 0), (0, 0)), ((2, 4), (1, 2))):
+        with pytest.raises(LatticeError, match="slash matrix must have positive determinant"):
+            check(M)
+    M = check([[1.0, 0], [0, 2.0]])
+    assert M == ((1, 0), (0, 2)) and all(type(x) is int for row in M for x in row)
+    assert isinstance(M, tuple) and all(isinstance(row, tuple) for row in M)
+
+
+def test_constant_slashes_to_itself():
+    for F in (LatFunction.constant(2.5), LatFunction(0, {}), LatFunction(4, {})):
+        assert F.slash(((2, 1), (0, 3))) is F
+    v = GradedValue("lat", {0: LatFunction.constant(1j), 4: E4})
+    w = weight_slash_graded(((2, 1), (0, 3)), v)
+    assert w.components[0] is v.components[0] and w.components[4] is not E4
+
+
+def test_sample_memo_is_bounded_and_eviction_keeps_values():
+    bound = coefficients._SAMPLE_MEMO_BOUND
+    F = LatFunction.from_q_expansion(4, E4.q_coefficients()[:40])
+    (((kernel, _),),) = F.terms
+    taus = [complex(-0.5 + i / (bound + 100), 1.0) for i in range(bound + 100)]
+    first = [F.at_tau(tau) for tau in taus]
+    assert len(kernel._samples) == bound
+    assert ((coefficients._IDENTITY, (taus[0],)) not in kernel._samples)
+    assert [F.at_tau(tau) for tau in taus[:200]] == first[:200]
+    assert first[:200] == [F.evaluate(1.0, tau) for tau in taus[:200]]
+    assert len(kernel._samples) == bound
+
+
+# truncation guard ------------------------------------------------------------------
+
+
+def test_truncation_guard_reads_the_growth_of_the_stored_coefficients():
+    """The guard bounds |c_n| by C n^weight with C taken from the stored
+    coefficients (504 for E6).  An expansion scaled by 1e8 passes a guard
+    that assumes C = 1 at tau = 0.03i, and is refused now."""
+    tau = 0.03j
+    absq = abs(cmath.exp(2j * cmath.pi * tau))
+    old_guard = 5 * math.log(400) + 400 * math.log(absq) - math.log1p(-absq)
+    assert old_guard <= math.log(1e-10)
+    term = {"scale": [1.0, 0.0], "factors": [[0, [[1, 0], [0, 1]]]]}
+    data = {"4": {"weight": 4, "terms": [term]}}
+    kernels = kernels_from_json([{"weight": 4, "q": [[c.real * 1e8, c.imag * 1e8]
+                                                     for c in E4.q_coefficients()]}])
+    scaled = graded_from_json(data, "lat", kernels).components[4]
+    with pytest.raises(LatticeError, match="cannot reach tolerance"):
+        scaled.at_tau(tau)
+    assert E4.at_tau(tau) == E4.evaluate(1.0, tau)
+    assert coefficients._log_growth(4, E4.q_coefficients()) == pytest.approx(math.log(240))
+    assert coefficients._log_growth(6, E6.q_coefficients()) == pytest.approx(math.log(504))
+    assert coefficients._log_growth(4, (1, float("nan"))) == math.inf
+
+
+@pytest.mark.parametrize("n_terms", [256, 400])
+def test_truncation_guard_accepts_eisenstein_series_where_they_are_used(n_terms):
+    """E4 and E6 evaluate at the default tau and, through every Hecke index
+    of the CLI sweep, at Im tau >= 1.2."""
+    taus = list(DEFAULT_TAU_SAMPLES) + [complex(x, 1.2) for x in (-0.5, -0.25, 0, 0.25, 0.5)]
+    for weight in (4, 6):
+        F = eisenstein_series(weight, n_terms)
+        assert len(F.values(taus)) == len(taus)
+        for n in range(2, 9):
+            assert len(hecke_like(F, n).values(taus)) == len(taus)

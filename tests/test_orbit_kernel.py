@@ -264,3 +264,58 @@ def test_concurrent_readers_agree_with_serial():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == serial for r in results)
+
+
+def test_concurrent_sample_readers_agree_with_serial(monkeypatch):
+    """Threads that read the sampled values of one height-2 function read
+    back from JSON, alternating two tuples of tau samples, see exactly what a
+    serial reader sees while the per-function sample slots are replaced and
+    the kernel memos fill and evict (the bound is lowered to 8 here)."""
+    from charops import coefficients
+    from charops.coefficients import DEFAULT_TAU_SAMPLES
+    from charops.powerops import power_operation
+    from charops.verify import random_height2_function
+
+    C2 = cyclic_group(2)
+    P = power_operation(random_height2_function(C2, random.Random(5)), 2, mode="eager")
+    W = P.group
+    data = P.to_json()
+    sample_sets = (DEFAULT_TAU_SAMPLES, (0.1 + 1.5j, 0.3 + 1.1j))
+
+    def read(f, keys):
+        return {key: [F.values(samples) for samples in sample_sets
+                      for F in f.evaluate(*key).components.values()]
+                for key in keys}
+
+    serial_f = ClassFunction.from_json(W, data)
+    keys = list(serial_f.values)
+    serial = read(serial_f, keys)
+    monkeypatch.setattr(coefficients, "_SAMPLE_MEMO_BOUND", 8)
+    shared = ClassFunction.from_json(W, data)
+    results = [None] * 4
+    errors = []
+
+    def reader(i):
+        try:
+            order = list(keys)
+            random.Random(i).shuffle(order)
+            results[i] = read(shared, order * 3)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads inside the sample memos
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(r == serial for r in results)
+    kernels = {k for v in shared.values.values() for F in v.components.values()
+               for factors in F.terms for k, _ in factors}
+    assert kernels and all(len(k._samples) == 8 for k in kernels)

@@ -565,3 +565,45 @@ def test_hecke_refuses_more_sublattices_than_terms_before_enumerating(monkeypatc
     monkeypatch.setattr(powerops, "sublattices_of_index", enumerate_sublattices)
     with pytest.raises(LatticeError, match="more than 4096 terms"):
         hecke_like(E4, n)
+
+
+def _is_transitive(W, els):
+    """True when the permutation parts of the entries generate a transitive
+    group on the n points, read off W.decode alone."""
+    perms = [W.decode(a)[1] for a in els]
+    seen, frontier = {0}, [0]
+    while frontier:
+        p = frontier.pop()
+        for s in perms:
+            if s[p] not in seen:
+                seen.add(s[p])
+                frontier.append(s[p])
+    return len(seen) == W.n
+
+
+@pytest.mark.parametrize("weight", [4, 6])
+def test_power_operation_sums_to_hecke_operator_over_transitive_pairs(weight):
+    """On the trivial group, the weight-w part of P_n(F) summed over the
+    classes of transitive commuting pairs of Sigma_n is n^w S_n(F) = n T_n(F)
+    (Ganter, arXiv:0706.2898): each index-n sublattice is the stabilizer of
+    exactly one such class.  The classes come from the BFS oracle and the
+    Hecke side from hecke_like and the q-expansion oracle."""
+    from charops.coefficients import LatFunction
+    from charops.groups import tuple_conjugacy_classes_bfs
+    F = E4 if weight == 4 else E6
+    C1 = cyclic_group(1)
+    f = ClassFunction.from_values(C1, 2, {((0, 0), 0): GradedValue("lat", {weight: F})},
+                                  kind="lat", elliptic=True)
+    for n in range(2, 6):
+        W = wreath(C1, n)
+        P = power_operation(f, n)
+        transitive = [c.representative for c in tuple_conjugacy_classes_bfs(W, 2)
+                      if _is_transitive(W, c.representative.elements)]
+        assert len(transitive) == sum(d for d in range(1, n + 1) if n % d == 0)
+        total = [sum(vals) for vals in zip(*(P.evaluate(t, 0).component(weight).values()
+                                              for t in transitive))]
+        Tn = LatFunction.from_q_expansion(weight, hecke_q_oracle(F.q_coefficients(), weight, n))
+        for expected in ([n ** weight * s for s in hecke_like(F, n).values()],
+                         [n * t for t in Tn.values()]):
+            for a, b in zip(total, expected):
+                assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1)
