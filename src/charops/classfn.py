@@ -90,6 +90,7 @@ class ClassFunction:
         self.rule = rule
         self._canon = canon if canon is not None else {}
         self._cache = {}
+        self._default_report = None
         if values is None and rule is None:
             raise GroupError("class function needs stored values or a rule")
 
@@ -202,7 +203,22 @@ class ClassFunction:
     def is_invariant(self, tau_samples=DEFAULT_TAU_SAMPLES, tol=TOL,
                      sample_pairs=None):
         """Check conjugation invariance and, when elliptic, the S/T
-        compatibility value(gamma.h, x) = gamma-slash of value(h, x)."""
+        compatibility value(gamma.h, x) = gamma-slash of value(h, x).
+
+        The report of a function with stored values at the default
+        tau_samples and tol, over every stored key, is computed once and
+        kept: no method writes to `values` after a constructor fills it, and
+        the stored GradedValues are frozen, so the report cannot go stale."""
+        default = (self.values is not None and sample_pairs is None
+                   and tau_samples == DEFAULT_TAU_SAMPLES and tol == TOL)
+        if default and self._default_report is not None:
+            return self._default_report
+        rep = self._invariance_report(tau_samples, tol, sample_pairs)
+        if default:
+            self._default_report = rep
+        return rep
+
+    def _invariance_report(self, tau_samples, tol, sample_pairs):
         G = self.group
         if sample_pairs is None:
             if self.values is not None:

@@ -9,9 +9,13 @@ import argparse
 import csv
 import functools
 import json
+import platform
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import __version__
 from .classfn import ClassFunction
 from .coefficients import DEFAULT_TAU_SAMPLES, LatFunction, eisenstein_series
 from .groups import (
@@ -220,9 +224,12 @@ def cmd_verify(cfg, mutate=None):
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
         write_json({"seed": cfg.seed,
+                    "versions": {"python": platform.python_version(),
+                                 "numpy": np.__version__, "charops": __version__},
                     "suites": [{"name": r.name, "passed": r.passed,
                                 "max_deviation": r.max_deviation,
-                                "checks": r.checks, "detail": r.detail}
+                                "checks": r.checks, "detail": r.detail,
+                                "seconds": round(r.seconds, 3)}
                                for r in results]}, cfg)
     else:
         stream.write(f"# verification run, seed {cfg.seed}\n")

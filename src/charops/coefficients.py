@@ -35,6 +35,12 @@ DEFAULT_TAU_SAMPLES = (1j, 2j, 0.5 + 1j, 0.25 + 2j)
 # passing it raises instead of growing without bound.
 _MAX_TERMS = 4096
 
+# Largest |weight| of a q-expansion kernel.  The package builds weights 4
+# and 6; at |weight| = 1024 the factor l^-weight already leaves the range of
+# a double for |l| = 2 or 1/2, and a weight read from JSON may be an integer
+# too large to convert to a float at all.
+_WEIGHT_BOUND = 1024
+
 # Logarithm of the largest q-expansion tail an evaluation may drop.
 _LOG_TAIL_BOUND = math.log(1e-10)
 
@@ -276,6 +282,9 @@ class _Kernel:
     the factors inside a term."""
 
     def __init__(self, weight, coeffs):
+        if not -_WEIGHT_BOUND <= weight <= _WEIGHT_BOUND:
+            raise LatticeError(f"a kernel weight must lie in [-{_WEIGHT_BOUND}, "
+                               f"{_WEIGHT_BOUND}]")
         self.weight = weight
         self.coeffs = coeffs
         self.serial = next(_serials)
@@ -329,7 +338,10 @@ class _Kernel:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        return l ** (-self.weight) * acc
+        try:
+            return l ** (-self.weight) * acc
+        except OverflowError:
+            raise LatticeError(f"l^{-self.weight} overflows at l = {l}") from None
 
 
 def eisenstein_series(weight, n_terms=256):

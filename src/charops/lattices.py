@@ -83,7 +83,7 @@ def hnf(M):
     return hnf_rows(M, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sublattice:
     """Finite-index sublattice of Z^d, stored by its canonical HNF basis."""
 

@@ -16,6 +16,7 @@ for commuting entries the product does not depend on the direction.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,50 +25,98 @@ from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_p
                      int_mat_det, perm_inverse)
 from .lattices import _kernel_from_relations, orbit_with_labels
 
+# Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
+# (W, H.elements); the oldest goes first.  A reduction depends on the tuple
+# alone, not on the function being powered, and wreath and table groups
+# compare by structure, so rebuilt groups hit too.  The `charops verify`
+# suites before fixed-point-bijection leave 860 entries (consistency-relations
+# reduces 649 distinct tuples 20,480 times); fixed-point-bijection reduces
+# 8,646 tuples once each and fills the memo.  An entry at n = 4, d = 2 holds
+# about 1.5 KB, so a full memo holds about 6 MB.
+_REDUCTION_MEMO_BOUND = 4096
 
-@dataclass
+# Most entries |W| |X|^n of one fixed table (64 KB of booleans, built with
+# temporaries of 8 n bytes per entry), and most tables kept, keyed on
+# (W, X) with X compared by identity; the oldest goes first.  Together at
+# most 4 MB.  C2 wr 4 over a three-point space has 384 * 81 = 31,104 entries.
+_FIXED_TABLE_BOUND = 1 << 16
+_FIXED_TABLE_MEMO_BOUND = 64
+
+_reductions = {}
+_fixed_tables = {}
+_memo_lock = threading.Lock()
+
+
+def _remember(memo, bound, key, value):
+    """Store value under key unless a value is already there, and return the
+    stored one, so that every caller shares one object.  Readers take no
+    lock; writers hold one so that the check, the eviction of the oldest
+    entry and the insert happen together and the memo never passes bound."""
+    with _memo_lock:
+        hit = memo.get(key)
+        if hit is None:
+            if len(memo) >= bound:
+                memo.pop(next(iter(memo)), None)
+            memo[key] = hit = value
+    return hit
+
+
+@dataclass(frozen=True, slots=True)
 class OrbitReduction:
+    """Per-orbit data of a commuting tuple.  Plain reductions are shared
+    between callers through the memo of `reduce_tuple`, so every field is
+    immutable (tuples, Sublattices, CommutingTuples), and what only
+    `transport` needs (the coordinate that moves the basepoint to each point)
+    is rebuilt there rather than stored."""
+
     group: object              # the wreath group G wr Sigma_n
     tuple: CommutingTuple      # the input tuple
-    orbits: list               # sorted point lists, ordered by min point
-    basepoints: list
-    stabilizers: list          # Sublattice per orbit
-    matrices: list             # HNF (or hook-chosen) basis rows per orbit
-    reduced: list              # CommutingTuple in the base group per orbit
-    labels: list               # per orbit: {point: vector} with sigma^v(i_k) = point
-    parts: list                # per entry of H: (bases, sigma, sigma^-1)
+    orbits: tuple              # sorted point tuples, ordered by min point
+    basepoints: tuple
+    stabilizers: tuple         # Sublattice per orbit
+    matrices: tuple            # HNF (or hook-chosen) basis rows per orbit
+    reduced: tuple             # CommutingTuple in the base group per orbit
 
     def coordinate(self, v, p):
         """Coordinate p of H(v), read off the decoded entries."""
-        return _coordinate(self.group.base, self.parts, v, p)
+        return _coordinate(self.group.base, _decoded(self.tuple), v, p)
 
     def transport(self, X):
         """Fixed points of X^n under im(H) against the product of orbit fixed sets.
 
         Returns TransportData whose forward map picks basepoint coordinates
-        and whose inverse transports each orbit representative around the
-        orbit by the stored labels.  Both composites are asserted to be
-        identities.
+        and whose inverse moves each orbit representative to every point p of
+        its orbit by coordinate p of H(v), for a v with sigma^v(i_k) = p.
+        Both composites are asserted to be identities.
         """
         W, H = self.group, self.tuple
         if X.group != W.base:
             raise GroupError("G-set group does not match the wreath base")
+        # breadth-first from each basepoint: coordinate s_j(q) of
+        # h_j H(v) = H(v + e_j) is (bases of h_j)[s_j(q)] times coordinate q of H(v)
+        G = W.base
+        parts = list(map(W.decode, H.elements))
         moves = [None] * W.n
-        for k, (orbit, labels) in enumerate(zip(self.orbits, self.labels)):
-            for p in orbit:
-                moves[p] = (k, self.coordinate(labels[p], p))
+        for k, i_k in enumerate(self.basepoints):
+            moves[i_k] = (k, G.identity)
+            reached = [i_k]
+            for q in reached:
+                c = moves[q][1]
+                for bases, sigma in parts:
+                    p = sigma[q]
+                    if moves[p] is None:
+                        moves[p] = (k, G.mul(bases[p], c))
+                        reached.append(p)
 
         # codes list the points of X^n little-endian; sorting the decoded
         # tuples restores lexicographic order
         power = PowerGSet(X, W)
-        codes = np.arange(power.size, dtype=np.int64)
-        moved = power.apply_array(np.array(H.elements, dtype=np.int64)[:, None], codes)
-        fixed = (moved == codes).all(axis=0)
+        fixed = _fixed_rows(power, H.elements).all(axis=0)
         product_fixed = sorted(power.decode_point(c)
                                for c in np.flatnonzero(fixed).tolist())
         orbit_fixed = [fixed_points(X, h_k) for h_k in self.reduced]
 
-        data = TransportData(product_fixed, orbit_fixed, self, X, moves)
+        data = TransportData(product_fixed, orbit_fixed, self, X, tuple(moves))
 
         expected = 1
         for fs in orbit_fixed:
@@ -96,6 +145,31 @@ class OrbitReduction:
             "matrices": [[list(r) for r in m] for m in self.matrices],
             "reduced": [list(t.elements) for t in self.reduced],
         }
+
+
+def _fixes(power, elements):
+    """Boolean rows "w fixes the point with code c" of X^n, one per element
+    w of the int64 array `elements`, by one batched action on all of X^n."""
+    codes = np.arange(power.size, dtype=np.int64)
+    return power.apply_array(elements[:, None], codes) == codes
+
+
+def _fixed_rows(power, elements):
+    """The rows of `_fixes` for the given elements of W, read off one
+    read-only table over all of W per (W, X), built once; a tuple's product
+    fixed set is the AND of its entries' rows.  Above _FIXED_TABLE_BOUND
+    entries the rows of the given elements are computed alone."""
+    W, X = power.group, power.base_space
+    els = np.array(elements, dtype=np.int64)
+    if W.size * power.size > _FIXED_TABLE_BOUND:
+        return _fixes(power, els)
+    key = (W, X)
+    table = _fixed_tables.get(key)
+    if table is None:
+        table = _fixes(power, np.arange(W.size, dtype=np.int64))
+        table.flags.writeable = False
+        table = _remember(_fixed_tables, _FIXED_TABLE_MEMO_BOUND, key, table)
+    return table[els]
 
 
 def _coordinate(G, parts, v, p):
@@ -133,37 +207,48 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
     orbit minima (the reduced tuples change only within their conjugacy
     class).  basis: optional hook L -> rows spanning the stabilizer L (the
     default is the HNF basis L.basis); it is called once per orbit, in orbit
-    order, and rows spanning any other lattice raise GroupError.
+    order, and rows spanning any other lattice raise GroupError.  A plain
+    reduction (neither option) is memoized and shared by every caller with an
+    equal group and tuple; the other two are computed afresh on each call.
     """
+    if basepoint_rng is not None or basis is not None:
+        return _reduce(H, basepoint_rng, basis)
+    key = (H.group, H.elements)
+    hit = _reductions.get(key)
+    if hit is None:
+        hit = _remember(_reductions, _REDUCTION_MEMO_BOUND, key, _reduce(H, None, None))
+    return hit
+
+
+def _decoded(H):
+    """Per entry of H: (bases, sigma, sigma^-1)."""
+    return [(bases, sigma, perm_inverse(sigma))
+            for bases, sigma in map(H.group.decode, H.elements)]
+
+
+def _reduce(H, basepoint_rng, basis):
     W = H.group
     if not isinstance(W, WreathGroup):
         raise GroupError("reduce_tuple expects a tuple over a wreath product")
     G = W.base
-    n = W.n
     d = H.d
-    parts = [(bases, sigma, perm_inverse(sigma))
-             for bases, sigma in map(W.decode, H.elements)]
+    parts = _decoded(H)
     sigmas = [sigma for _, sigma, _ in parts]
 
-    remaining = set(range(n))
+    remaining = set(range(W.n))
     orbit_data = []
     while remaining:
         i0 = min(remaining)
-        order, labels, relations = orbit_with_labels(sigmas, i0)
-        orbit = sorted(order)
+        order, _, relations = orbit_with_labels(sigmas, i0)
+        orbit = tuple(sorted(order))
         remaining -= set(orbit)
-        orbit_data.append((orbit, relations, labels))
+        orbit_data.append((orbit, relations))
     orbit_data.sort(key=lambda t: t[0][0])
 
-    orbits, basepoints, stabs, mats, reduced, all_labels = [], [], [], [], [], []
-    for k, (orbit, relations, labels) in enumerate(orbit_data):
+    orbits, basepoints, stabs, mats, reduced = [], [], [], [], []
+    for k, (orbit, relations) in enumerate(orbit_data):
         stab = _kernel_from_relations(relations, d, len(orbit))
-        if basepoint_rng is not None:
-            i_k = basepoint_rng.choice(orbit)
-            if i_k != orbit[0]:
-                _, labels, _ = orbit_with_labels(sigmas, i_k)
-        else:
-            i_k = orbit[0]
+        i_k = orbit[0] if basepoint_rng is None else basepoint_rng.choice(orbit)
         rows = stab.basis if basis is None else tuple(map(tuple, basis(stab)))
         if basis is not None and not _spans(rows, stab):
             raise GroupError(f"basis rows of orbit {k} do not span its "
@@ -178,9 +263,8 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
         stabs.append(stab)
         mats.append(rows)
         reduced.append(h_k)
-        all_labels.append(labels)
-    return OrbitReduction(W, H, orbits, basepoints, stabs, mats, reduced,
-                          all_labels, parts)
+    return OrbitReduction(W, H, tuple(orbits), tuple(basepoints), tuple(stabs),
+                          tuple(mats), tuple(reduced))
 
 
 @dataclass
@@ -191,7 +275,7 @@ class TransportData:
     orbit_fixed: list          # per orbit: fixed points of X under h_k
     reduction: OrbitReduction
     space: object
-    moves: list                # per point p: (orbit k, coordinate p of H(labels[p]))
+    moves: tuple               # per point p: (orbit k, coordinate p of H(v)), sigma^v(i_k) = p
 
     def forward(self, xtuple):
         return tuple(xtuple[i] for i in self.reduction.basepoints)

@@ -61,7 +61,9 @@ def power_operation(f, n, mode="auto", basepoint_rng=None, basis=None):
 
     A non-invariant input draws a warning and the computation proceeds;
     violations then propagate to the invariance report of the output.  The
-    check runs for stored inputs of at most 64 values.
+    check runs for stored inputs of at most 64 values, once per input: the
+    input keeps its report (`ClassFunction.is_invariant`), and every call on
+    a non-invariant input warns again.
     """
     if n < 0:
         raise GroupError("power operation arity must be >= 0")

@@ -320,6 +320,22 @@ def test_verify_json_format(monkeypatch, capsys):
     assert data["suites"][0]["passed"]
 
 
+def test_verify_json_records_seconds_and_versions(monkeypatch, capsys):
+    import platform
+
+    import numpy as np
+
+    import charops
+    monkeypatch.setattr(cli, "run_all_suites", lambda seed=0, mutate=None: [
+        SuiteResult("stub", True, 0.0, detail="d", seconds=1.23456, checks=3)])
+    code, out, _ = run_cli(capsys, "--format", "json", "verify")
+    data = json.loads(out)
+    assert data["versions"] == {"python": platform.python_version(),
+                                "numpy": np.__version__, "charops": charops.__version__}
+    assert data["suites"] == [{"name": "stub", "passed": True, "max_deviation": 0.0,
+                               "checks": 3, "detail": "d", "seconds": 1.235}]
+
+
 @pytest.mark.parametrize("module,name,exc", [
     (groups, "_transitive_block", GroupError),
     (lattices, "sublattices_of_index", LatticeError),

@@ -143,3 +143,28 @@ def test_integer_flags_exit_0_1_or_2_within_a_second(command, tmp_path, capsys):
             if code not in (0, 1, 2) or seconds > 1.0:
                 failures.append((argv, code, round(seconds, 2)))
     assert not failures, failures
+
+
+HUGE_WEIGHT = 10 ** 400         # 401 digits, too large for a float
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "hecke", json.dumps({"weight": HUGE_WEIGHT, "q": [1, 2, 3]})],
+    ["--n", "2", "hecke", json.dumps({"weight": -HUGE_WEIGHT, "q": [1, 2, 3]})],
+    # a weight inside the bound whose factor l^-weight overflows at this tau
+    ["--n", "2", "--tau-samples", "300j", "hecke",
+     json.dumps({"weight": -300, "q": [1, 2, 3]})],
+    # the kernels table of a height-2 class function
+    ["--group", "C1", "--n", "2", "power", json.dumps({
+        "height": 2, "d": 2, "elliptic": True, "kind": "lat",
+        "kernels": [{"weight": HUGE_WEIGHT, "q": [[1.0, 0.0]]}],
+        "values": [{"tuple": [0, 0], "point": 0, "graded": {"0": [1.0, 0.0]}}]})],
+], ids=["huge weight", "huge negative weight", "overflowing slash", "kernels table"])
+def test_oversized_kernel_weight_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    if "power" in argv:
+        path = tmp_path / "f.json"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

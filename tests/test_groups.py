@@ -10,6 +10,7 @@ from charops.groups import (
     GroupError,
     GroupHomomorphism,
     GSet,
+    TableGroup,
     build_group,
     commuting_tuples,
     cyclic_group,
@@ -66,6 +67,29 @@ def test_symmetric_3_classes():
     assert G.size == 6
     assert len(brute_conjugacy_classes(G)) == 3
     assert len(tuple_conjugacy_classes(G, 1)) == 3
+
+
+def test_table_groups_compare_by_table():
+    """Two builds of one group are equal and hash equal, so memos keyed on a
+    group hit across rebuilds; labels and names do not take part."""
+    a, b = symmetric_group(3), symmetric_group(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert wreath(a, 2) == wreath(b, 2) and hash(wreath(a, 2)) == hash(wreath(b, 2))
+    plain = TableGroup([[0, 1], [1, 0]])
+    assert plain == cyclic_group(2) and hash(plain) == hash(cyclic_group(2))
+    assert cyclic_group(2) != cyclic_group(3)
+    assert cyclic_group(6) != symmetric_group(3) and cyclic_group(4) != dihedral_group(2)
+    assert cyclic_group(2) != wreath(cyclic_group(2), 1)
+
+
+def test_int64_table_is_not_copied():
+    t = (np.arange(5)[:, None] + np.arange(5)) % 5
+    assert t.dtype == np.int64
+    G = TableGroup(t)
+    assert np.shares_memory(G._table, t) and not G._table.flags.writeable
+    assert t.flags.writeable                  # the caller's array is left as it was
+    small = TableGroup(t.astype(np.int32))
+    assert small._table.dtype == np.int64 and small == G
 
 
 def test_non_associative_table_rejected():
@@ -392,7 +416,7 @@ def test_single_block_representatives_reduce_to_their_type(d):
         for cls in tuple_conjugacy_classes(wreath(G, m), d):
             red = reduce_tuple(cls.representative)
             if len(red.orbits) == 1:
-                assert red.basepoints == [0]
+                assert red.basepoints == (0,)
                 found.append((red.stabilizers[0], red.reduced[0].elements))
         expected = [(L, h) for L in sublattices_of_index(d, m) for h in base_reps]
         assert sorted(found, key=repr) == sorted(expected, key=repr)

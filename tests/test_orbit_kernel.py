@@ -319,3 +319,56 @@ def test_concurrent_sample_readers_agree_with_serial(monkeypatch):
     kernels = {k for v in shared.values.values() for F in v.components.values()
                for factors in F.terms for k, _ in factors}
     assert kernels and all(len(k._samples) == 8 for k in kernels)
+
+
+def test_concurrent_reducers_agree_with_serial(monkeypatch):
+    """Threads that reduce shuffled commuting pairs, each over its own build
+    of the wreath groups, see what a serial reader sees while the shared
+    reduction memo fills and evicts (the bound is lowered to 8 here); the
+    memo never holds more than the bound."""
+    from charops import orbits
+    from charops.orbits import reduce_tuple
+
+    def pairs():
+        return (commuting_tuples(wreath(cyclic_group(2), 3), 2)
+                + commuting_tuples(wreath(symmetric_group(3), 2), 2)[:150])
+
+    def fields(red):
+        return (red.orbits, red.basepoints, red.stabilizers, red.matrices,
+                [t.elements for t in red.reduced])
+
+    serial = {(H.group, H.elements): fields(orbits._reduce(H, None, None))
+              for H in pairs()}
+    bound = 8
+    monkeypatch.setattr(orbits, "_REDUCTION_MEMO_BOUND", bound)
+    monkeypatch.setattr(orbits, "_reductions", {})
+    results = [None] * 4
+    largest = [0] * 4
+    errors = []
+
+    def reader(i):
+        try:
+            order = pairs() * 2
+            random.Random(i).shuffle(order)
+            out = {}
+            for H in order:
+                out[H.group, H.elements] = fields(reduce_tuple(H))
+                largest[i] = max(largest[i], len(orbits._reductions))
+            results[i] = out
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads inside the memo writes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(r == serial for r in results)
+    assert max(largest) <= bound and len(orbits._reductions) == bound

@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from charops import orbits
 from charops.groups import (
     CommutingTuple,
     GroupError,
     GSet,
+    PowerGSet,
     commuting_tuples,
     cyclic_group,
     perm_inverse,
@@ -33,7 +36,7 @@ def test_reduce_single_2cycle():
     W = wreath(C2, 2)
     h = CommutingTuple(W, (W.encode((1, 0), (1, 0)),))
     red = reduce_tuple(h)
-    assert red.orbits == [[0, 1]]
+    assert red.orbits == ((0, 1),)
     assert red.stabilizers[0].basis == ((2,),)
     assert red.matrices[0] == ((2,),)
     assert red.reduced[0].elements == (1,)   # a * e = a
@@ -46,7 +49,7 @@ def test_reduce_d2_mixed():
     h2 = W.encode((1, 1), (0, 1))   # (a, a) with identity
     H = CommutingTuple(W, (h1, h2))
     red = reduce_tuple(H)
-    assert red.orbits == [[0, 1]]
+    assert red.orbits == ((0, 1),)
     assert red.stabilizers[0].basis == ((2, 0), (0, 1))
     # h(2 e1) = ((a,e),(01))^2 = ((a,a), id), projected at 0 gives a
     assert red.reduced[0].elements == (1, 1)
@@ -61,7 +64,7 @@ def test_reduce_trivial_sigma():
         g = tuple(rng.randrange(6) for _ in range(3))
         H = CommutingTuple(W, (W.encode(g, ident),))
         red = reduce_tuple(H)
-        assert red.orbits == [[0], [1], [2]]
+        assert red.orbits == ((0,), (1,), (2,))
         for k in range(3):
             assert red.stabilizers[k].basis == ((1,),)
             assert red.reduced[k].elements == (g[k],)
@@ -387,3 +390,119 @@ def test_transport_bijection_sweep_small():
         for X in spaces:
             for a in range(W.size):
                 fixed_point_transport(X, CommutingTuple(W, (a,)))
+
+
+# --- shared reductions and fixed tables ---------------------------------------------
+
+
+REDUCTION_FIELDS = ("group", "tuple", "orbits", "basepoints", "stabilizers",
+                    "matrices", "reduced")
+
+
+def _memo_cases():
+    """Every element of C2 wr 4 and every commuting pair of C2 wr 3 and
+    S3 wr 2, over groups built afresh for each case list."""
+    W4 = wreath(cyclic_group(2), 4)
+    cases = [CommutingTuple(W4, (a,)) for a in range(W4.size)]
+    for W in (wreath(cyclic_group(2), 3), wreath(symmetric_group(3), 2)):
+        cases += commuting_tuples(W, 2)
+    return cases
+
+
+def test_memoized_reductions_equal_fresh_ones(monkeypatch):
+    """A memo hit, also through rebuilt groups, equals a reduction computed
+    afresh, field by field."""
+    monkeypatch.setattr(orbits, "_reductions", {})
+    first = [reduce_tuple(H) for H in _memo_cases()]
+    assert len(orbits._reductions) == len(first)
+    for H, red in zip(_memo_cases(), first):
+        hit = reduce_tuple(H)
+        assert hit is red
+        fresh = orbits._reduce(H, None, None)
+        for name in REDUCTION_FIELDS:
+            assert getattr(hit, name) == getattr(fresh, name), name
+        assert hit.to_json() == fresh.to_json()
+
+
+def test_shared_reductions_cannot_be_mutated():
+    W = wreath(symmetric_group(3), 3)
+    red = reduce_tuple(CommutingTuple(W, (W.encode((1, 2, 0), (1, 2, 0)),)))
+    hash(red)       # every field, nested, is immutable
+    with pytest.raises(AttributeError):
+        red.orbits = ()
+    # no slot to add one to (Python 3.11 raises TypeError from the frozen
+    # __setattr__ of a slotted dataclass, later versions AttributeError)
+    with pytest.raises((AttributeError, TypeError)):
+        red.extra = 1
+    with pytest.raises(TypeError):
+        red.orbits[0] = (0,)
+    with pytest.raises(AttributeError):
+        red.stabilizers[0].basis = ()
+    with pytest.raises(AttributeError):
+        red.reduced[0].elements = ()
+
+
+def test_reduction_memo_holds_its_bound(monkeypatch):
+    """Past the bound the oldest entries go first and the memo stays at it."""
+    monkeypatch.setattr(orbits, "_reductions", {})
+    bound = orbits._REDUCTION_MEMO_BOUND
+    W = wreath(cyclic_group(2), 4)
+    tuples = commuting_tuples(W, 2)[:bound + 100]
+    assert len(tuples) == bound + 100
+    for H in tuples:
+        reduce_tuple(H)
+    memo = orbits._reductions
+    assert len(memo) == bound
+    assert list(memo) == [(W, H.elements) for H in tuples[100:]]
+
+
+def test_randomized_and_hook_reductions_bypass_the_memo(monkeypatch):
+    monkeypatch.setattr(orbits, "_reductions", {})
+    W = wreath(cyclic_group(2), 3)
+    rng = random.Random(4)
+    for H in commuting_tuples(W, 2)[:40]:
+        reduce_tuple(H, basepoint_rng=rng)
+        reduce_tuple(H, basis=lambda L: L.basis)
+    assert orbits._reductions == {}
+    H = CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),))
+    plain = reduce_tuple(H)
+    assert reduce_tuple(H, basepoint_rng=rng) is not plain
+    assert reduce_tuple(H, basis=lambda L: L.basis) is not plain
+    assert list(orbits._reductions.values()) == [plain]
+
+
+C2_SPACES = [GSet.trivial(cyclic_group(2), 2),
+             GSet(cyclic_group(2), 2, [[0, 1], [1, 0]]),
+             GSet(cyclic_group(2), 3, [[0, 1], [1, 0], [2, 2]])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_table_matches_per_tuple_action(monkeypatch, n):
+    """The one table per (W, X) equals the rows `apply_array` gives each
+    element alone, and a tuple's rows are read off it."""
+    monkeypatch.setattr(orbits, "_fixed_tables", {})
+    W = wreath(C2_SPACES[0].group, n)
+    for X in C2_SPACES:
+        power = PowerGSet(X, W)
+        codes = np.arange(power.size)
+        rows = orbits._fixed_rows(power, tuple(range(W.size)))
+        table = orbits._fixed_tables[(W, X)]
+        assert table.shape == (W.size, power.size) and not table.flags.writeable
+        for w in range(W.size):
+            expected = power.apply_array(np.array([[w]]), codes)[0] == codes
+            assert (table[w] == expected).all() and (rows[w] == expected).all()
+        for H in commuting_tuples(W, 2)[::7]:
+            expected = (power.apply_array(np.array(H.elements)[:, None], codes)
+                        == codes)
+            assert (orbits._fixed_rows(power, H.elements) == expected).all()
+    assert len(orbits._fixed_tables) == len(C2_SPACES)
+
+
+def test_fixed_rows_above_the_table_bound_are_not_kept(monkeypatch):
+    monkeypatch.setattr(orbits, "_fixed_tables", {})
+    monkeypatch.setattr(orbits, "_FIXED_TABLE_BOUND", 0)
+    W = wreath(cyclic_group(2), 3)
+    X = C2_SPACES[2]
+    for H in commuting_tuples(W, 2):
+        assert fixed_point_transport(X, H).product_fixed == product_fixed_oracle(X, H)
+    assert orbits._fixed_tables == {}

@@ -91,6 +91,37 @@ def test_power_warns_on_non_invariant_input():
     assert [c for c in caught if "non-invariant" in str(c.message)]
 
 
+def test_input_invariance_report_is_computed_once_per_stored_input(monkeypatch):
+    """The default report of a stored input is kept on it: later power
+    operations on the same input reuse it and still warn, a second input
+    gets its own report and warning, and other samples or tolerances are
+    checked afresh."""
+    import warnings as w
+    from charops import classfn
+    C1 = cyclic_group(1)
+
+    def non_invariant():
+        return ClassFunction.from_values(
+            C1, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
+            kind="lat", elliptic=True)
+
+    checks = []
+    report = classfn.ClassFunction._invariance_report
+    monkeypatch.setattr(classfn.ClassFunction, "_invariance_report",
+                        lambda self, *args: checks.append(self) or report(self, *args))
+    first, second = non_invariant(), non_invariant()
+    with w.catch_warnings(record=True) as caught:
+        w.simplefilter("always")
+        for f in (first, first, second, first):
+            power_operation(f, 2, mode="lazy")
+    assert checks == [first, second]
+    assert len([c for c in caught if "non-invariant" in str(c.message)]) == 4
+    assert first.is_invariant() is first.is_invariant()
+    assert not first.is_invariant(tol=1e-3).ok
+    assert first.is_invariant(tau_samples=(1j,)) is not first.is_invariant()
+    assert checks[2:] == [first, first]
+
+
 def test_slash_preserves_weight_homogeneity():
     F = E4.slash(((2, 1), (0, 3)))
     assert F.weight == 4
