@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import remember
 from .coefficients import (
     DEFAULT_TAU_SAMPLES,
     TOL,
@@ -46,6 +47,11 @@ from .groups import (
     pair_orbits,
     wreath,
 )
+
+# Most rule results one rule-backed function keeps, keyed on the checked pair
+# (els, x); the oldest goes first.  `charops verify` at seed 0 leaves at most
+# 165 in any one function, and one pass of each benchmark workload at most 84.
+_RULE_CACHE_BOUND = 4096
 
 
 def _as_elements(h):
@@ -174,8 +180,7 @@ class ClassFunction:
             key = (els, x)
             hit = self._cache.get(key)
             if hit is None:
-                hit = self.rule(els, x)
-                self._cache[key] = hit
+                hit = remember(self._cache, _RULE_CACHE_BOUND, key, self.rule(els, x))
             return hit
         key = self.canonical_key(els, x)
         val = self.values.get(key)
@@ -372,7 +377,6 @@ def external_product(f, g):
         split_point = lambda x: (0, 0)
     else:
         space = f.space.product(g.space)
-        space = GSet(P, space.size, space.action, validate=False)
         split_point = lambda x: (x % f.space.size, x // f.space.size)
 
     def rule(els, x):

@@ -146,18 +146,11 @@ def emit_class_function(f, cfg, extra=None):
     write_json(payload, cfg)
 
 
-def cmd_power(cfg, fn_path):
+def cmd_operation(cfg, fn_path, operation):
+    """Emits operation(f, n) (`power_operation` or `adams`) with its
+    invariance report; exit 1 when the output is not invariant."""
     f = load_class_function(cfg, fn_path)
-    out = power_operation(f, cfg.n).materialize()
-    rep = out.is_invariant(tau_samples=cfg.tau_samples, tol=cfg.tol)
-    emit_class_function(out, cfg, extra={"invariance": {
-        "ok": rep.ok, "max_deviation": rep.max_deviation}})
-    return 0 if rep.ok else 1
-
-
-def cmd_adams(cfg, fn_path):
-    f = load_class_function(cfg, fn_path)
-    out = adams(f, cfg.n).materialize()
+    out = operation(f, cfg.n).materialize()
     rep = out.is_invariant(tau_samples=cfg.tau_samples, tol=cfg.tol)
     emit_class_function(out, cfg, extra={"invariance": {
         "ok": rep.ok, "max_deviation": rep.max_deviation}})
@@ -290,10 +283,9 @@ def main(argv=None):
             cfg.group = parse_group(args.group, args.wreath)
         if args.subcommand == "classes":
             code = cmd_classes(cfg)
-        elif args.subcommand == "power":
-            code = cmd_power(cfg, args.fn)
-        elif args.subcommand == "adams":
-            code = cmd_adams(cfg, args.fn)
+        elif args.subcommand in ("power", "adams"):
+            operation = power_operation if args.subcommand == "power" else adams
+            code = cmd_operation(cfg, args.fn, operation)
         elif args.subcommand == "pseudo":
             code = cmd_pseudo(cfg, args.fn, args.prime)
         elif args.subcommand == "hecke":

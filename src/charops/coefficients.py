@@ -17,11 +17,11 @@ import cmath
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memo import remember
 from .lattices import LatticeError
 
 TOL = 1e-9
@@ -290,7 +290,6 @@ class _Kernel:
         self.serial = next(_serials)
         self._log_growth = _log_growth(weight, coeffs)
         self._samples = {}
-        self._write_lock = threading.Lock()
 
     def __lt__(self, other):
         return self.serial < other.serial
@@ -300,18 +299,14 @@ class _Kernel:
 
     def sample_vector(self, M, samples):
         """(kernel(a 1.0 + b tau, c 1.0 + d tau) for tau in samples) for an
-        exact matrix M = ((a, b), (c, d)), memoized per (M, samples).  Readers
-        take no lock; writers hold one so that the size check, the eviction of
-        the oldest entry and the insert happen together."""
+        exact matrix M = ((a, b), (c, d)), memoized per (M, samples) (see
+        `_memo`)."""
         key = (M, samples)
         hit = self._samples.get(key)
         if hit is None:
             (a, b), (c, d) = M
-            hit = tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples])
-            with self._write_lock:
-                if len(self._samples) >= _SAMPLE_MEMO_BOUND:
-                    self._samples.pop(next(iter(self._samples)), None)
-                self._samples[key] = hit
+            hit = remember(self._samples, _SAMPLE_MEMO_BOUND, key,
+                           tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples]))
         return hit
 
     def __call__(self, l, lp):

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -835,22 +835,12 @@ def commuting_tuple_array(G, d):
 class TupleClass:
     """One simultaneous-conjugation class of commuting d-tuples.
 
-    `size` is the number of tuples in the class.  `members` is the sorted
-    list of those tuples: the BFS classification passes it in, and a class
-    built without it computes it on first read (`conjugation_orbit`), so
-    only callers that read it pay for the orbit.
+    `size` is the number of tuples in the class; `conjugation_orbit` of the
+    representative lists them.
     """
 
     representative: CommutingTuple
     size: int
-    orbit: list = field(default=None, repr=False, compare=False)
-
-    @property
-    def members(self):
-        if self.orbit is None:
-            rep = self.representative
-            self.orbit = [els for els, _ in conjugation_orbit(rep.group, rep.elements)]
-        return self.orbit
 
 
 def tuple_conjugacy_classes(G, d):
@@ -872,7 +862,7 @@ def tuple_conjugacy_classes_bfs(G, d):
     Representatives are lexicographic minima.  It tests up to |G|^d tuples
     for commutation, so it serves as the oracle for the constructive
     wreath-product path at desk scale."""
-    return [TupleClass(CommutingTuple(G, orbit[0][0]), len(orbit), [els for els, _ in orbit])
+    return [TupleClass(CommutingTuple(G, orbit[0][0]), len(orbit))
             for orbit in pair_orbits(G, d, GSet.point(G))]
 
 

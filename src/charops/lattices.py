@@ -144,12 +144,13 @@ def sublattices_of_index(d, n):
     raise LatticeError(f"sublattice enumeration unsupported for rank {d}")
 
 
-def orbit_with_labels(perms, basepoint):
+def orbit_relations(perms, basepoint):
     """BFS orbit of `basepoint` under commuting permutations.
 
-    Returns (orbit points in visit order, labels, relations): labels[p] is a
-    vector v with sigma^v(basepoint) = p, and every relation vector lies in
-    the stabilizer lattice.  One relation is recorded per non-tree BFS edge.
+    Returns (orbit points in visit order, relations): every relation vector
+    lies in the stabilizer lattice.  The walk labels each point p with a
+    vector v such that sigma^v(basepoint) = p, and records one relation, the
+    difference of two labels of one point, per non-tree BFS edge.
     """
     d = len(perms)
     labels = {basepoint: tuple([0] * d)}
@@ -170,7 +171,7 @@ def orbit_with_labels(perms, basepoint):
                 rel = tuple(step[i] - labels[q][i] for i in range(d))
                 if any(rel):
                     relations.append(rel)
-    return order, labels, relations
+    return order, relations
 
 
 def stabilizer_lattice(perms, basepoint):
@@ -186,7 +187,7 @@ def stabilizer_lattice(perms, basepoint):
         for j in range(i + 1, len(perms)):
             if perm_compose(perms[i], perms[j]) != perm_compose(perms[j], perms[i]):
                 raise LatticeError(f"permutations {i} and {j} do not commute")
-    order, labels, relations = orbit_with_labels(perms, basepoint)
+    order, relations = orbit_relations(perms, basepoint)
     if len(order) != npts:
         raise LatticeError("action is not transitive")
     return _kernel_from_relations(relations, len(perms), len(order))

@@ -16,14 +16,14 @@ for commuting entries the product does not depend on the direction.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import remember
 from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_points,
                      int_mat_det, perm_inverse)
-from .lattices import _kernel_from_relations, orbit_with_labels
+from .lattices import _kernel_from_relations, orbit_relations
 
 # Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
 # (W, H.elements); the oldest goes first.  A reduction depends on the tuple
@@ -42,23 +42,9 @@ _REDUCTION_MEMO_BOUND = 4096
 _FIXED_TABLE_BOUND = 1 << 16
 _FIXED_TABLE_MEMO_BOUND = 64
 
+# Read without a lock and written through `remember` (see `_memo`).
 _reductions = {}
 _fixed_tables = {}
-_memo_lock = threading.Lock()
-
-
-def _remember(memo, bound, key, value):
-    """Store value under key unless a value is already there, and return the
-    stored one, so that every caller shares one object.  Readers take no
-    lock; writers hold one so that the check, the eviction of the oldest
-    entry and the insert happen together and the memo never passes bound."""
-    with _memo_lock:
-        hit = memo.get(key)
-        if hit is None:
-            if len(memo) >= bound:
-                memo.pop(next(iter(memo)), None)
-            memo[key] = hit = value
-    return hit
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +154,7 @@ def _fixed_rows(power, elements):
     if table is None:
         table = _fixes(power, np.arange(W.size, dtype=np.int64))
         table.flags.writeable = False
-        table = _remember(_fixed_tables, _FIXED_TABLE_MEMO_BOUND, key, table)
+        table = remember(_fixed_tables, _FIXED_TABLE_MEMO_BOUND, key, table)
     return table[els]
 
 
@@ -216,7 +202,7 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
     key = (H.group, H.elements)
     hit = _reductions.get(key)
     if hit is None:
-        hit = _remember(_reductions, _REDUCTION_MEMO_BOUND, key, _reduce(H, None, None))
+        hit = remember(_reductions, _REDUCTION_MEMO_BOUND, key, _reduce(H, None, None))
     return hit
 
 
@@ -239,11 +225,10 @@ def _reduce(H, basepoint_rng, basis):
     orbit_data = []
     while remaining:
         i0 = min(remaining)
-        order, _, relations = orbit_with_labels(sigmas, i0)
+        order, relations = orbit_relations(sigmas, i0)
         orbit = tuple(sorted(order))
         remaining -= set(orbit)
         orbit_data.append((orbit, relations))
-    orbit_data.sort(key=lambda t: t[0][0])
 
     orbits, basepoints, stabs, mats, reduced = [], [], [], [], []
     for k, (orbit, relations) in enumerate(orbit_data):

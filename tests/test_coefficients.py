@@ -318,6 +318,28 @@ def test_sample_memo_is_bounded_and_eviction_keeps_values():
     assert len(kernel._samples) == bound
 
 
+def test_a_racing_sample_writer_keeps_the_first_vector(monkeypatch):
+    """Two writers that both miss the sample memo compute their own vectors;
+    the one that stores first wins, and the other returns the stored tuple,
+    as for reductions."""
+    F = LatFunction.from_q_expansion(4, E4.q_coefficients()[:40])
+    (((kernel, _),),) = F.terms
+    key = (coefficients._IDENTITY, (1j, 2j))
+    call = coefficients._Kernel.__call__
+    rival = []
+
+    def call_with_a_rival(self, l, lp):
+        if not rival:       # a second writer misses too, and stores first
+            rival.append(None)
+            rival[0] = kernel.sample_vector(*key)
+        return call(self, l, lp)
+
+    monkeypatch.setattr(coefficients._Kernel, "__call__", call_with_a_rival)
+    late = kernel.sample_vector(*key)
+    assert late is rival[0] is kernel._samples[key]
+    assert list(kernel._samples) == [key]
+
+
 # truncation guard ------------------------------------------------------------------
 
 

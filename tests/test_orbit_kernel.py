@@ -1,7 +1,7 @@
 """The batched conjugation kernel against its scalar definitions.
 
 `ClassFunction.canonical_key`, `classfn.pair_orbits` and
-`groups.tuple_conjugacy_classes_bfs` (with `TupleClass.members`) act on
+`groups.tuple_conjugacy_classes_bfs` (with `groups.conjugation_orbit`) act on
 whole arrays of pairs at once.  The oracles below are the scalar walks they
 replaced, one `G.conj` per entry: the minimum over every z of
 (z h z^-1, z x), and the breadth-first search over generator moves.
@@ -24,6 +24,7 @@ from charops.groups import (
     GSet,
     PairCodes,
     commuting_tuples,
+    conjugation_orbit,
     cyclic_group,
     direct_product,
     fixed_points,
@@ -176,6 +177,12 @@ def test_canonical_map_holds_one_orbit_per_miss():
     assert set(f._canon) == orbit and set(f._canon.values()) == {key}
 
 
+def class_members(cls):
+    """The sorted tuples of a class: its representative's conjugation orbit."""
+    rep = cls.representative
+    return [els for els, _ in conjugation_orbit(rep.group, rep.elements)]
+
+
 def scalar_tuple_orbit(G, elements):
     orbit = {elements}
     bdy = [elements]
@@ -196,19 +203,21 @@ def test_bfs_classes_and_members_match_scalar_orbits(name, d):
     G = GROUPS[name]()
     classes = tuple_conjugacy_classes_bfs(G, d)
     expected = [orbit for orbit in scalar_pair_orbits(G, d, GSet.point(G))]
-    assert [c.members for c in classes] == [[els for els, _ in o] for o in expected]
-    for c in classes:
-        assert c.representative.elements == c.members[0]
-        assert c.size == len(c.members)
-        assert c.members == scalar_tuple_orbit(G, c.representative.elements)
+    members = [class_members(c) for c in classes]
+    assert members == [[els for els, _ in o] for o in expected]
+    for c, m in zip(classes, members):
+        assert c.representative.elements == m[0]
+        assert c.size == len(m)
+        assert m == scalar_tuple_orbit(G, c.representative.elements)
 
 
 @pytest.mark.parametrize("name,d", [("S3wr3", 1), ("Q8wr2", 2), ("C2wr2wr2", 2)])
 def test_constructive_class_members_match_scalar_orbits(name, d):
     G = GROUPS[name]()
     for c in tuple_conjugacy_classes(G, d)[:12]:
-        assert c.members == scalar_tuple_orbit(G, c.representative.elements)
-        assert len(c.members) == c.size
+        m = class_members(c)
+        assert m == scalar_tuple_orbit(G, c.representative.elements)
+        assert len(m) == c.size
 
 
 def test_pair_codes_refuse_overflow():
@@ -372,3 +381,52 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
     assert errors == []
     assert all(r == serial for r in results)
     assert max(largest) <= bound and len(orbits._reductions) == bound
+
+
+def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
+    """Threads that evaluate one rule-backed power operation over shuffled
+    pairs see what a serial reader sees while its rule cache fills and evicts
+    (the bound is lowered to 8 here); the cache never holds more than the
+    bound."""
+    from charops import classfn
+    from charops.powerops import power_operation
+
+    values = {(cls.representative.elements, 0): GradedValue("complex", {0: complex(i, 1)})
+              for i, cls in enumerate(tuple_conjugacy_classes(S3, 1))}
+    f = ClassFunction.from_values(S3, 1, values)
+    keys = [(t.elements, 0) for t in commuting_tuples(wreath(S3, 3), 1)]
+    serial_P = power_operation(f, 3, mode="lazy")
+    serial = {key: serial_P.evaluate(*key).components for key in keys}
+    bound = 8
+    monkeypatch.setattr(classfn, "_RULE_CACHE_BOUND", bound)
+    shared = power_operation(f, 3, mode="lazy")
+    results = [None] * 4
+    largest = [0] * 4
+    errors = []
+
+    def reader(i):
+        try:
+            order = keys * 8    # enough writes that an unlocked one shows
+            random.Random(i).shuffle(order)
+            out = {}
+            for key in order:
+                out[key] = shared.evaluate(*key).components
+                largest[i] = max(largest[i], len(shared._cache))
+            results[i] = out
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads inside the cache writes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(r == serial for r in results)
+    assert max(largest) <= bound and len(shared._cache) == bound
