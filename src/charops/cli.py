@@ -11,6 +11,7 @@ import functools
 import json
 import platform
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,9 +269,21 @@ def build_parser():
     return p
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Warnings as one "warning: ..." line on stderr, like the "error: ..."
+    lines: Python's own format names the source file, line and code."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(args)
+
+
+def _run(args):
     cfg = None
     try:
         cfg = RunConfig(

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import remember
+
 # Group elements per batched step of the exact validation checks (divided
 # by the number of points for G-sets): bounds the temporary arrays
-# independently of the group order.  Blocks of 2048 raised the peak memory
-# of building the S3 wreath inclusions by about 1.6 MB over blocks of 512.
+# independently of the group order.  Blocks of 2048 raise the traced peak
+# memory of building the S3 wreath inclusions at (j, k) = (1, 1), (2, 2)
+# from 0.98 MB to 2.19 MB (tracemalloc), 1.2 MB more than blocks of 512.
 _VALIDATE_BLOCK = 512
 
 # Largest order of a group stored as an explicit |G| x |G| table (7!):
@@ -465,6 +468,62 @@ def _int_field(spec, key):
 # wreath products G wr Sigma_n, multiplied lazily through an index encoding
 
 
+# Largest arity whose Sigma_n tables (permutations, inverses, ranks; n! rows
+# of n entries) are built once and shared by every wreath product of that
+# arity; above it permutations are ranked and unranked per call.
+_SIGMA_TABLE_ARITY = 7
+
+# Largest arity at which the batched wreath law reads composite ranks from
+# symmetric_group(n)'s table (115 KB at n = 5).  Building S6 takes about
+# 0.13 s and S7 about 9.5 s, so at n = 6, 7 the ranks come from Lehmer codes.
+_PERM_PRODUCT_ARITY = 5
+
+
+class _SigmaTables:
+    """The tables of Sigma_n that wreath products of arity n read, with
+    permutations indexed by lexicographic rank.  One instance per arity is
+    shared by every wreath product, so its arrays are read-only."""
+
+    def __init__(self, n):
+        self.n = n
+        self.perms = tuple(itertools.permutations(range(n)))
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.inverses = tuple(perm_inverse(p) for p in self.perms)
+        perm_array = np.array(self.perms, dtype=np.int64).reshape(len(self.perms), n)
+        self.perm_array = _read_only(perm_array)
+        self.inverse_array = _read_only(np.argsort(perm_array, axis=1))
+        self.inverse_ranks = _read_only(np.array(
+            [self.index[q] for q in self.inverses], dtype=np.int64))
+        # rank = sum_{i<j} [p_j < p_i] (n-1-i)!  (Lehmer code), as one
+        # product with the flattened n x n comparison matrix
+        self.lehmer_weights = _read_only(np.array(
+            [math.factorial(n - 1 - i) if j > i else 0
+             for i in range(n) for j in range(n)], dtype=np.int64))
+
+    @functools.cached_property
+    def products(self):
+        """Entry [a, b] is the rank of perm a after perm b: the table of
+        symmetric_group(n), whose elements have the same indices and compose
+        the same way.  Built on first use, for n <= _PERM_PRODUCT_ARITY."""
+        return symmetric_group(self.n)._table
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+_sigma_tables = {}
+
+
+def _sigma(n):
+    """The shared _SigmaTables of arity n <= _SIGMA_TABLE_ARITY."""
+    tables = _sigma_tables.get(n)
+    if tables is None:
+        tables = remember(_sigma_tables, _SIGMA_TABLE_ARITY + 1, n, _SigmaTables(n))
+    return tables
+
+
 class WreathGroup(FiniteGroup):
     """G wr Sigma_n with the twisted product
 
@@ -472,7 +531,11 @@ class WreathGroup(FiniteGroup):
 
     Elements encode as  index = rank(perm) * |G|^n + sum_i base_i |G|^i.
     For n <= 7 the permutations, their inverses and their ranks are tables
-    built once (n! rows of n entries); above that they are computed per call.
+    built once per arity (n! rows of n entries) and shared by every wreath
+    product of that arity; above that they are computed per call.  For
+    n <= 5 the batched law also reads the rank of a composite permutation
+    from the multiplication table of symmetric_group(n), built on the first
+    batched product at that arity.
     """
 
     def __init__(self, base, n):
@@ -487,27 +550,22 @@ class WreathGroup(FiniteGroup):
         self._bn = self._bs ** n
         self._powers = [self._bs ** i for i in range(n)]
         self.identity = 0
-        if n <= 7:
-            self._perms = list(itertools.permutations(range(n)))
-            self._perm_index = {p: i for i, p in enumerate(self._perms)}
-            self._perm_of = self._perms.__getitem__
-            self._rank_of = self._perm_index.__getitem__
-            self._inverse_of = [perm_inverse(p) for p in self._perms].__getitem__
-            self._perm_array = np.array(self._perms, dtype=np.int64).reshape(
-                len(self._perms), n)
-            self._inverse_array = np.argsort(self._perm_array, axis=1)
-            self._inverse_rank_array = np.array(
-                [self._perm_index[perm_inverse(p)] for p in self._perms], dtype=np.int64)
+        if n <= _SIGMA_TABLE_ARITY:
+            sigma = _sigma(n)
+            self._perms = sigma.perms
+            self._perm_index = sigma.index
+            self._perm_of = sigma.perms.__getitem__
+            self._rank_of = sigma.index.__getitem__
+            self._inverse_of = sigma.inverses.__getitem__
+            self._perm_array = sigma.perm_array
+            self._inverse_array = sigma.inverse_array
+            self._inverse_rank_array = sigma.inverse_ranks
+            self._lehmer_weights = sigma.lehmer_weights
             self._power_array = np.array(self._powers, dtype=np.int64)
             # |G|^s(i) and |G|^(s^-1)(i) per permutation: digit i of a code
             # read through s or s^-1 is code // place % |G|
             self._perm_places = self._power_array[self._perm_array]
             self._inverse_places = self._power_array[self._inverse_array]
-            # rank = sum_{i<j} [p_j < p_i] (n-1-i)!  (Lehmer code), as one
-            # product with the flattened n x n comparison matrix
-            self._lehmer_weights = np.array(
-                [math.factorial(n - 1 - i) if j > i else 0
-                 for i in range(n) for j in range(n)], dtype=np.int64)
         else:
             self._perms = None
             self._perm_of = functools.partial(perm_unrank, n)
@@ -552,9 +610,10 @@ class WreathGroup(FiniteGroup):
 
     def mul_array(self, a, b):
         """Batched group law: base digits read through the permutation
-        tables, the base group's own batched law, and composed permutations
-        ranked by their Lehmer codes."""
-        if not 1 <= self.n <= 7:
+        tables and combined by the base group's own batched law.  The
+        composite permutation's rank is read from symmetric_group(n)'s table
+        for n <= 5 and computed from its Lehmer code for n = 6, 7."""
+        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
             return super().mul_array(a, b)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                    np.asarray(b, dtype=np.int64))
@@ -563,20 +622,24 @@ class WreathGroup(FiniteGroup):
         rb, cb = np.divmod(b.ravel(), self._bn)
         g = ca[:, None] // self._power_array % self._bs
         h = cb[:, None] // self._inverse_places[ra] % self._bs
-        code = (self.base.mul_array(g, h) * self._power_array).sum(axis=-1)
-        perm = self._perm_array[ra][np.arange(ra.size)[:, None], self._perm_array[rb]]
-        smaller = (perm[:, None, :] < perm[:, :, None]).reshape(-1, n * n)
-        return ((smaller @ self._lehmer_weights) * self._bn + code).reshape(shape)
+        code = self.base.mul_array(g, h) @ self._power_array
+        if n <= _PERM_PRODUCT_ARITY:
+            rank = _sigma(n).products[ra, rb]
+        else:
+            perm = self._perm_array[ra][np.arange(ra.size)[:, None], self._perm_array[rb]]
+            rank = (perm[:, None, :] < perm[:, :, None]).reshape(-1, n * n) \
+                @ self._lehmer_weights
+        return (rank * self._bn + code).reshape(shape)
 
     def inv_array(self, a):
         """Batched inverse: coordinate b of (g, s)^-1 holds g_{s(b)}^-1; the
         inverse permutation's rank is read from a table."""
-        if not 1 <= self.n <= 7:
+        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
             return super().inv_array(a)
         r, c = np.divmod(np.asarray(a, dtype=np.int64), self._bn)
         g = c[..., None] // self._perm_places[r] % self._bs
         return self._inverse_rank_array[r] * self._bn + \
-            (self.base.inv_array(g) * self._power_array).sum(axis=-1)
+            self.base.inv_array(g) @ self._power_array
 
     def generators(self):
         gens = []
@@ -1171,7 +1234,7 @@ class PowerGSet(GSet):
         W = self.group
         g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
                                    np.asarray(x, dtype=np.int64))
-        if not 1 <= self.n <= 7:
+        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
             return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
                                                              x.ravel().tolist())],
                             dtype=np.int64).reshape(g.shape)
@@ -1181,7 +1244,7 @@ class PowerGSet(GSet):
         digits = x[..., None] // places % self.base_space.size
         moved = self.base_space.apply_array(
             bases, np.take_along_axis(digits, W._inverse_array[r], axis=-1))
-        return (moved * places).sum(axis=-1)
+        return moved @ places
 
 
 def fixed_points(X, h):

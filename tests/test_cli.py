@@ -112,6 +112,20 @@ def test_adams_n1_identity(tmp_path, capsys):
     assert vals == {(0,): 2.0, (1,): 0.5}
 
 
+def test_missing_orbit_warns_in_one_line(tmp_path, capsys):
+    """The default-to-0 warning is one "warning:" line, without the source
+    file and line of Python's own format, and the exit code stays 0."""
+    fn = {"height": 1, "d": 1, "kind": "complex",
+          "values": [{"tuple": [0], "point": 0, "graded": {"0": [2.0, 0.0]}}]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(fn))
+    code, _, err = run_cli(capsys, "--group", "S3", "--n", "2", "adams", str(path))
+    assert code == 0
+    assert "warning: no value stored for orbit of ((3,), 0); defaulting to 0\n" in err
+    assert "classfn.py" not in err
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+
+
 def test_height2_power_then_adams(tmp_path, capsys):
     """The height-2 output of power reads back in: adams on it agrees with
     the in-process adams(P_2 f, 2) at every tau sample."""

@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from charops import groups
 from charops.groups import (
     CommutingTuple,
     GroupError,
@@ -290,6 +295,25 @@ def test_perm_rank_unrank_roundtrip():
         rng.shuffle(p)
         p = tuple(p)
         assert perm_unrank(9, perm_rank(p)) == p
+
+
+def test_sigma_product_tables_only_on_first_batched_product_up_to_n5():
+    """Importing the package builds no Sigma_n table; the product table of
+    Sigma_n is built on the first batched product at n <= 5, never at n >= 6
+    (S6 and S7 are slow to build)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = "import charops.cli; from charops import groups; print(len(groups._sigma_tables))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.strip() == "0", proc.stderr
+    for n in (6, 7):
+        W = wreath(cyclic_group(2), n)
+        W.mul_array(np.arange(50), np.arange(50)[::-1])
+        assert "products" not in vars(groups._sigma(n))
+    W = wreath(cyclic_group(2), 5)
+    W.mul_array(np.arange(50), np.arange(50)[::-1])
+    assert np.array_equal(groups._sigma(5).products, symmetric_group(5)._table)
 
 
 def test_wreath_large_n_uses_arith_codec():
@@ -619,27 +643,50 @@ def _mul_array_groups():
     C1, C2, S3, Q8 = (cyclic_group(1), cyclic_group(2), symmetric_group(3),
                       quaternion_group())
     out = [wreath(G, n) for G in (C1, C2, S3, Q8) for n in range(5)]
+    # composite ranks from the Sigma_5 table (C1 wr 5 exhaustively), then
+    # from Lehmer codes at n = 6, 7
+    out += [wreath(C1, 5), wreath(C2, 5), wreath(C1, 6), wreath(C1, 7)]
     out.append(wreath(wreath(S3, 2), 2))
     out.append(direct_product(wreath(S3, 2), wreath(Q8, 2)))
     out.append(wreath(cyclic_group(2), 8))     # above the permutation tables
     return out
 
 
+def _pairs(G, exhaustive_bound):
+    """Every pair of elements up to exhaustive_bound elements, 3000 seeded
+    pairs above."""
+    if G.size <= exhaustive_bound:
+        return zip(*itertools.product(range(G.size), repeat=2))
+    rng = random.Random(11)
+    return ([rng.randrange(G.size) for _ in range(3000)],
+            [rng.randrange(G.size) for _ in range(3000)])
+
+
 @pytest.mark.parametrize("G", _mul_array_groups(), ids=repr)
 def test_mul_array_matches_scalar_mul(G):
     """Exhaustive up to 1000 elements, 3000 seeded pairs above; also checks
     broadcasting of a column against a row."""
-    if G.size <= 1000:
-        a, b = zip(*itertools.product(range(G.size), repeat=2))
-    else:
-        rng = random.Random(11)
-        a = [rng.randrange(G.size) for _ in range(3000)]
-        b = [rng.randrange(G.size) for _ in range(3000)]
+    a, b = _pairs(G, 1000)
     got = G.mul_array(np.array(a), np.array(b))
     assert got.tolist() == [G.mul(x, y) for x, y in zip(a, b)]
     col, row = np.array(a[:20])[:, None], np.array(b[-5:])
     assert G.mul_array(col, row).tolist() == \
         [[G.mul(x, y) for y in b[-5:]] for x in a[:20]]
+
+
+@pytest.mark.parametrize("G", _mul_array_groups(), ids=repr)
+def test_inv_array_and_conj_array_match_scalar(G):
+    """inv_array against inv on every element up to 5040 (seeded above);
+    conj_array against conj on every pair up to 144 elements, 3000 seeded
+    pairs above, and on a column against a row."""
+    els = range(G.size) if G.size <= 5040 else _pairs(G, 0)[0]
+    assert G.inv_array(np.array(els)).tolist() == [G.inv(x) for x in els]
+    z, a = _pairs(G, 144)
+    assert G.conj_array(np.array(z), np.array(a)).tolist() == \
+        [G.conj(x, y) for x, y in zip(z, a)]
+    col, row = np.array(z[:20])[:, None], np.array(a[-5:])
+    assert G.conj_array(col, row).tolist() == \
+        [[G.conj(x, y) for y in a[-5:]] for x in z[:20]]
 
 
 def test_direct_product():
