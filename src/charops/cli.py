@@ -64,13 +64,12 @@ def parse_group(text, wreath_n=0):
 
 
 def parse_tau_samples(text):
+    """Comma-separated Python complex literals, such as the tau column that
+    `hecke` prints: '3j', '(0.5+1j)', '1e+2j'.  A bare real is tau on the
+    real axis, which the evaluation refuses as not oriented."""
     if not text:
         return DEFAULT_TAU_SAMPLES
-    out = []
-    for part in text.split(","):
-        re_s, im_s = part.split("+") if "+" in part else ("0", part)
-        out.append(complex(float(re_s), float(im_s.rstrip("ij"))))
-    return tuple(out)
+    return tuple(complex(part) for part in text.split(","))
 
 
 def write_json(obj, cfg):

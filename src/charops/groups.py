@@ -320,14 +320,16 @@ def dihedral_group(n):
 
 def symmetric_group(n):
     """Symmetric group on n letters; elements indexed in lexicographic order.
-    It is the permutation group of an n-cycle and a transposition; its
-    order n! is checked against TABLE_ORDER_BOUND first, so 0 <= n <= 7."""
+    Its table is the read-only product table of Sigma_n that the wreath
+    products of arity n read (`_SigmaTables.products`), shared, not copied;
+    its order n! is checked against TABLE_ORDER_BOUND first, so 0 <= n <= 7."""
     if n < 0:
         raise GroupError("symmetric degree must be >= 0")
     _check_table_order(math.factorial(min(n, 8)), f"S{n}")   # 8! > bound
-    gens = [list(range(1, n)) + [0], [1, 0] + list(range(2, n))] if n >= 2 else []
-    G = perm_group(n, gens)
-    G.name = f"S{n}"
+    sigma = _sigma(n)
+    G = TableGroup(sigma.products, labels=["".join(map(str, p)) for p in sigma.perms],
+                   name=f"S{n}")
+    G.perms = list(sigma.perms)
     return G
 
 
@@ -359,11 +361,11 @@ def quaternion_group():
     return TableGroup(table, labels=list(_QUAT_UNITS), name="Q8")
 
 
-def perm_group(degree, generator_perms, size_bound=TABLE_ORDER_BOUND):
+def perm_group(degree, generator_perms):
     """Group generated by permutations of {0..degree-1}, by orbit closure.
 
     The result stores its |G| x |G| multiplication table, so orders above
-    size_bound (TABLE_ORDER_BOUND by default) are refused."""
+    TABLE_ORDER_BOUND are refused."""
     if not (isinstance(generator_perms, (list, tuple)) and all(
             isinstance(p, (list, tuple)) and all(type(i) is int for i in p)
             for p in generator_perms)):
@@ -374,50 +376,48 @@ def perm_group(degree, generator_perms, size_bound=TABLE_ORDER_BOUND):
     for p in gens:
         if sorted(p) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree-1}: {p}")
-    ident = tuple(range(degree))
-    els = {ident}
-    bdy = [ident]
-    while bdy:
-        new = []
-        for x in bdy:
-            for g in gens:
-                y = perm_compose(x, g)
-                if y not in els:
-                    if len(els) >= size_bound:
-                        raise GroupError(f"generated group exceeds bound {size_bound}")
-                    els.add(y)
-                    new.append(y)
-        bdy = new
-    perms = sorted(els)
-    G = TableGroup(_perm_table(perms, degree), labels=["".join(map(str, p)) for p in perms],
+    perms, table = _perm_table(degree, gens)
+    G = TableGroup(table, labels=["".join(map(str, p)) for p in perms],
                    name=f"perm{degree}")
     G.perms = perms
     return G
 
 
-def _perm_table(perms, degree):
-    """Multiplication table of the distinct, lexicographically sorted
-    permutations `perms` of 0..degree-1: entry [a, b] is the index of
-    perms[a] after perms[b].  Each row block composes with every
-    permutation in one gather; a composite is then located column by column,
-    by binary search of (index of the first permutation sharing its prefix)
-    * degree + next entry among the same codes of the sorted permutations.
-    The codes stay below |G| * degree at any degree."""
-    P = np.array(perms, dtype=np.int64).reshape(len(perms), degree)
-    keys = []
-    first = np.zeros(len(P), dtype=np.int64)
-    for i in range(degree):
-        keys.append(first * degree + P[:, i])
-        first = np.searchsorted(keys[-1], keys[-1])
-    table = np.empty((len(P), len(P)), dtype=np.int64)
-    block = max(1, (1 << 16) // len(P))        # about 2**16 composites per step
-    for start in range(0, len(P), block):
-        composed = P[start:start + block][:, P]
-        at = np.zeros(composed.shape[:2], dtype=np.int64)
-        for i, key in enumerate(keys):
-            at = np.searchsorted(key, at * degree + composed[..., i])
-        table[start:start + block] = at
-    return table
+def _perm_table(degree, gens):
+    """The group generated by the permutations `gens` of 0..degree-1: its
+    elements `perms`, sorted lexicographically, and its multiplication
+    table, whose entry [a, b] is the index of perms[a] after perms[b].
+
+    A breadth-first closure x -> x g records the parent (x, g) of each new
+    element and refuses orders above TABLE_ORDER_BOUND.  Then row(x g) =
+    row(x)[L_g], where L_g[b] is the index of g after perms[b]: one gather
+    per row, in closure order, so every parent row is filled first."""
+    identity = tuple(range(degree))
+    parents = {identity: None}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for k, g in enumerate(gens):
+                y = perm_compose(x, g)
+                if y not in parents:
+                    if len(parents) >= TABLE_ORDER_BOUND:
+                        raise GroupError(f"generated group has more than {TABLE_ORDER_BOUND} "
+                                         f"elements, too many for a multiplication table")
+                    parents[y] = (x, k)
+                    new.append(y)
+        frontier = new
+    perms = sorted(parents)
+    index = {p: i for i, p in enumerate(perms)}
+    left = [np.array([index[perm_compose(g, p)] for p in perms], dtype=np.int64)
+            for g in gens]
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
+    table[0] = np.arange(len(perms))         # the identity sorts first
+    for y, parent in parents.items():
+        if parent is not None:
+            x, k = parent
+            table[index[y]] = table[index[x]][left[k]]
+    return perms, table
 
 
 # the named groups of the command line and the verification suites
@@ -473,16 +473,12 @@ def _int_field(spec, key):
 # arity; above it permutations are ranked and unranked per call.
 _SIGMA_TABLE_ARITY = 7
 
-# Largest arity at which the batched wreath law reads composite ranks from
-# symmetric_group(n)'s table (115 KB at n = 5).  Building S6 takes about
-# 0.13 s and S7 about 9.5 s, so at n = 6, 7 the ranks come from Lehmer codes.
-_PERM_PRODUCT_ARITY = 5
-
 
 class _SigmaTables:
-    """The tables of Sigma_n that wreath products of arity n read, with
-    permutations indexed by lexicographic rank.  One instance per arity is
-    shared by every wreath product, so its arrays are read-only."""
+    """The tables of Sigma_n that wreath products of arity n and
+    symmetric_group(n) read, with permutations indexed by lexicographic
+    rank.  One instance per arity is shared by all of them, so its arrays
+    are read-only."""
 
     def __init__(self, n):
         self.n = n
@@ -494,18 +490,15 @@ class _SigmaTables:
         self.inverse_array = _read_only(np.argsort(perm_array, axis=1))
         self.inverse_ranks = _read_only(np.array(
             [self.index[q] for q in self.inverses], dtype=np.int64))
-        # rank = sum_{i<j} [p_j < p_i] (n-1-i)!  (Lehmer code), as one
-        # product with the flattened n x n comparison matrix
-        self.lehmer_weights = _read_only(np.array(
-            [math.factorial(n - 1 - i) if j > i else 0
-             for i in range(n) for j in range(n)], dtype=np.int64))
 
     @functools.cached_property
     def products(self):
         """Entry [a, b] is the rank of perm a after perm b: the table of
-        symmetric_group(n), whose elements have the same indices and compose
-        the same way.  Built on first use, for n <= _PERM_PRODUCT_ARITY."""
-        return symmetric_group(self.n)._table
+        Sigma_n, closed from the n-cycle and a transposition on first use
+        and shared with symmetric_group(n) (203 MB at n = 7)."""
+        n = self.n
+        gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))] if n >= 2 else []
+        return _read_only(_perm_table(n, gens)[1])
 
 
 def _read_only(array):
@@ -532,9 +525,9 @@ class WreathGroup(FiniteGroup):
     Elements encode as  index = rank(perm) * |G|^n + sum_i base_i |G|^i.
     For n <= 7 the permutations, their inverses and their ranks are tables
     built once per arity (n! rows of n entries) and shared by every wreath
-    product of that arity; above that they are computed per call.  For
-    n <= 5 the batched law also reads the rank of a composite permutation
-    from the multiplication table of symmetric_group(n), built on the first
+    product of that arity; above that they are computed per call.  The
+    batched law reads the rank of a composite permutation from the product
+    table of Sigma_n, the table of symmetric_group(n), built on the first
     batched product at that arity.
     """
 
@@ -552,22 +545,18 @@ class WreathGroup(FiniteGroup):
         self.identity = 0
         if n <= _SIGMA_TABLE_ARITY:
             sigma = _sigma(n)
-            self._perms = sigma.perms
-            self._perm_index = sigma.index
             self._perm_of = sigma.perms.__getitem__
             self._rank_of = sigma.index.__getitem__
             self._inverse_of = sigma.inverses.__getitem__
             self._perm_array = sigma.perm_array
             self._inverse_array = sigma.inverse_array
             self._inverse_rank_array = sigma.inverse_ranks
-            self._lehmer_weights = sigma.lehmer_weights
             self._power_array = np.array(self._powers, dtype=np.int64)
             # |G|^s(i) and |G|^(s^-1)(i) per permutation: digit i of a code
             # read through s or s^-1 is code // place % |G|
             self._perm_places = self._power_array[self._perm_array]
             self._inverse_places = self._power_array[self._inverse_array]
         else:
-            self._perms = None
             self._perm_of = functools.partial(perm_unrank, n)
             self._rank_of = perm_rank
             self._inverse_of = functools.partial(_unrank_inverse, n)
@@ -610,25 +599,20 @@ class WreathGroup(FiniteGroup):
 
     def mul_array(self, a, b):
         """Batched group law: base digits read through the permutation
-        tables and combined by the base group's own batched law.  The
-        composite permutation's rank is read from symmetric_group(n)'s table
-        for n <= 5 and computed from its Lehmer code for n = 6, 7."""
+        tables and combined by the base group's own batched law; the
+        composite permutation's rank is read from the product table of
+        Sigma_n (`_SigmaTables.products`)."""
         if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
             return super().mul_array(a, b)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                    np.asarray(b, dtype=np.int64))
-        shape, n = a.shape, self.n
+        shape = a.shape
         ra, ca = np.divmod(a.ravel(), self._bn)
         rb, cb = np.divmod(b.ravel(), self._bn)
         g = ca[:, None] // self._power_array % self._bs
         h = cb[:, None] // self._inverse_places[ra] % self._bs
         code = self.base.mul_array(g, h) @ self._power_array
-        if n <= _PERM_PRODUCT_ARITY:
-            rank = _sigma(n).products[ra, rb]
-        else:
-            perm = self._perm_array[ra][np.arange(ra.size)[:, None], self._perm_array[rb]]
-            rank = (perm[:, None, :] < perm[:, :, None]).reshape(-1, n * n) \
-                @ self._lehmer_weights
+        rank = _sigma(self.n).products[ra, rb]
         return (rank * self._bn + code).reshape(shape)
 
     def inv_array(self, a):

@@ -397,6 +397,20 @@ def test_tau_samples_flag(capsys):
     assert len(out.strip().splitlines()) == 3  # header + 2 samples
 
 
+def test_printed_tau_column_reads_back(capsys):
+    """The tau values `hecke` prints, such as '(0.5+1j)', are accepted by
+    --tau-samples and give the same rows; a bare real is not oriented."""
+    code, out, _ = run_cli(capsys, "--n", "2", "--format", "csv", "hecke", "E4")
+    assert code == 0
+    taus = [row.split(",")[0] for row in out.strip().splitlines()[1:]]
+    assert "(0.5+1j)" in taus
+    code, again, _ = run_cli(capsys, "--n", "2", "--format", "csv",
+                             "--tau-samples", ",".join(taus), "hecke", "E4")
+    assert code == 0 and again == out
+    code, _, err = run_cli(capsys, "--n", "2", "--tau-samples", "2", "hecke", "E4")
+    assert code == 2 and "not oriented" in err
+
+
 def test_out_flag(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     code, _, _ = run_cli(capsys, "--group", "C2", "--format", "csv",

@@ -143,8 +143,9 @@ def test_build_group_descriptors():
     G = build_group({"type": "perm", "degree": 3,
                      "generators": [[1, 0, 2], [1, 2, 0]]})
     assert G.size == 6
-    with pytest.raises(GroupError):
-        perm_group(8, [[1, 2, 3, 4, 5, 6, 7, 0]], size_bound=4)
+    # S8: the closure is refused once it passes TABLE_ORDER_BOUND elements
+    with pytest.raises(GroupError, match="more than 5040 elements"):
+        perm_group(8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]])
 
 
 @pytest.mark.parametrize("kind,field", [("symmetric", "n"), ("perm", "degree")])
@@ -220,9 +221,10 @@ def test_dihedral_table_matches_reference(n):
     assert G.labels == ["e"] + [f"r^{k}" for k in range(1, n)] + [f"sr^{k}" for k in range(n)]
 
 
-@pytest.mark.parametrize("G", [symmetric_group(n) for n in range(1, 6)] + [
+@pytest.mark.parametrize("G", [symmetric_group(n) for n in range(6)] + [
     build_group({"type": "perm", "degree": 6,
                  "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]}),
+    perm_group(7, [[1, 2, 3, 4, 5, 6, 0], [0, 6, 5, 4, 3, 2, 1]]),      # D7
     perm_group(17, [list(range(1, 17)) + [0]])], ids=lambda G: f"{G.name}-order{G.size}")
 def test_perm_table_matches_reference(G):
     """Elements are the sorted permutations, entry [a, b] the index of
@@ -297,29 +299,25 @@ def test_perm_rank_unrank_roundtrip():
         assert perm_unrank(9, perm_rank(p)) == p
 
 
-def test_sigma_product_tables_only_on_first_batched_product_up_to_n5():
-    """Importing the package builds no Sigma_n table; the product table of
-    Sigma_n is built on the first batched product at n <= 5, never at n >= 6
-    (S6 and S7 are slow to build)."""
+def test_sigma_product_table_is_built_on_demand_and_shared():
+    """Importing the package builds no Sigma_n table; the product table that
+    a batched wreath product reads is the table of symmetric_group(n), not a
+    copy of it."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     probe = "import charops.cli; from charops import groups; print(len(groups._sigma_tables))"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "0", proc.stderr
-    for n in (6, 7):
-        W = wreath(cyclic_group(2), n)
-        W.mul_array(np.arange(50), np.arange(50)[::-1])
-        assert "products" not in vars(groups._sigma(n))
-    W = wreath(cyclic_group(2), 5)
+    W = wreath(cyclic_group(2), 6)
     W.mul_array(np.arange(50), np.arange(50)[::-1])
-    assert np.array_equal(groups._sigma(5).products, symmetric_group(5)._table)
+    assert np.shares_memory(symmetric_group(6)._table, groups._sigma(6).products)
 
 
 def test_wreath_large_n_uses_arith_codec():
     C2 = cyclic_group(2)
     W = wreath(C2, 9)
-    assert W._perms is None   # no cached table at this size
+    assert not hasattr(W, "_perm_array")   # no cached table at this size
     rng = random.Random(0)
     for _ in range(30):
         a = rng.randrange(10 ** 6)
@@ -643,8 +641,8 @@ def _mul_array_groups():
     C1, C2, S3, Q8 = (cyclic_group(1), cyclic_group(2), symmetric_group(3),
                       quaternion_group())
     out = [wreath(G, n) for G in (C1, C2, S3, Q8) for n in range(5)]
-    # composite ranks from the Sigma_5 table (C1 wr 5 exhaustively), then
-    # from Lehmer codes at n = 6, 7
+    # composite ranks from the Sigma_n tables, C1 wr 5 and C1 wr 6
+    # exhaustively; scalar mul ranks by dict, so it checks those tables
     out += [wreath(C1, 5), wreath(C2, 5), wreath(C1, 6), wreath(C1, 7)]
     out.append(wreath(wreath(S3, 2), 2))
     out.append(direct_product(wreath(S3, 2), wreath(Q8, 2)))

@@ -1,7 +1,7 @@
 """Only `groups` reads the private tables of a wreath product.
 
 The batched wreath arithmetic (encoding radix, digit places, permutation
-and Lehmer tables) is an implementation detail of `groups.WreathGroup`;
+tables) is an implementation detail of `groups.WreathGroup`;
 every other module works through its public methods or through classes
 defined next to it (`PowerGSet`).  The table names are taken from a live
 instance, so a table added later is covered too.
