@@ -15,6 +15,7 @@ the generators S and T.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import warnings
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._memo import remember
 from .coefficients import (
     DEFAULT_TAU_SAMPLES,
     TOL,
@@ -49,8 +49,9 @@ from .groups import (
 )
 
 # Most rule results one rule-backed function keeps, keyed on the checked pair
-# (els, x); the oldest goes first.  `charops verify` at seed 0 leaves at most
-# 165 in any one function, and one pass of each benchmark workload at most 84.
+# (els, x); the least recently used goes first.  `charops verify` at seed 0
+# leaves at most 165 in any one function, and one pass of each benchmark
+# workload at most 84.
 _RULE_CACHE_BOUND = 4096
 
 
@@ -94,8 +95,9 @@ class ClassFunction:
         self.elliptic = elliptic
         self.values = values
         self.rule = rule
+        if rule is not None:
+            self._rule_value = functools.lru_cache(maxsize=_RULE_CACHE_BOUND)(rule)
         self._canon = canon if canon is not None else {}
-        self._cache = {}
         self._default_report = None
         if values is None and rule is None:
             raise GroupError("class function needs stored values or a rule")
@@ -177,11 +179,7 @@ class ClassFunction:
         """evaluate for a pair (els, x) already known to be in the domain:
         the package's rules derive their keys from checked ones."""
         if self.rule is not None:
-            key = (els, x)
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = remember(self._cache, _RULE_CACHE_BOUND, key, self.rule(els, x))
-            return hit
+            return self._rule_value(els, x)
         key = self.canonical_key(els, x)
         val = self.values.get(key)
         if val is None:

@@ -14,6 +14,7 @@ functions is numerical agreement on a fixed list of tau samples.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._memo import remember
 from .lattices import LatticeError
 
 TOL = 1e-9
@@ -45,8 +45,8 @@ _WEIGHT_BOUND = 1024
 _LOG_TAIL_BOUND = math.log(1e-10)
 
 # Most sample vectors one kernel keeps, one per (matrix, tau samples) pair;
-# the oldest goes first.  `charops verify` after three passes of the
-# benchmark's elliptic workload leaves 301 in each of E4 and E6.
+# the least recently used goes first.  `charops verify` after three passes of
+# the benchmark's elliptic workload leaves 301 in each of E4 and E6.
 _SAMPLE_MEMO_BOUND = 4096
 
 _IDENTITY = ((1, 0), (0, 1))
@@ -289,7 +289,8 @@ class _Kernel:
         self.coeffs = coeffs
         self.serial = next(_serials)
         self._log_growth = _log_growth(weight, coeffs)
-        self._samples = {}
+        self.sample_vector = functools.lru_cache(maxsize=_SAMPLE_MEMO_BOUND)(
+            self._sample_vector)
 
     def __lt__(self, other):
         return self.serial < other.serial
@@ -297,17 +298,12 @@ class _Kernel:
     def to_json(self):
         return {"weight": self.weight, "q": [[c.real, c.imag] for c in self.coeffs]}
 
-    def sample_vector(self, M, samples):
+    def _sample_vector(self, M, samples):
         """(kernel(a 1.0 + b tau, c 1.0 + d tau) for tau in samples) for an
-        exact matrix M = ((a, b), (c, d)), memoized per (M, samples) (see
-        `_memo`)."""
-        key = (M, samples)
-        hit = self._samples.get(key)
-        if hit is None:
-            (a, b), (c, d) = M
-            hit = remember(self._samples, _SAMPLE_MEMO_BOUND, key,
-                           tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples]))
-        return hit
+        exact matrix M = ((a, b), (c, d)); `sample_vector` memoizes it per
+        (M, samples)."""
+        (a, b), (c, d) = M
+        return tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples])
 
     def __call__(self, l, lp):
         l, lp = complex(l), complex(lp)

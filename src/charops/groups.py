@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._memo import remember
-
 # Group elements per batched step of the exact validation checks (divided
 # by the number of points for G-sets): bounds the temporary arrays
 # independently of the group order.  Blocks of 2048 raise the traced peak
@@ -336,28 +334,12 @@ def symmetric_group(n):
 _QUAT_UNITS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
 def quaternion_group():
-    """Quaternion group of order 8 on units {±1, ±i, ±j, ±k}."""
-    base = {("1", "1"): ("+", "1"), ("i", "i"): ("-", "1"),
-            ("j", "j"): ("-", "1"), ("k", "k"): ("-", "1"),
-            ("i", "j"): ("+", "k"), ("j", "i"): ("-", "k"),
-            ("j", "k"): ("+", "i"), ("k", "j"): ("-", "i"),
-            ("k", "i"): ("+", "j"), ("i", "k"): ("-", "j")}
-
-    def umul(u, v):
-        if u == "1":
-            return "+", v
-        if v == "1":
-            return "+", u
-        return base[(u, v)]
-
-    def mul(a, b):
-        sa, ua = ("-" if _QUAT_UNITS[a].startswith("-") else "+"), _QUAT_UNITS[a].lstrip("-")
-        sb, ub = ("-" if _QUAT_UNITS[b].startswith("-") else "+"), _QUAT_UNITS[b].lstrip("-")
-        s, u = umul(ua, ub)
-        neg = (sa == "-") ^ (sb == "-") ^ (s == "-")
-        return _QUAT_UNITS.index(("-" if neg else "") + u)
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    """Quaternion group of order 8 on units {±1, ±i, ±j, ±k}.  Element 2u + s
+    is (-1)^s times unit u of (1, i, j, k); units multiply by XOR of their
+    indices, negated for ii = jj = kk = -1, ji = -k, kj = -i and ik = -j."""
+    negative = {(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (1, 3)}
+    table = [[2 * (a // 2 ^ b // 2) + (a % 2 ^ b % 2 ^ ((a // 2, b // 2) in negative))
+              for b in range(8)] for a in range(8)]
     return TableGroup(table, labels=list(_QUAT_UNITS), name="Q8")
 
 
@@ -506,15 +488,8 @@ def _read_only(array):
     return array
 
 
-_sigma_tables = {}
-
-
-def _sigma(n):
-    """The shared _SigmaTables of arity n <= _SIGMA_TABLE_ARITY."""
-    tables = _sigma_tables.get(n)
-    if tables is None:
-        tables = remember(_sigma_tables, _SIGMA_TABLE_ARITY + 1, n, _SigmaTables(n))
-    return tables
+# The shared _SigmaTables of arity n <= _SIGMA_TABLE_ARITY.
+_sigma = functools.lru_cache(maxsize=_SIGMA_TABLE_ARITY + 1)(_SigmaTables)
 
 
 class WreathGroup(FiniteGroup):

@@ -15,36 +15,34 @@ for commuting entries the product does not depend on the direction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._memo import remember
 from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_points,
                      int_mat_det, perm_inverse)
 from .lattices import _kernel_from_relations, orbit_relations
 
-# Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
-# (W, H.elements); the oldest goes first.  A reduction depends on the tuple
-# alone, not on the function being powered, and wreath and table groups
-# compare by structure, so rebuilt groups hit too.  The `charops verify`
-# suites before fixed-point-bijection leave 860 entries (consistency-relations
-# reduces 649 distinct tuples 20,480 times); fixed-point-bijection reduces
-# 8,646 tuples once each and fills the memo.  An entry at n = 4, d = 2 holds
-# about 1.5 KB, so a full memo holds about 6 MB.
+# Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on the
+# tuple H, which hashes and compares on (W, H.elements); the least recently
+# used goes first.  A reduction depends on the tuple alone, not on the
+# function being powered, and wreath and table groups compare by structure,
+# so rebuilt groups hit too.  The `charops verify` suites before
+# fixed-point-bijection leave 860 entries (consistency-relations reduces 649
+# distinct tuples 20,480 times); fixed-point-bijection reduces its 8,646
+# tuples once each past the memo.  An entry at n = 4, d = 2 holds about
+# 1.5 KB, so a full memo holds about 6 MB.
 _REDUCTION_MEMO_BOUND = 4096
 
 # Most entries |W| |X|^n of one fixed table (64 KB of booleans, built with
 # temporaries of 8 n bytes per entry), and most tables kept, keyed on
-# (W, X) with X compared by identity; the oldest goes first.  Together at
-# most 4 MB.  C2 wr 4 over a three-point space has 384 * 81 = 31,104 entries.
+# (W, X) with X compared by identity; the least recently used goes first.
+# Together at most 4 MB.  C2 wr 4 over a three-point space has
+# 384 * 81 = 31,104 entries.
 _FIXED_TABLE_BOUND = 1 << 16
 _FIXED_TABLE_MEMO_BOUND = 64
-
-# Read without a lock and written through `remember` (see `_memo`).
-_reductions = {}
-_fixed_tables = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,17 +143,18 @@ def _fixed_rows(power, elements):
     read-only table over all of W per (W, X), built once; a tuple's product
     fixed set is the AND of its entries' rows.  Above _FIXED_TABLE_BOUND
     entries the rows of the given elements are computed alone."""
-    W, X = power.group, power.base_space
     els = np.array(elements, dtype=np.int64)
-    if W.size * power.size > _FIXED_TABLE_BOUND:
+    if power.group.size * power.size > _FIXED_TABLE_BOUND:
         return _fixes(power, els)
-    key = (W, X)
-    table = _fixed_tables.get(key)
-    if table is None:
-        table = _fixes(power, np.arange(W.size, dtype=np.int64))
-        table.flags.writeable = False
-        table = remember(_fixed_tables, _FIXED_TABLE_MEMO_BOUND, key, table)
-    return table[els]
+    return _fixed_table(power.group, power.base_space)[els]
+
+
+@functools.lru_cache(maxsize=_FIXED_TABLE_MEMO_BOUND)
+def _fixed_table(W, X):
+    """The read-only rows of `_fixes` for every element of W on X^n."""
+    table = _fixes(PowerGSet(X, W), np.arange(W.size, dtype=np.int64))
+    table.flags.writeable = False
+    return table
 
 
 def _coordinate(G, parts, v, p):
@@ -199,11 +198,12 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
     """
     if basepoint_rng is not None or basis is not None:
         return _reduce(H, basepoint_rng, basis)
-    key = (H.group, H.elements)
-    hit = _reductions.get(key)
-    if hit is None:
-        hit = remember(_reductions, _REDUCTION_MEMO_BOUND, key, _reduce(H, None, None))
-    return hit
+    return _plain_reduction(H)
+
+
+@functools.lru_cache(maxsize=_REDUCTION_MEMO_BOUND)
+def _plain_reduction(H):
+    return _reduce(H, None, None)
 
 
 def _decoded(H):

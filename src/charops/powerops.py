@@ -181,6 +181,28 @@ def _is_prime_power_order(W, element, p):
     return k == 1
 
 
+def _is_prime(p):
+    """Whether p is prime: Miller-Rabin on the witnesses 2, 3, ..., 37,
+    at most twelve modular powers, exact for every p below 3.1e23."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in witnesses):
+        return p in witnesses
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in witnesses:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 def pseudo_power_etheory(f, n, p, basis=None):
     """The section-dependent power operation on degree-0 class functions of
     p-power-order tuples.
@@ -190,8 +212,11 @@ def pseudo_power_etheory(f, n, p, basis=None):
     the j-th row that the section basis(L) -> rows (the `reduce_tuple` hook)
     picks for the stabilizer sublattice L_k.  With the default HNF basis this
     is exactly the degree-0 height-1 power operation.  Raises on tuples
-    whose entries do not have p-power order.
+    whose entries do not have p-power order, and at once when p is not a
+    prime.
     """
+    if not _is_prime(p):
+        raise GroupError(f"the pseudo-power operation needs a prime p, got {p}")
     if f.space.size != 1:
         raise GroupError("the pseudo-power operation takes functions on the point")
     G = f.group

@@ -57,3 +57,34 @@ def eisenstein_e2(n_terms=400):
     weight-2 slot is not SL2-invariant."""
     return LatFunction.from_q_expansion(
         2, [1] + [-24 * s for s in divisor_power_sums(n_terms, 1)[1:]])
+
+
+QUATERNION_UNITS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+
+
+def quaternion_table():
+    """Multiplication table of Q8 on QUATERNION_UNITS, by parsing the signs
+    off the labels and multiplying units by the quaternion rules ij = k,
+    jk = i, ki = j, ii = jj = kk = -1."""
+    units = QUATERNION_UNITS
+    base = {("1", "1"): ("+", "1"), ("i", "i"): ("-", "1"),
+            ("j", "j"): ("-", "1"), ("k", "k"): ("-", "1"),
+            ("i", "j"): ("+", "k"), ("j", "i"): ("-", "k"),
+            ("j", "k"): ("+", "i"), ("k", "j"): ("-", "i"),
+            ("k", "i"): ("+", "j"), ("i", "k"): ("-", "j")}
+
+    def umul(u, v):
+        if u == "1":
+            return "+", v
+        if v == "1":
+            return "+", u
+        return base[(u, v)]
+
+    def mul(a, b):
+        sa, ua = ("-" if units[a].startswith("-") else "+"), units[a].lstrip("-")
+        sb, ub = ("-" if units[b].startswith("-") else "+"), units[b].lstrip("-")
+        s, u = umul(ua, ub)
+        neg = (sa == "-") ^ (sb == "-") ^ (s == "-")
+        return units.index(("-" if neg else "") + u)
+
+    return [[mul(a, b) for b in range(8)] for a in range(8)]

@@ -419,7 +419,7 @@ def test_out_flag(tmp_path, capsys):
     assert dest.read_text().startswith("class,")
 
 
-# (label, argv) of malformed descriptors and forms, each rejected where it
+# (label, argv) of malformed descriptors, forms and options, each rejected where it
 # enters the program
 MALFORMED_ARGUMENTS = [
     ("descriptor not an object", ["--group", "[1,2]", "classes"]),
@@ -447,13 +447,19 @@ MALFORMED_ARGUMENTS = [
     ("wreath order past 64-bit indices",
      ["--group", "C2", "--wreath", "17", "--format", "json", "classes"]),
     ("Hecke index past the term bound", ["--n", "1000000", "hecke", "E4"]),
-]
+    ("tau sample that a sublattice moves near the real axis",
+     ["--n", "2", "--tau-samples", "100j", "hecke", "E4"]),
+] + [(f"pseudo prime {p}", ["--group", "C2", "--n", "2", "pseudo", "FN", "--prime", p])
+     for p in ("-2", "0", "1", "4")]
 
 
 @pytest.mark.parametrize("label,argv", MALFORMED_ARGUMENTS,
                          ids=[case[0] for case in MALFORMED_ARGUMENTS])
-def test_malformed_arguments_exit_2(capsys, label, argv):
-    code, _, err = run_cli(capsys, *argv)
+def test_malformed_arguments_exit_2(tmp_path, capsys, label, argv):
+    """FN in argv stands for a well-formed height-1 function file."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_height1_input()))
+    code, _, err = run_cli(capsys, *[str(path) if a == "FN" else a for a in argv])
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from charops import coefficients
@@ -311,17 +312,19 @@ def test_sample_memo_is_bounded_and_eviction_keeps_values():
     (((kernel, _),),) = F.terms
     taus = [complex(-0.5 + i / (bound + 100), 1.0) for i in range(bound + 100)]
     first = [F.at_tau(tau) for tau in taus]
-    assert len(kernel._samples) == bound
-    assert ((coefficients._IDENTITY, (taus[0],)) not in kernel._samples)
+    info = kernel.sample_vector.cache_info()
+    assert info.maxsize == info.currsize == bound and info.misses == bound + 100
+    # the first taus were evicted: reading them again misses and recomputes
     assert [F.at_tau(tau) for tau in taus[:200]] == first[:200]
+    assert kernel.sample_vector.cache_info().misses == bound + 300
     assert first[:200] == [F.evaluate(1.0, tau) for tau in taus[:200]]
-    assert len(kernel._samples) == bound
+    assert kernel.sample_vector.cache_info().currsize == bound
 
 
 def test_a_racing_sample_writer_keeps_the_first_vector(monkeypatch):
     """Two writers that both miss the sample memo compute their own vectors;
-    the one that stores first wins, and the other returns the stored tuple,
-    as for reductions."""
+    the one that stores first wins, and the other returns its own vector,
+    equal to the stored one bit for bit."""
     F = LatFunction.from_q_expansion(4, E4.q_coefficients()[:40])
     (((kernel, _),),) = F.terms
     key = (coefficients._IDENTITY, (1j, 2j))
@@ -336,8 +339,10 @@ def test_a_racing_sample_writer_keeps_the_first_vector(monkeypatch):
 
     monkeypatch.setattr(coefficients._Kernel, "__call__", call_with_a_rival)
     late = kernel.sample_vector(*key)
-    assert late is rival[0] is kernel._samples[key]
-    assert list(kernel._samples) == [key]
+    assert kernel.sample_vector(*key) is rival[0]
+    assert np.array(late).tobytes() == np.array(rival[0]).tobytes()
+    info = kernel.sample_vector.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
 
 
 # truncation guard ------------------------------------------------------------------

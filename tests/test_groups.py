@@ -33,7 +33,7 @@ from charops.groups import (
 )
 from charops.lattices import sublattices_of_index
 from charops.orbits import reduce_tuple
-from references import gl_act_on_tuple
+from references import QUATERNION_UNITS, gl_act_on_tuple, quaternion_table
 
 
 def class_members(cls):
@@ -133,6 +133,13 @@ def test_quaternion_relations():
     assert Q.mul(lab["i"], lab["j"]) == lab["k"]
     assert Q.mul(lab["j"], lab["i"]) == lab["-k"]
     check_group_axioms(Q)
+
+
+def test_quaternion_table_matches_reference():
+    """The formula-built table equals the one parsed from the unit labels."""
+    Q = quaternion_group()
+    assert Q.labels == QUATERNION_UNITS
+    assert np.array_equal(Q._table, np.array(quaternion_table()))
 
 
 def test_build_group_descriptors():
@@ -305,7 +312,8 @@ def test_sigma_product_table_is_built_on_demand_and_shared():
     copy of it."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = "import charops.cli; from charops import groups; print(len(groups._sigma_tables))"
+    probe = ("import charops.cli; from charops import groups; "
+             "print(groups._sigma.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "0", proc.stderr

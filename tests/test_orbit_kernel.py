@@ -7,6 +7,7 @@ replaced, one `G.conj` per entry: the minimum over every z of
 (z h z^-1, z x), and the breadth-first search over generator moves.
 """
 
+import functools
 import random
 import sys
 import threading
@@ -327,7 +328,7 @@ def test_concurrent_sample_readers_agree_with_serial(monkeypatch):
     assert all(r == serial for r in results)
     kernels = {k for v in shared.values.values() for F in v.components.values()
                for factors in F.terms for k, _ in factors}
-    assert kernels and all(len(k._samples) == 8 for k in kernels)
+    assert kernels and all(k.sample_vector.cache_info()[2:] == (8, 8) for k in kernels)
 
 
 def test_concurrent_reducers_agree_with_serial(monkeypatch):
@@ -349,8 +350,8 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
     serial = {(H.group, H.elements): fields(orbits._reduce(H, None, None))
               for H in pairs()}
     bound = 8
-    monkeypatch.setattr(orbits, "_REDUCTION_MEMO_BOUND", bound)
-    monkeypatch.setattr(orbits, "_reductions", {})
+    monkeypatch.setattr(orbits, "_plain_reduction",
+                        functools.lru_cache(maxsize=bound)(orbits._plain_reduction.__wrapped__))
     results = [None] * 4
     largest = [0] * 4
     errors = []
@@ -362,7 +363,7 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
             out = {}
             for H in order:
                 out[H.group, H.elements] = fields(reduce_tuple(H))
-                largest[i] = max(largest[i], len(orbits._reductions))
+                largest[i] = max(largest[i], orbits._plain_reduction.cache_info().currsize)
             results[i] = out
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -380,7 +381,7 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == serial for r in results)
-    assert max(largest) <= bound and len(orbits._reductions) == bound
+    assert max(largest) <= bound and orbits._plain_reduction.cache_info().currsize == bound
 
 
 def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
@@ -411,7 +412,7 @@ def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
             out = {}
             for key in order:
                 out[key] = shared.evaluate(*key).components
-                largest[i] = max(largest[i], len(shared._cache))
+                largest[i] = max(largest[i], shared._rule_value.cache_info().currsize)
             results[i] = out
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -429,4 +430,4 @@ def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == serial for r in results)
-    assert max(largest) <= bound and len(shared._cache) == bound
+    assert max(largest) <= bound and shared._rule_value.cache_info().currsize == bound

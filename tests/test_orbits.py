@@ -409,12 +409,12 @@ def _memo_cases():
     return cases
 
 
-def test_memoized_reductions_equal_fresh_ones(monkeypatch):
-    """A memo hit, also through rebuilt groups, equals a reduction computed
-    afresh, field by field."""
-    monkeypatch.setattr(orbits, "_reductions", {})
+def test_memoized_reductions_equal_fresh_ones():
+    """A memo hit, also through rebuilt groups, is the stored reduction and
+    equals a reduction computed afresh, field by field."""
+    orbits._plain_reduction.cache_clear()
     first = [reduce_tuple(H) for H in _memo_cases()]
-    assert len(orbits._reductions) == len(first)
+    assert orbits._plain_reduction.cache_info().currsize == len(first)
     for H, red in zip(_memo_cases(), first):
         hit = reduce_tuple(H)
         assert hit is red
@@ -442,33 +442,60 @@ def test_shared_reductions_cannot_be_mutated():
         red.reduced[0].elements = ()
 
 
-def test_reduction_memo_holds_its_bound(monkeypatch):
-    """Past the bound the oldest entries go first and the memo stays at it."""
-    monkeypatch.setattr(orbits, "_reductions", {})
+def test_reduction_memo_holds_its_bound():
+    """Past the bound the least recently used entries go first and the memo
+    stays at it: an insert-only stream keeps its last `bound` tuples, and a
+    hit saves an entry from the next eviction."""
+    memo = orbits._plain_reduction
+    memo.cache_clear()
     bound = orbits._REDUCTION_MEMO_BOUND
+    assert memo.cache_info().maxsize == bound
     W = wreath(cyclic_group(2), 4)
     tuples = commuting_tuples(W, 2)[:bound + 100]
     assert len(tuples) == bound + 100
     for H in tuples:
         reduce_tuple(H)
-    memo = orbits._reductions
-    assert len(memo) == bound
-    assert list(memo) == [(W, H.elements) for H in tuples[100:]]
+    assert memo.cache_info().currsize == bound
+    for H in tuples[100:]:
+        reduce_tuple(H)
+    assert memo.cache_info()[:2] == (bound, bound + 100)      # hits, misses
+    reduce_tuple(tuples[0])                 # evicts tuples[100], the least recent
+    reduce_tuple(tuples[101])
+    assert memo.cache_info()[:2] == (bound + 1, bound + 101)
+    reduce_tuple(tuples[1])                 # evicts tuples[102], not tuples[101]
+    reduce_tuple(tuples[101])
+    reduce_tuple(tuples[100])
+    assert memo.cache_info()[:4] == (bound + 2, bound + 103, bound, bound)
 
 
-def test_randomized_and_hook_reductions_bypass_the_memo(monkeypatch):
-    monkeypatch.setattr(orbits, "_reductions", {})
+def test_randomized_and_hook_reductions_bypass_the_memo():
+    memo = orbits._plain_reduction
+    memo.cache_clear()
     W = wreath(cyclic_group(2), 3)
     rng = random.Random(4)
     for H in commuting_tuples(W, 2)[:40]:
         reduce_tuple(H, basepoint_rng=rng)
         reduce_tuple(H, basis=lambda L: L.basis)
-    assert orbits._reductions == {}
+    assert memo.cache_info().currsize == 0
     H = CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),))
     plain = reduce_tuple(H)
     assert reduce_tuple(H, basepoint_rng=rng) is not plain
     assert reduce_tuple(H, basis=lambda L: L.basis) is not plain
-    assert list(orbits._reductions.values()) == [plain]
+    assert memo.cache_info().currsize == 1 and memo(H) is plain
+
+
+def test_fixed_point_bijection_suite_reduces_past_the_memo():
+    """The suite's tuples each occur once, so it neither stores them nor
+    pushes out the reductions that other callers left."""
+    from charops.verify import suite_fixed_point_bijection
+
+    memo = orbits._plain_reduction
+    memo.cache_clear()
+    W = wreath(cyclic_group(2), 3)
+    kept = reduce_tuple(CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),)))
+    assert suite_fixed_point_bijection(max_n=3).passed
+    assert memo.cache_info()[1:] == (1, orbits._REDUCTION_MEMO_BOUND, 1)
+    assert memo(kept.tuple) is kept
 
 
 C2_SPACES = [GSet.trivial(cyclic_group(2), 2),
@@ -477,16 +504,17 @@ C2_SPACES = [GSet.trivial(cyclic_group(2), 2),
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fixed_table_matches_per_tuple_action(monkeypatch, n):
-    """The one table per (W, X) equals the rows `apply_array` gives each
-    element alone, and a tuple's rows are read off it."""
-    monkeypatch.setattr(orbits, "_fixed_tables", {})
+def test_fixed_table_matches_per_tuple_action(n):
+    """The one table per (W, X), built once, equals the rows `apply_array`
+    gives each element alone, and a tuple's rows are read off it."""
+    memo = orbits._fixed_table
+    memo.cache_clear()
     W = wreath(C2_SPACES[0].group, n)
     for X in C2_SPACES:
         power = PowerGSet(X, W)
         codes = np.arange(power.size)
         rows = orbits._fixed_rows(power, tuple(range(W.size)))
-        table = orbits._fixed_tables[(W, X)]
+        table = memo(W, X)      # a hit: the table `_fixed_rows` read
         assert table.shape == (W.size, power.size) and not table.flags.writeable
         for w in range(W.size):
             expected = power.apply_array(np.array([[w]]), codes)[0] == codes
@@ -495,14 +523,14 @@ def test_fixed_table_matches_per_tuple_action(monkeypatch, n):
             expected = (power.apply_array(np.array(H.elements)[:, None], codes)
                         == codes)
             assert (orbits._fixed_rows(power, H.elements) == expected).all()
-    assert len(orbits._fixed_tables) == len(C2_SPACES)
+    assert memo.cache_info().misses == memo.cache_info().currsize == len(C2_SPACES)
 
 
 def test_fixed_rows_above_the_table_bound_are_not_kept(monkeypatch):
-    monkeypatch.setattr(orbits, "_fixed_tables", {})
+    orbits._fixed_table.cache_clear()
     monkeypatch.setattr(orbits, "_FIXED_TABLE_BOUND", 0)
     W = wreath(cyclic_group(2), 3)
     X = C2_SPACES[2]
     for H in commuting_tuples(W, 2):
         assert fixed_point_transport(X, H).product_fixed == product_fixed_oracle(X, H)
-    assert orbits._fixed_tables == {}
+    assert orbits._fixed_table.cache_info().currsize == 0

@@ -344,6 +344,13 @@ def test_pseudo_power_takes_functions_on_the_point():
         pseudo_power_etheory(ClassFunction.constant(C2, 1, 1.0, space=swap), 2, p=2)
 
 
+@pytest.mark.parametrize("p", [-2, 0, 1, 4])
+def test_pseudo_power_refuses_a_p_that_is_not_prime(p):
+    """The refusal comes at construction, before any value is evaluated."""
+    with pytest.raises(GroupError, match="needs a prime p"):
+        pseudo_power_etheory(c2_regular_character(), 2, p=p)
+
+
 def test_pseudo_power_of_one():
     C4 = cyclic_group(4)
     one = ClassFunction.constant(C4, 1, 1.0)
