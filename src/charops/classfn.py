@@ -16,7 +16,6 @@ the generators S and T.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -53,10 +52,6 @@ from .groups import (
 # leaves at most 165 in any one function, and one pass of each benchmark
 # workload at most 84.
 _RULE_CACHE_BOUND = 4096
-
-
-def _as_elements(h):
-    return h.elements if isinstance(h, CommutingTuple) else tuple(h)
 
 
 @dataclass
@@ -107,13 +102,11 @@ class ClassFunction:
     @classmethod
     def from_values(cls, group, d, values, space=None, kind="complex",
                     elliptic=False):
-        """Build from {key: GradedValue}; keys are checked and canonicalized
-        on entry."""
+        """Build from {(els, x): GradedValue}; keys are checked and
+        canonicalized on entry."""
         space = space if space is not None else GSet.point(group)
         f = cls(group, d, space, kind, elliptic, values={}, rule=None)
-        for key, val in values.items():
-            els, x = (key if isinstance(key, tuple) and len(key) == 2
-                      and isinstance(key[0], tuple) else (tuple(key), 0))
+        for (els, x), val in values.items():
             f.values[f.canonical_key(*f._checked_key(els, x))] = val
         return f
 
@@ -144,24 +137,19 @@ class ClassFunction:
 
     def _checked_key(self, els, x):
         """(els, x) with Python int entries, after checking that it is a
-        pair of the domain: a d-tuple of commuting group elements and a
-        point of the space that every entry fixes."""
+        pair of the domain: the elements of a `CommutingTuple` of arity d and
+        a point of the space that every entry fixes."""
         try:
-            els, x = tuple(map(operator.index, els)), operator.index(x)
+            els, x = tuple(els), operator.index(x)
         except TypeError:
             raise GroupError(f"key {els!r}, {x!r} is not a tuple of element "
                              f"indices and a point index") from None
-        G, space = self.group, self.space
         if len(els) != self.d:
             raise GroupError(f"expected a {self.d}-tuple, got {els}")
-        if not all(0 <= e < G.size for e in els):
-            raise GroupError(f"tuple {els} leaves the group of order {G.size}")
-        if not 0 <= x < space.size:
-            raise GroupError(f"point {x} is not among the {space.size} points")
-        for a, b in itertools.combinations(els, 2):
-            if not G.commutes(a, b):
-                raise GroupError(f"entries of {els} do not commute")
-        if any(space.apply(e, x) != x for e in els):
+        els = CommutingTuple(self.group, els).elements
+        if not 0 <= x < self.space.size:
+            raise GroupError(f"point {x} is not among the {self.space.size} points")
+        if any(self.space.apply(e, x) != x for e in els):
             raise GroupError(f"point {x} is not fixed by the tuple {els}")
         return els, x
 
@@ -171,9 +159,11 @@ class ClassFunction:
         """Value at the tuple h (a CommutingTuple or a sequence of element
         indices) and the point x; a pair outside the domain raises
         GroupError."""
-        if isinstance(h, CommutingTuple) and h.group != self.group:
-            raise GroupError("tuple lives over the wrong group")
-        return self._value(*self._checked_key(_as_elements(h), x))
+        if isinstance(h, CommutingTuple):
+            if h.group != self.group:
+                raise GroupError("tuple lives over the wrong group")
+            h = h.elements
+        return self._value(*self._checked_key(h, x))
 
     def _value(self, els, x):
         """evaluate for a pair (els, x) already known to be in the domain:

@@ -105,9 +105,9 @@ def cmd_classes(cfg):
         row = [i, list(rep.elements),
                "|".join(G.label(e) for e in rep.elements) or "()", cls.size]
         if isinstance(G, WreathGroup) and cfg.d >= 1:
-            red = reduce_tuple(rep)
-            row.append(json.dumps(red.to_json()["orbits"]))
-            row.append(json.dumps(red.to_json()["reduced"]))
+            red = reduce_tuple(rep).to_json()
+            row.append(json.dumps(red["orbits"]))
+            row.append(json.dumps(red["reduced"]))
         rows.append(row)
     header = ["class", "representative", "labels", "size"]
     if isinstance(G, WreathGroup) and cfg.d >= 1:
@@ -285,6 +285,8 @@ def main(argv=None):
 def _run(args):
     cfg = None
     try:
+        if not 0 <= args.tol < float("inf"):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         cfg = RunConfig(
             subcommand=args.subcommand,
             d=args.d, n=args.n, tol=args.tol,

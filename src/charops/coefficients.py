@@ -310,6 +310,8 @@ class _Kernel:
         if l == 0:
             raise LatticeError("degenerate lattice: l = 0")
         tau = lp / l
+        if not cmath.isfinite(tau):
+            raise LatticeError(f"tau = {tau} is not a finite number")
         if tau.imag <= 0:
             raise LatticeError(f"lattice is not oriented: tau = {tau}")
         q = cmath.exp(2j * cmath.pi * tau)

@@ -737,19 +737,27 @@ class GroupHomomorphism:
 
 @dataclass(frozen=True, slots=True)
 class CommutingTuple:
-    """A d-tuple of pairwise commuting elements, i.e. a map Z^d -> G."""
+    """A d-tuple of pairwise commuting elements, i.e. a map Z^d -> G.  The one
+    check of a tuple: construction raises GroupError unless every entry is an
+    integer index in [0, |G|) and every pair commutes."""
 
     group: FiniteGroup
     elements: tuple
 
     def __post_init__(self):
-        els = tuple(self.elements)
-        object.__setattr__(self, "elements", els)
         G = self.group
+        try:
+            els = tuple(map(operator.index, self.elements))
+        except TypeError:
+            raise GroupError(f"tuple {self.elements!r} holds a non-index") from None
+        object.__setattr__(self, "elements", els)
+        for e in els:
+            if not 0 <= e < G.size:
+                raise GroupError(f"tuple {els} leaves the group of order {G.size}")
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
                 if not G.commutes(els[i], els[j]):
-                    raise GroupError(f"entries {i},{j} do not commute")
+                    raise GroupError(f"entries {i},{j} of {els} do not commute")
 
     @property
     def d(self):

@@ -25,15 +25,14 @@ from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_p
                      int_mat_det, perm_inverse)
 from .lattices import _kernel_from_relations, orbit_relations
 
-# Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on the
-# tuple H, which hashes and compares on (W, H.elements); the least recently
-# used goes first.  A reduction depends on the tuple alone, not on the
-# function being powered, and wreath and table groups compare by structure,
-# so rebuilt groups hit too.  The `charops verify` suites before
-# fixed-point-bijection leave 860 entries (consistency-relations reduces 649
-# distinct tuples 20,480 times); fixed-point-bijection reduces its 8,646
-# tuples once each past the memo.  An entry at n = 4, d = 2 holds about
-# 1.5 KB, so a full memo holds about 6 MB.
+# Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
+# (W, H.elements) of a checked tuple H; the least recently used goes first.
+# A reduction depends on the tuple alone, not on the function being powered,
+# and wreath and table groups compare by structure, so rebuilt groups hit
+# too.  The `charops verify` suites before fixed-point-bijection leave 860
+# entries (consistency-relations reduces 649 distinct tuples 20,480 times);
+# fixed-point-bijection reduces its 8,646 tuples once each past the memo.
+# An entry at n = 4, d = 2 holds about 1.5 KB, so a full memo holds 6 MB.
 _REDUCTION_MEMO_BOUND = 4096
 
 # Most entries |W| |X|^n of one fixed table (64 KB of booleans, built with
@@ -193,17 +192,19 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
     class).  basis: optional hook L -> rows spanning the stabilizer L (the
     default is the HNF basis L.basis); it is called once per orbit, in orbit
     order, and rows spanning any other lattice raise GroupError.  A plain
-    reduction (neither option) is memoized and shared by every caller with an
-    equal group and tuple; the other two are computed afresh on each call.
+    reduction (neither option) is memoized on (H.group, H.elements) and
+    shared by every caller with an equal group and tuple; the other two are
+    computed afresh from H, which its constructor checked, on each call.
     """
     if basepoint_rng is not None or basis is not None:
         return _reduce(H, basepoint_rng, basis)
-    return _plain_reduction(H)
+    return _plain_reduction(H.group, H.elements)
 
 
 @functools.lru_cache(maxsize=_REDUCTION_MEMO_BOUND)
-def _plain_reduction(H):
-    return _reduce(H, None, None)
+def _plain_reduction(W, elements):
+    """Plain reduction of a checked tuple: a hit builds no CommutingTuple."""
+    return _reduce(CommutingTuple(W, elements), None, None)
 
 
 def _decoded(H):

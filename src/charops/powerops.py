@@ -28,17 +28,21 @@ from .coefficients import (
 )
 from .groups import CommutingTuple, GroupError, GSet, PowerGSet, wreath
 from .lattices import sublattices_of_index
-from .orbits import reduce_tuple
+from .orbits import _plain_reduction, reduce_tuple
 
-EAGER_D1_BOUND = 20000
-EAGER_D2_BOUND = 500
 ADAMS_WREATH_BUDGET = 9
+
+
+def _reduction(W, els, basepoint_rng=None, basis=None):
+    """`reduce_tuple` at checked elements; a memo hit builds no CommutingTuple."""
+    if basepoint_rng is None and basis is None:
+        return _plain_reduction(W, els)
+    return reduce_tuple(CommutingTuple(W, els), basepoint_rng, basis)
 
 
 def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
     """Value of the power operation at a tuple over W and product point."""
-    red = reduce_tuple(CommutingTuple(W, els), basepoint_rng=basepoint_rng,
-                       basis=basis)
+    red = _reduction(W, els, basepoint_rng, basis)
     acc = GradedValue.unit(f.kind)
     for k, orbit in enumerate(red.orbits):
         v = f._value(red.reduced[k].elements, x_points[red.basepoints[k]])
@@ -49,25 +53,24 @@ def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
     return acc
 
 
-def power_operation(f, n, mode="auto", basepoint_rng=None, basis=None):
+def power_operation(f, n, mode="lazy", basepoint_rng=None, basis=None):
     """The n-th power operation: class functions over G to class functions
-    over G wr Sigma_n.
-
-    mode "eager" materializes values on all pair orbits (small groups only);
-    "lazy" returns a rule-backed function; "auto" picks by size.  The
-    randomization hooks re-run the orbit reduction with random basepoints or
-    with the stabilizer bases picked by `basis` (see `reduce_tuple`);
-    outputs must not depend on them.
+    over G wr Sigma_n, rule-backed, or with mode "eager" its `materialize()`
+    on every pair orbit.  The randomization hooks re-run the orbit reduction
+    with random basepoints or with the stabilizer bases picked by `basis`
+    (see `reduce_tuple`); outputs must not depend on them.
 
     A non-invariant input draws a warning and the computation proceeds;
-    violations then propagate to the invariance report of the output.  The
-    check runs for stored inputs of at most 64 values, once per input: the
-    input keeps its report (`ClassFunction.is_invariant`), and every call on
-    a non-invariant input warns again.
+    violations then propagate to the invariance report of the output.  A
+    stored input is checked once: it keeps its report
+    (`ClassFunction.is_invariant`), and every call on a non-invariant input
+    warns again.
     """
     if n < 0:
         raise GroupError("power operation arity must be >= 0")
-    if f.values is not None and len(f.values) <= 64:
+    if mode not in ("lazy", "eager"):
+        raise ValueError(f'mode is "lazy" or "eager", not {mode!r}')
+    if f.values is not None:
         rep = f.is_invariant()
         if not rep.ok:
             import warnings
@@ -88,11 +91,7 @@ def power_operation(f, n, mode="auto", basepoint_rng=None, basis=None):
 
     out = ClassFunction.from_rule(W, f.d, rule, space=out_space, kind=f.kind,
                                   elliptic=f.elliptic)
-    if mode == "eager" or (mode == "auto" and
-                           ((f.d <= 1 and W.size <= EAGER_D1_BOUND) or
-                            (f.d == 2 and W.size <= EAGER_D2_BOUND))):
-        out = out.materialize()
-    return out
+    return out.materialize() if mode == "eager" else out
 
 
 def adams(f, n):
@@ -226,7 +225,7 @@ def pseudo_power_etheory(f, n, p, basis=None):
         for e in els:
             if not _is_prime_power_order(W, e, p):
                 raise GroupError(f"tuple entry of non-{p}-power order")
-        red = reduce_tuple(CommutingTuple(W, els), basis=basis)
+        red = _reduction(W, els, basis=basis)
         acc = GradedValue.unit(f.kind)
         for t in red.reduced:
             if not all(_is_prime_power_order(G, e, p) for e in t.elements):

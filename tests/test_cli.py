@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +246,24 @@ def test_non_commuting_or_unfixed_keys_exit_2(tmp_path, capsys):
             {"tuple": [1], "point": 0, "graded": {"0": [1.0, 0.0]}}]}, space=swap)
 
 
+def test_importing_the_cli_fills_no_cache():
+    """Importing charops.cli, which imports charops.verify and so builds E4
+    and E6, leaves every cache empty: no Sigma_n table, reduction, fixed
+    table or kernel sample vector is built before a call needs it."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = ("import charops.cli\n"
+             "from charops import groups, orbits, verify\n"
+             "kernels = {k for F in (verify.E4, verify.E6) for factors in F.terms\n"
+             "           for k, _ in factors}\n"
+             "caches = [groups._sigma, orbits._plain_reduction, orbits._fixed_table]\n"
+             "caches += [k.sample_vector for k in kernels]\n"
+             "print(len(kernels), *(c.cache_info().currsize for c in caches))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["2"] + ["0"] * 5, proc.stderr
+
+
 def test_readme_flags_match_parser():
     """The README's "Flags:" line names exactly the global options."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -449,6 +470,13 @@ MALFORMED_ARGUMENTS = [
     ("Hecke index past the term bound", ["--n", "1000000", "hecke", "E4"]),
     ("tau sample that a sublattice moves near the real axis",
      ["--n", "2", "--tau-samples", "100j", "hecke", "E4"]),
+    ("NaN tau sample", ["--n", "2", "--tau-samples", "nanj", "hecke", "E4"]),
+    ("infinite tau sample", ["--n", "2", "--tau-samples", "infj", "hecke", "E4"]),
+    ("NaN tau after a valid one",
+     ["--n", "2", "--tau-samples", "(0.5+1j),nanj", "hecke", "E4"]),
+    ("NaN tolerance", ["--tol", "nan", "--group", "C2", "--n", "2", "power", "FN"]),
+    ("infinite tolerance", ["--tol", "inf", "--n", "2", "hecke", "E4"]),
+    ("negative tolerance", ["--tol", "-1", "--group", "C2", "--n", "2", "adams", "FN"]),
 ] + [(f"pseudo prime {p}", ["--group", "C2", "--n", "2", "pseudo", "FN", "--prime", p])
      for p in ("-2", "0", "1", "4")]
 

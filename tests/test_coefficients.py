@@ -298,6 +298,15 @@ def test_exact_matrix_messages():
     assert isinstance(M, tuple) and all(isinstance(row, tuple) for row in M)
 
 
+@pytest.mark.parametrize("tau", [complex("nanj"), complex("infj"), complex(math.nan, 1)])
+def test_non_finite_tau_is_refused(tau):
+    """NaN and infinite tau are refused by name, not evaluated to NaN."""
+    with pytest.raises(LatticeError, match=r"tau = .* is not a finite number"):
+        E4.at_tau(tau)
+    with pytest.raises(LatticeError, match=r"tau = .* is not a finite number"):
+        E4.slash(((1, 1), (0, 2))).at_tau(tau)
+
+
 def test_constant_slashes_to_itself():
     for F in (LatFunction.constant(2.5), LatFunction(0, {}), LatFunction(4, {})):
         assert F.slash(((2, 1), (0, 3))) is F

@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,16 +303,9 @@ def test_perm_rank_unrank_roundtrip():
 
 
 def test_sigma_product_table_is_built_on_demand_and_shared():
-    """Importing the package builds no Sigma_n table; the product table that
-    a batched wreath product reads is the table of symmetric_group(n), not a
-    copy of it."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = ("import charops.cli; from charops import groups; "
-             "print(groups._sigma.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.stdout.strip() == "0", proc.stderr
+    """The product table that a batched wreath product reads is the table of
+    symmetric_group(n), not a copy of it; importing the package builds none
+    (`test_importing_the_cli_fills_no_cache` in test_cli.py)."""
     W = wreath(cyclic_group(2), 6)
     W.mul_array(np.arange(50), np.arange(50)[::-1])
     assert np.shares_memory(symmetric_group(6)._table, groups._sigma(6).products)
@@ -587,6 +576,26 @@ def test_commuting_tuple_rejects_non_commuting():
     b = S3.perms.index((0, 2, 1))
     with pytest.raises(GroupError):
         CommutingTuple(S3, (a, b))
+
+
+@pytest.mark.parametrize("els", [(-1,), (6,), (1.5,), (0, 6), ("a",)])
+def test_commuting_tuple_rejects_entries_outside_the_group(els):
+    """Every entry is an integer index in [0, |G|): -1 would otherwise
+    alias the last element of S3."""
+    with pytest.raises(GroupError):
+        CommutingTuple(symmetric_group(3), els)
+
+
+def test_commuting_tuple_keeps_python_int_entries():
+    h = CommutingTuple(symmetric_group(3), (np.int64(1), True))
+    assert h.elements == (1, 1) and all(type(e) is int for e in h.elements)
+
+
+def test_reducing_an_out_of_range_wreath_tuple_raises_group_error():
+    W = wreath(cyclic_group(2), 3)
+    for els in ((W.size,), (-1,), (0, W.size)):
+        with pytest.raises(GroupError):
+            reduce_tuple(CommutingTuple(W, els))
 
 
 def test_homomorphism_validation():

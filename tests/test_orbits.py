@@ -469,19 +469,22 @@ def test_reduction_memo_holds_its_bound():
 
 
 def test_randomized_and_hook_reductions_bypass_the_memo():
+    """A reduction with either hook is computed afresh from the caller's
+    tuple, checked when it was built and not again; only a plain reduction
+    enters the memo, keyed on (W, elements)."""
     memo = orbits._plain_reduction
     memo.cache_clear()
     W = wreath(cyclic_group(2), 3)
     rng = random.Random(4)
     for H in commuting_tuples(W, 2)[:40]:
-        reduce_tuple(H, basepoint_rng=rng)
-        reduce_tuple(H, basis=lambda L: L.basis)
+        assert reduce_tuple(H, basepoint_rng=rng).tuple is H
+        assert reduce_tuple(H, basis=lambda L: L.basis).tuple is H
     assert memo.cache_info().currsize == 0
     H = CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),))
     plain = reduce_tuple(H)
     assert reduce_tuple(H, basepoint_rng=rng) is not plain
     assert reduce_tuple(H, basis=lambda L: L.basis) is not plain
-    assert memo.cache_info().currsize == 1 and memo(H) is plain
+    assert memo.cache_info().currsize == 1 and memo(W, H.elements) is plain
 
 
 def test_fixed_point_bijection_suite_reduces_past_the_memo():
@@ -495,7 +498,7 @@ def test_fixed_point_bijection_suite_reduces_past_the_memo():
     kept = reduce_tuple(CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),)))
     assert suite_fixed_point_bijection(max_n=3).passed
     assert memo.cache_info()[1:] == (1, orbits._REDUCTION_MEMO_BOUND, 1)
-    assert memo(kept.tuple) is kept
+    assert memo(W, kept.tuple.elements) is kept
 
 
 C2_SPACES = [GSet.trivial(cyclic_group(2), 2),

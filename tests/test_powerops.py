@@ -31,6 +31,7 @@ from charops.powerops import (
 )
 from charops.classfn import add
 from charops.lattices import LatticeError, mat_mul
+from charops.orbits import reduce_tuple
 from references import check_weight_homogeneity, eisenstein_e2
 
 E4 = eisenstein_series(4, 400)
@@ -120,6 +121,59 @@ def test_input_invariance_report_is_computed_once_per_stored_input(monkeypatch):
     assert not first.is_invariant(tol=1e-3).ok
     assert first.is_invariant(tau_samples=(1j,)) is not first.is_invariant()
     assert checks[2:] == [first, first]
+
+
+def test_stored_inputs_of_any_size_are_checked():
+    """The invariance check of a stored input has no size limit: an E2 slot
+    on the 84 commuting-pair classes of C2 wr 3 draws the warning."""
+    import warnings as w
+    W = wreath(cyclic_group(2), 3)
+    classes = tuple_conjugacy_classes(W, 2)
+    bad = ClassFunction.from_values(
+        W, 2, {(c.representative.elements, 0): GradedValue("lat", {2: eisenstein_e2()})
+               for c in classes}, kind="lat", elliptic=True)
+    assert len(bad.values) == len(classes) == 84
+    with w.catch_warnings(record=True) as caught:
+        w.simplefilter("always")
+        power_operation(bad, 2)
+    assert [c for c in caught if "non-invariant" in str(c.message)]
+
+
+def test_memoized_reduction_hit_checks_the_key_once(monkeypatch):
+    """At a d = 2 key whose reduction is already memoized, evaluation checks
+    the key once, where `ClassFunction.evaluate` takes it in: one
+    commutation test per pair of entries, and no second CommutingTuple."""
+    from charops.groups import WreathGroup
+    W = wreath(cyclic_group(2), 2)
+    keys = [H.elements for H in commuting_tuples(W, 2)]
+    for els in keys:
+        reduce_tuple(CommutingTuple(W, els))
+    f = ClassFunction.constant(cyclic_group(2), 2, 2.0)
+    P = power_operation(f, 2, mode="lazy")
+    calls = []
+    commutes = WreathGroup.commutes
+    monkeypatch.setattr(WreathGroup, "commutes",
+                        lambda self, a, b: calls.append((a, b)) or commutes(self, a, b))
+    for els in keys:
+        P.evaluate(els, 0)
+    assert calls == keys
+
+
+@pytest.mark.parametrize("G,n", [(symmetric_group(3), 2), (cyclic_group(2), 3)],
+                         ids=["S3 wr 2", "C2 wr 3"])
+def test_default_and_eager_power_operations_agree_exactly(G, n):
+    """The default (rule-backed) output and its materialization agree
+    exactly on every class for Gaussian-integer degree-0 inputs, whose
+    products are exact in floating point."""
+    from charops.verify import random_height1_function
+    f = random_height1_function(G, random.Random(6))
+    lazy, eager = power_operation(f, n), power_operation(f, n, mode="eager")
+    assert lazy.values is None and eager.values is not None
+    for cls in tuple_conjugacy_classes(lazy.group, 1):
+        t = cls.representative
+        assert lazy.evaluate(t, 0).components == eager.evaluate(t, 0).components
+    with pytest.raises(ValueError, match="lazy"):
+        power_operation(f, n, mode="auto")
 
 
 def test_slash_preserves_weight_homogeneity():
