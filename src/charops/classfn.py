@@ -103,11 +103,13 @@ class ClassFunction:
     def from_values(cls, group, d, values, space=None, kind="complex",
                     elliptic=False):
         """Build from {(els, x): GradedValue}; keys are checked and
-        canonicalized on entry."""
+        canonicalized on entry; values differing on one orbit raise GroupError."""
         space = space if space is not None else GSet.point(group)
         f = cls(group, d, space, kind, elliptic, values={}, rule=None)
         for (els, x), val in values.items():
-            f.values[f.canonical_key(*f._checked_key(els, x))] = val
+            key = f.canonical_key(*f._checked_key(els, x))
+            if graded_deviation(f.values.setdefault(key, val), val) > 0:
+                raise GroupError(f"keys of the orbit of {key} carry different values")
         return f
 
     @classmethod
@@ -135,18 +137,22 @@ class ClassFunction:
         self._canon.update(dict.fromkeys(orbit, orbit[0]))
         return orbit[0]
 
-    def _checked_key(self, els, x):
-        """(els, x) with Python int entries, after checking that it is a
-        pair of the domain: the elements of a `CommutingTuple` of arity d and
-        a point of the space that every entry fixes."""
+    def _checked_key(self, h, x):
+        """(els, x) with Python int entries, after checking that it is a pair
+        of the domain: a `CommutingTuple` of arity d over the group (built
+        here from a raw sequence h) and a point that every entry fixes."""
+        checked = isinstance(h, CommutingTuple)
         try:
-            els, x = tuple(els), operator.index(x)
+            els, x = h.elements if checked else tuple(h), operator.index(x)
         except TypeError:
-            raise GroupError(f"key {els!r}, {x!r} is not a tuple of element "
+            raise GroupError(f"key {h!r}, {x!r} is not a tuple of element "
                              f"indices and a point index") from None
+        if checked and h.group != self.group:
+            raise GroupError("tuple lives over the wrong group")
         if len(els) != self.d:
             raise GroupError(f"expected a {self.d}-tuple, got {els}")
-        els = CommutingTuple(self.group, els).elements
+        if not checked:
+            els = CommutingTuple(self.group, els).elements
         if not 0 <= x < self.space.size:
             raise GroupError(f"point {x} is not among the {self.space.size} points")
         if any(self.space.apply(e, x) != x for e in els):
@@ -156,13 +162,9 @@ class ClassFunction:
     # evaluation ----------------------------------------------------------------
 
     def evaluate(self, h, x=0):
-        """Value at the tuple h (a CommutingTuple or a sequence of element
-        indices) and the point x; a pair outside the domain raises
-        GroupError."""
-        if isinstance(h, CommutingTuple):
-            if h.group != self.group:
-                raise GroupError("tuple lives over the wrong group")
-            h = h.elements
+        """Value at the tuple h (a CommutingTuple over the group, checked when
+        built, or a sequence of element indices, checked here) and the point
+        x; a pair outside the domain raises GroupError."""
         return self._value(*self._checked_key(h, x))
 
     def _value(self, els, x):
@@ -278,8 +280,10 @@ class ClassFunction:
                 raise ValueError(f"a value needs a \"tuple\" list and a \"graded\" "
                                  f"object, got {row!r}")
             key = (tuple(row["tuple"]), row.get("point", 0))
-            if any(isinstance(v, (list, dict)) for v in key[0] + key[1:]):
+            if any(isinstance(v, (list, dict, bool)) for v in key[0] + key[1:]):
                 raise ValueError(f"a key holds element and point indices, got {row!r}")
+            if key in values:
+                raise GroupError(f"key {list(key[0])}, {key[1]} is listed twice")
             values[key] = graded_from_json(row["graded"], kind, kernels)
         return cls.from_values(group, d, values, space=space, kind=kind,
                                elliptic=data.get("elliptic", False))

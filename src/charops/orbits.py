@@ -26,7 +26,7 @@ from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_p
 from .lattices import _kernel_from_relations, orbit_relations
 
 # Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
-# (W, H.elements) of a checked tuple H; the least recently used goes first.
+# (W, elements) of a checked tuple; the least recently used goes first.
 # A reduction depends on the tuple alone, not on the function being powered,
 # and wreath and table groups compare by structure, so rebuilt groups hit
 # too.  The `charops verify` suites before fixed-point-bijection leave 860
@@ -46,14 +46,14 @@ _FIXED_TABLE_MEMO_BOUND = 64
 
 @dataclass(frozen=True, slots=True)
 class OrbitReduction:
-    """Per-orbit data of a commuting tuple.  Plain reductions are shared
-    between callers through the memo of `reduce_tuple`, so every field is
-    immutable (tuples, Sublattices, CommutingTuples), and what only
-    `transport` needs (the coordinate that moves the basepoint to each point)
-    is rebuilt there rather than stored."""
+    """Per-orbit data of the checked elements of a commuting tuple.  Plain
+    reductions are shared between callers through the memo of
+    `reduce_tuple`, so every field is immutable (tuples, Sublattices, the
+    reduced CommutingTuples), and what only `transport` needs (the
+    coordinate that moves the basepoint to each point) is rebuilt there."""
 
     group: object              # the wreath group G wr Sigma_n
-    tuple: CommutingTuple      # the input tuple
+    elements: tuple            # the input tuple's entries, checked by its caller
     orbits: tuple              # sorted point tuples, ordered by min point
     basepoints: tuple
     stabilizers: tuple         # Sublattice per orbit
@@ -62,7 +62,7 @@ class OrbitReduction:
 
     def coordinate(self, v, p):
         """Coordinate p of H(v), read off the decoded entries."""
-        return _coordinate(self.group.base, _decoded(self.tuple), v, p)
+        return _coordinate(self.group.base, _decoded(self.group, self.elements), v, p)
 
     def transport(self, X):
         """Fixed points of X^n under im(H) against the product of orbit fixed sets.
@@ -72,13 +72,13 @@ class OrbitReduction:
         its orbit by coordinate p of H(v), for a v with sigma^v(i_k) = p.
         Both composites are asserted to be identities.
         """
-        W, H = self.group, self.tuple
+        W = self.group
         if X.group != W.base:
             raise GroupError("G-set group does not match the wreath base")
         # breadth-first from each basepoint: coordinate s_j(q) of
         # h_j H(v) = H(v + e_j) is (bases of h_j)[s_j(q)] times coordinate q of H(v)
         G = W.base
-        parts = list(map(W.decode, H.elements))
+        parts = list(map(W.decode, self.elements))
         moves = [None] * W.n
         for k, i_k in enumerate(self.basepoints):
             moves[i_k] = (k, G.identity)
@@ -94,7 +94,7 @@ class OrbitReduction:
         # codes list the points of X^n little-endian; sorting the decoded
         # tuples restores lexicographic order
         power = PowerGSet(X, W)
-        fixed = _fixed_rows(power, H.elements).all(axis=0)
+        fixed = _fixed_rows(power, self.elements).all(axis=0)
         product_fixed = sorted(power.decode_point(c)
                                for c in np.flatnonzero(fixed).tolist())
         orbit_fixed = [fixed_points(X, h_k) for h_k in self.reduced]
@@ -194,32 +194,35 @@ def reduce_tuple(H, basepoint_rng=None, basis=None):
     order, and rows spanning any other lattice raise GroupError.  A plain
     reduction (neither option) is memoized on (H.group, H.elements) and
     shared by every caller with an equal group and tuple; the other two are
-    computed afresh from H, which its constructor checked, on each call.
+    computed afresh on each call.  Each carries H.elements, which H's
+    constructor checked, and builds tuples only over the base group.
     """
-    if basepoint_rng is not None or basis is not None:
-        return _reduce(H, basepoint_rng, basis)
-    return _plain_reduction(H.group, H.elements)
+    return _reduction(H.group, H.elements, basepoint_rng, basis)
+
+
+def _reduction(W, elements, basepoint_rng=None, basis=None):
+    """`reduce_tuple` at the elements of a tuple over W that its caller checked."""
+    if basepoint_rng is None and basis is None:
+        return _plain_reduction(W, elements)
+    return _reduce(W, elements, basepoint_rng, basis)
 
 
 @functools.lru_cache(maxsize=_REDUCTION_MEMO_BOUND)
 def _plain_reduction(W, elements):
-    """Plain reduction of a checked tuple: a hit builds no CommutingTuple."""
-    return _reduce(CommutingTuple(W, elements), None, None)
+    return _reduce(W, elements, None, None)
 
 
-def _decoded(H):
-    """Per entry of H: (bases, sigma, sigma^-1)."""
+def _decoded(W, elements):
+    """Per entry: (bases, sigma, sigma^-1)."""
     return [(bases, sigma, perm_inverse(sigma))
-            for bases, sigma in map(H.group.decode, H.elements)]
+            for bases, sigma in map(W.decode, elements)]
 
 
-def _reduce(H, basepoint_rng, basis):
-    W = H.group
+def _reduce(W, elements, basepoint_rng, basis):
     if not isinstance(W, WreathGroup):
         raise GroupError("reduce_tuple expects a tuple over a wreath product")
     G = W.base
-    d = H.d
-    parts = _decoded(H)
+    parts = _decoded(W, elements)
     sigmas = [sigma for _, sigma, _ in parts]
 
     remaining = set(range(W.n))
@@ -233,7 +236,7 @@ def _reduce(H, basepoint_rng, basis):
 
     orbits, basepoints, stabs, mats, reduced = [], [], [], [], []
     for k, (orbit, relations) in enumerate(orbit_data):
-        stab = _kernel_from_relations(relations, d, len(orbit))
+        stab = _kernel_from_relations(relations, len(elements), len(orbit))
         i_k = orbit[0] if basepoint_rng is None else basepoint_rng.choice(orbit)
         rows = stab.basis if basis is None else tuple(map(tuple, basis(stab)))
         if basis is not None and not _spans(rows, stab):
@@ -249,7 +252,7 @@ def _reduce(H, basepoint_rng, basis):
         stabs.append(stab)
         mats.append(rows)
         reduced.append(h_k)
-    return OrbitReduction(W, H, tuple(orbits), tuple(basepoints), tuple(stabs),
+    return OrbitReduction(W, elements, tuple(orbits), tuple(basepoints), tuple(stabs),
                           tuple(mats), tuple(reduced))
 
 

@@ -28,16 +28,9 @@ from .coefficients import (
 )
 from .groups import CommutingTuple, GroupError, GSet, PowerGSet, wreath
 from .lattices import sublattices_of_index
-from .orbits import _plain_reduction, reduce_tuple
+from .orbits import _reduction
 
 ADAMS_WREATH_BUDGET = 9
-
-
-def _reduction(W, els, basepoint_rng=None, basis=None):
-    """`reduce_tuple` at checked elements; a memo hit builds no CommutingTuple."""
-    if basepoint_rng is None and basis is None:
-        return _plain_reduction(W, els)
-    return reduce_tuple(CommutingTuple(W, els), basepoint_rng, basis)
 
 
 def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):

@@ -292,8 +292,8 @@ def suite_adams_character(tol=1e-9, max_n=4):
 def suite_fixed_point_bijection(max_n=4, max_d=2):
     """OrbitReduction.transport verifies the two-sided inverse internally;
     this suite sweeps every commuting tuple of C2 wr Sigma_n over three
-    spaces, reducing each tuple once past the reduction memo: its 8,646
-    tuples would only push out the entries the other suites reuse."""
+    spaces, reducing each tuple's checked elements once past the memo: its
+    8,646 tuples would only push out the reductions other suites reuse."""
     C2 = _group("C2")
     spaces = [
         GSet.trivial(C2, 2),
@@ -307,7 +307,7 @@ def suite_fixed_point_bijection(max_n=4, max_d=2):
         if max_d >= 2:
             tuples += commuting_tuples(W, 2)
         for H in tuples:
-            red = _reduce(H, None, None)
+            red = _reduce(W, H.elements, None, None)
             for X in spaces:
                 red.transport(X)   # raises on any mismatch
                 checks += 1

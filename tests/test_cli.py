@@ -211,6 +211,7 @@ MALFORMED_FUNCTIONS = [
     ("height-2 terms", ["--group", "C2", "--wreath", "2"], 2, _set_terms),
     ("kernel not an object", ["--group", "C2", "--wreath", "2"], 2, _set(["kernels", 0], 5)),
     ("value not an object", ["--group", "C2"], 1, _set(["values", 0], 5)),
+    ("repeated key", ["--group", "C2"], 1, lambda data: data["values"].append(data["values"][0])),
     ("document not an object", ["--group", "C2"], 1, lambda data: [data]),
 ]
 
@@ -244,6 +245,36 @@ def test_non_commuting_or_unfixed_keys_exit_2(tmp_path, capsys):
     with pytest.raises(GroupError, match="not fixed"):
         ClassFunction.from_json(C2, {"d": 1, "values": [
             {"tuple": [1], "point": 0, "graded": {"0": [1.0, 0.0]}}]}, space=swap)
+
+
+@pytest.mark.parametrize("key", [{"tuple": [True]}, {"tuple": [False]},
+                                 {"tuple": [0], "point": False}],
+                         ids=["true element", "false element", "false point"])
+def test_boolean_keys_exit_2(tmp_path, capsys, key):
+    """JSON true and false are not indices, though Python reads them as 1 and 0."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"d": 1, "values": [dict(key, graded={"0": [1.0, 0.0]})]}))
+    code, _, err = run_cli(capsys, "--group", "C2", "--n", "2", "power", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "element and point indices" in lines[0], err
+
+
+def test_conflicting_values_on_one_orbit_exit_2(tmp_path, capsys):
+    """Two conjugate keys with different values are refused; neither wins."""
+    S3 = groups.symmetric_group(3)
+    a, b = [g for g in range(S3.size) if S3.order(g) == 2][:2]
+    rows = [{"tuple": [a], "graded": {"0": [1.0, 0.0]}},
+            {"tuple": [b], "graded": {"0": [2.0, 0.0]}}]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"d": 1, "values": rows}))
+    code, _, err = run_cli(capsys, "--group", "S3", "--n", "2", "power", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "carry different values" in lines[0], err
+    rows[1]["graded"] = rows[0]["graded"]
+    path.write_text(json.dumps({"d": 1, "values": rows}))
+    assert run_cli(capsys, "--group", "S3", "--n", "2", "power", str(path))[0] == 0
 
 
 def test_importing_the_cli_fills_no_cache():

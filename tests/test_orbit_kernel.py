@@ -347,7 +347,7 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
         return (red.orbits, red.basepoints, red.stabilizers, red.matrices,
                 [t.elements for t in red.reduced])
 
-    serial = {(H.group, H.elements): fields(orbits._reduce(H, None, None))
+    serial = {(H.group, H.elements): fields(orbits._reduce(H.group, H.elements, None, None))
               for H in pairs()}
     bound = 8
     monkeypatch.setattr(orbits, "_plain_reduction",

@@ -395,7 +395,7 @@ def test_transport_bijection_sweep_small():
 # --- shared reductions and fixed tables ---------------------------------------------
 
 
-REDUCTION_FIELDS = ("group", "tuple", "orbits", "basepoints", "stabilizers",
+REDUCTION_FIELDS = ("group", "elements", "orbits", "basepoints", "stabilizers",
                     "matrices", "reduced")
 
 
@@ -418,7 +418,7 @@ def test_memoized_reductions_equal_fresh_ones():
     for H, red in zip(_memo_cases(), first):
         hit = reduce_tuple(H)
         assert hit is red
-        fresh = orbits._reduce(H, None, None)
+        fresh = orbits._reduce(H.group, H.elements, None, None)
         for name in REDUCTION_FIELDS:
             assert getattr(hit, name) == getattr(fresh, name), name
         assert hit.to_json() == fresh.to_json()
@@ -468,17 +468,27 @@ def test_reduction_memo_holds_its_bound():
     assert memo.cache_info()[:4] == (bound + 2, bound + 103, bound, bound)
 
 
-def test_randomized_and_hook_reductions_bypass_the_memo():
+def test_randomized_and_hook_reductions_bypass_the_memo(monkeypatch):
     """A reduction with either hook is computed afresh from the caller's
-    tuple, checked when it was built and not again; only a plain reduction
-    enters the memo, keyed on (W, elements)."""
+    tuple, checked when it was built and not again: it carries the caller's
+    elements and builds tuples only over the base group, one per orbit.
+    Only a plain reduction enters the memo, keyed on (W, elements)."""
     memo = orbits._plain_reduction
     memo.cache_clear()
     W = wreath(cyclic_group(2), 3)
     rng = random.Random(4)
-    for H in commuting_tuples(W, 2)[:40]:
-        assert reduce_tuple(H, basepoint_rng=rng).tuple is H
-        assert reduce_tuple(H, basis=lambda L: L.basis).tuple is H
+    pairs = commuting_tuples(W, 2)[:40]
+    built = []      # the group of every CommutingTuple built from here on
+    post_init = CommutingTuple.__post_init__
+    monkeypatch.setattr(CommutingTuple, "__post_init__",
+                        lambda self: built.append(self.group) or post_init(self))
+    expected = 0
+    for H in pairs:
+        red = reduce_tuple(H, basepoint_rng=rng)
+        hooked = reduce_tuple(H, basis=lambda L: L.basis)
+        assert red.elements is H.elements and hooked.elements is H.elements
+        expected += len(red.orbits) + len(hooked.orbits)
+    assert built == [W.base] * expected     # one per reduced orbit, none over W
     assert memo.cache_info().currsize == 0
     H = CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),))
     plain = reduce_tuple(H)
@@ -498,7 +508,7 @@ def test_fixed_point_bijection_suite_reduces_past_the_memo():
     kept = reduce_tuple(CommutingTuple(W, (W.encode((1, 0, 0), (1, 2, 0)),)))
     assert suite_fixed_point_bijection(max_n=3).passed
     assert memo.cache_info()[1:] == (1, orbits._REDUCTION_MEMO_BOUND, 1)
-    assert memo(W, kept.tuple.elements) is kept
+    assert memo(W, kept.elements) is kept
 
 
 C2_SPACES = [GSet.trivial(cyclic_group(2), 2),

@@ -159,6 +159,43 @@ def test_memoized_reduction_hit_checks_the_key_once(monkeypatch):
     assert calls == keys
 
 
+def test_commuting_tuple_keys_are_not_checked_again(monkeypatch):
+    """Warm evaluation of a rule-backed power operation at the 40 commuting
+    pairs of C2 wr 2, given as CommutingTuples, tests no commutation: each
+    tuple was checked when it was built."""
+    from charops.groups import WreathGroup
+    W = wreath(cyclic_group(2), 2)
+    tuples = commuting_tuples(W, 2)
+    assert len(tuples) == 40
+    P = power_operation(ClassFunction.constant(cyclic_group(2), 2, 2.0), 2)
+    warm = [P.evaluate(H, 0) for H in tuples]
+    calls = []
+    commutes = WreathGroup.commutes
+    monkeypatch.setattr(WreathGroup, "commutes",
+                        lambda self, a, b: calls.append((a, b)) or commutes(self, a, b))
+    assert [P.evaluate(H, 0) for H in tuples] == warm
+    assert calls == []
+
+
+def test_reduction_miss_builds_no_tuple_over_the_wreath(monkeypatch):
+    """A plain-reduction miss reached through `power_operation` reduces the
+    checked elements: it builds CommutingTuples over the base group only."""
+    from charops import orbits
+    C2 = cyclic_group(2)
+    W = wreath(C2, 3)
+    tuples = commuting_tuples(W, 2)
+    P = power_operation(ClassFunction.constant(C2, 2, 2.0), 3)
+    orbits._plain_reduction.cache_clear()
+    built = []
+    post_init = CommutingTuple.__post_init__
+    monkeypatch.setattr(CommutingTuple, "__post_init__",
+                        lambda self: built.append(self.group) or post_init(self))
+    for H in tuples:
+        P.evaluate(H, 0)
+    assert orbits._plain_reduction.cache_info().misses == len(tuples)
+    assert built and set(built) == {C2}
+
+
 @pytest.mark.parametrize("G,n", [(symmetric_group(3), 2), (cyclic_group(2), 3)],
                          ids=["S3 wr 2", "C2 wr 3"])
 def test_default_and_eager_power_operations_agree_exactly(G, n):
@@ -509,16 +546,24 @@ def test_power_over_nontrivial_space():
     from charops.groups import GSet
     C2 = cyclic_group(2)
     X = GSet(C2, 2, [[0, 1], [1, 0]])
-    # only the identity fixes points of X; value distinguishes the two points
+    # only the identity fixes points of X; conjugation by a swaps the two
+    # points, so (e,0) and (e,1) are one orbit and may not differ in value
+    with pytest.raises(GroupError, match="orbit of .* carry different values"):
+        ClassFunction.from_values(
+            C2, 1,
+            {((0,), 0): GradedValue("complex", {0: 5.0}),
+             ((0,), 1): GradedValue("complex", {0: 7.0})},
+            space=X)
+    # equal values on two keys of the orbit give the invariant input
     f = ClassFunction.from_values(
         C2, 1,
         {((0,), 0): GradedValue("complex", {0: 5.0}),
-         ((0,), 1): GradedValue("complex", {0: 7.0})},
+         ((0,), 1): GradedValue("complex", {0: 5.0})},
         space=X)
-    # conjugation by a swaps the two points, so (e,0) and (e,1) are one orbit
+    assert f.is_invariant().ok
     v0 = f.evaluate(CommutingTuple(C2, (0,)), 0).components[0]
     v1 = f.evaluate(CommutingTuple(C2, (0,)), 1).components[0]
-    assert v0 == v1  # canonicalization collapses them (last write wins)
+    assert v0 == v1 == 5.0
 
     P2 = power_operation(f, 2, mode="eager")
     W = P2.group
