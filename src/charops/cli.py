@@ -12,7 +12,6 @@ import json
 import platform
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,6 @@ from .lattices import LatticeError
 from .orbits import reduce_tuple
 from .powerops import adams, hecke_like, power_operation, pseudo_power_etheory
 from .verify import run_all_suites
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    group: object = None
-    d: int = 1
-    n: int = 2
-    tol: float = 1e-9
-    tau_samples: tuple = DEFAULT_TAU_SAMPLES
-    seed: int = 0
-    fmt: str = "table"
-    out: object = None
 
 
 def parse_group(text, wreath_n=0):
@@ -282,39 +268,35 @@ def main(argv=None):
         return _run(args)
 
 
-def _run(args):
-    cfg = None
+def _run(cfg):
+    """Runs the parsed arguments, replacing the texts of --tau-samples,
+    --out and --group in place by what they name."""
+    out = None
     try:
-        if not 0 <= args.tol < float("inf"):
-            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            d=args.d, n=args.n, tol=args.tol,
-            tau_samples=parse_tau_samples(args.tau_samples),
-            seed=args.seed, fmt=args.fmt,
-            out=open(args.out, "w") if args.out else None)
-        if args.subcommand in ("classes", "power", "adams", "pseudo"):
-            cfg.group = parse_group(args.group, args.wreath)
-        if args.subcommand == "classes":
+        if not 0 <= cfg.tol < float("inf"):
+            raise ValueError(f"--tol must be a finite number >= 0, got {cfg.tol}")
+        cfg.tau_samples = parse_tau_samples(cfg.tau_samples)
+        cfg.out = out = open(cfg.out, "w") if cfg.out else None
+        if cfg.subcommand in ("classes", "power", "adams", "pseudo"):
+            cfg.group = parse_group(cfg.group, cfg.wreath)
+        if cfg.subcommand == "classes":
             code = cmd_classes(cfg)
-        elif args.subcommand in ("power", "adams"):
-            operation = power_operation if args.subcommand == "power" else adams
-            code = cmd_operation(cfg, args.fn, operation)
-        elif args.subcommand == "pseudo":
-            code = cmd_pseudo(cfg, args.fn, args.prime)
-        elif args.subcommand == "hecke":
-            code = cmd_hecke(cfg, args.form)
-        elif args.subcommand == "verify":
-            code = cmd_verify(cfg, getattr(args, "mutate", None))
-        else:
-            code = 2
+        elif cfg.subcommand in ("power", "adams"):
+            operation = power_operation if cfg.subcommand == "power" else adams
+            code = cmd_operation(cfg, cfg.fn, operation)
+        elif cfg.subcommand == "pseudo":
+            code = cmd_pseudo(cfg, cfg.fn, cfg.prime)
+        elif cfg.subcommand == "hecke":
+            code = cmd_hecke(cfg, cfg.form)
+        else:                               # verify; a subcommand is required
+            code = cmd_verify(cfg, cfg.mutate)
     except (GroupError, LatticeError, json.JSONDecodeError, OSError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if cfg is not None and cfg.out is not None:
-            cfg.out.close()
+        if out is not None:
+            out.close()
     return code
 
 

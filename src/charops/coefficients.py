@@ -223,6 +223,8 @@ class LatFunction:
     def from_json(cls, data, kernels):
         """Inverse of to_json; kernels is the decoded kernels table."""
         weight = data["weight"]
+        if type(weight) is not int:         # bool is a subclass of int
+            raise LatticeError(f"\"weight\" must be an integer, got {weight!r}")
         if not isinstance(data["terms"], list):
             raise LatticeError(f"\"terms\" must be a list, got {data['terms']!r}")
         terms = {}
@@ -234,11 +236,11 @@ class LatFunction:
                 if not (isinstance(factor, list) and len(factor) == 2):
                     raise LatticeError(f"a factor must be [kernel index, matrix], got {factor!r}")
                 i, M = factor
-                if not (isinstance(i, int) and 0 <= i < len(kernels)):
+                if not (type(i) is int and 0 <= i < len(kernels)):
                     raise LatticeError(f"kernel index {i!r} is not in the kernels table")
                 if not (isinstance(M, list) and len(M) == 2 and all(
                         isinstance(row, list) and len(row) == 2
-                        and all(isinstance(x, int) for x in row) for row in M)):
+                        and all(type(x) is int for x in row) for row in M)):
                     raise LatticeError(f"a factor matrix must be 2x2 integers, got {M!r}")
                 factors.append((kernels[i], _exact_matrix(M)))
             if sum(k.weight for k, _ in factors) != weight:
@@ -448,9 +450,9 @@ def weight_slash_graded(M, v):
 
 
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
-    """Max componentwise deviation between two graded values.  A value
-    compared with itself deviates by 0.0 without evaluation: x - x is 0 or
-    NaN, and the running max never takes a NaN."""
+    """Max componentwise deviation between two graded values; a NaN
+    deviation counts as infinite.  A value or component compared with itself
+    deviates by 0.0 without evaluation (x - x is 0 or NaN)."""
     if u is v:
         return 0.0
     if u.kind != v.kind:
@@ -459,13 +461,16 @@ def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
     worst = 0.0
     for j in sorted(set(u.degrees) | set(v.degrees)):
         a, b = u.component(j), v.component(j)
+        if a is b:
+            continue
         if u.kind == "lat":
-            worst = max(worst, max(
-                (abs(x - y) for x, y in zip(a._sample_vector(samples),
-                                            b._sample_vector(samples))),
-                default=0.0))
+            devs = map(abs, map(operator.sub, a._sample_vector(samples),
+                                b._sample_vector(samples)))
         else:
-            worst = max(worst, abs(a - b))
+            devs = (abs(a - b),)
+        for dev in devs:
+            if not dev <= worst:        # NaN compares false both ways
+                worst = dev if dev == dev else math.inf
     return worst
 
 
@@ -488,7 +493,7 @@ def kernels_from_json(table):
         raise LatticeError(f"the kernels table must be a list, got {table!r}")
     kernels = []
     for k in table:
-        if not (isinstance(k, dict) and isinstance(k.get("weight"), int)
+        if not (isinstance(k, dict) and type(k.get("weight")) is int
                 and isinstance(k.get("q"), list)):
             raise LatticeError(f"a kernel needs an integer \"weight\" and a \"q\" "
                                f"list, got {k!r}")
@@ -498,12 +503,15 @@ def kernels_from_json(table):
 
 def _complex_from_json(pair):
     """complex(re, im) of a JSON [re, im] pair; ValueError unless it is two
-    numbers."""
+    finite numbers (json.loads reads a bare NaN or Infinity)."""
     try:
         re, im = pair
-        return complex(re, im)
+        z = complex(re, im)
     except (TypeError, ValueError):
-        raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise ValueError(f"expected a [re, im] pair of finite numbers, got {pair!r}")
+    return z
 
 
 def graded_to_json(v, kernel_index=None):

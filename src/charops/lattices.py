@@ -144,38 +144,40 @@ def sublattices_of_index(d, n):
     raise LatticeError(f"sublattice enumeration unsupported for rank {d}")
 
 
-def orbit_relations(perms, basepoint):
-    """BFS orbit of `basepoint` under commuting permutations.
+def orbit_lattice(perms, basepoint):
+    """Orbit of `basepoint` under commuting permutations, labelled, with its
+    stabilizer lattice {v in Z^d : sigma^v fixes the basepoint}.
 
-    Returns (orbit points in visit order, relations): every relation vector
-    lies in the stabilizer lattice.  The walk labels each point p with a
-    vector v such that sigma^v(basepoint) = p, and records one relation, the
-    difference of two labels of one point, per non-tree BFS edge.
+    Walks the generators last to first.  The orbit under sigma_i, ...,
+    sigma_{d-1} is the a_i disjoint translates sigma_i^t O (0 <= t < a_i) of
+    the orbit O under the later generators, a_i the least t > 0 with
+    sigma_i^t(basepoint) in O.  If that point has label l in O, the row
+    (0, ..., 0, a_i, -l) fixes the basepoint; the rows are triangular with
+    determinant a_0 ... a_{d-1}, the orbit size, so they are a basis of the
+    stabilizer.  Returns (labels, L): labels maps each orbit point p to the
+    v in the box prod [0, a_i) with sigma^v(basepoint) = p.
     """
     d = len(perms)
-    labels = {basepoint: tuple([0] * d)}
-    order = [basepoint]
-    relations = []
-    head = 0
-    while head < len(order):
-        p = order[head]
-        head += 1
-        lp = labels[p]
-        for j, s in enumerate(perms):
-            q = s[p]
-            step = tuple(lp[i] + (1 if i == j else 0) for i in range(d))
-            if q not in labels:
-                labels[q] = step
-                order.append(q)
-            else:
-                rel = tuple(step[i] - labels[q][i] for i in range(d))
-                if any(rel):
-                    relations.append(rel)
-    return order, relations
+    labels = {basepoint: ()}
+    rows = []
+    for i in reversed(range(d)):
+        sigma = perms[i]
+        p, a = sigma[basepoint], 1
+        while p not in labels:
+            p, a = sigma[p], a + 1
+        rows.append((0,) * i + (a,) + tuple(-x for x in labels[p]))
+        translates = {}
+        for q, v in labels.items():
+            for t in range(a):
+                translates[q] = (t,) + v
+                q = sigma[q]
+        labels = translates
+    return labels, Sublattice(rows[::-1], d=d)
 
 
 def stabilizer_lattice(perms, basepoint):
-    """Kernel lattice {v in Z^d : sigma^v fixes the basepoint}, in HNF.
+    """Kernel lattice {v in Z^d : sigma^v fixes the basepoint}, in HNF, read
+    off `orbit_lattice`.
 
     The permutations must commute pairwise and act transitively; the action
     of a transitive abelian group is simply transitive, so the stabilizer is
@@ -187,22 +189,9 @@ def stabilizer_lattice(perms, basepoint):
         for j in range(i + 1, len(perms)):
             if perm_compose(perms[i], perms[j]) != perm_compose(perms[j], perms[i]):
                 raise LatticeError(f"permutations {i} and {j} do not commute")
-    order, relations = orbit_relations(perms, basepoint)
-    if len(order) != npts:
+    labels, L = orbit_lattice(perms, basepoint)
+    if len(labels) != npts:
         raise LatticeError("action is not transitive")
-    return _kernel_from_relations(relations, len(perms), len(order))
-
-
-def _kernel_from_relations(relations, d, orbit_size):
-    if d == 0:
-        if orbit_size != 1:
-            raise LatticeError("rank-0 action cannot be transitive on >1 points")
-        return Sublattice((), d=0)
-    L = Sublattice(relations, d=d)
-    if L.index != orbit_size:
-        raise LatticeError(
-            f"relation lattice has index {L.index}, expected orbit size {orbit_size}"
-        )
     return L
 
 

@@ -1,16 +1,19 @@
 """Orbit reduction of commuting tuples in wreath products.
 
 A commuting d-tuple H in G wr Sigma_n acts on the n points through the
-permutation parts.  Each orbit I_k contributes a stabilizer sublattice
-L_k of Z^d (index |I_k|), a basis matrix M_k of L_k (its oriented HNF unless
-a `basis` hook picks other rows), and a reduced commuting tuple h_k in G:
-entry j of h_k is coordinate i_k of H(row j of M_k), read off the decoded
-entries of H by one walk (`_coordinate`).  This is the single code path used
-for every arity.  At d = 1 it is the cycle product: the basepoint coordinate
-of (bases, sigma)^m, m the cycle length, is the ordered product of the base
-entries at i_k, sigma^-1(i_k), sigma^-2(i_k), ... under the twisted product
-of WreathGroup.  Two basepoints in one cycle give conjugate products, and
-for commuting entries the product does not depend on the direction.
+permutation parts.  One walk per orbit I_k (`lattices.orbit_lattice`) gives
+its stabilizer sublattice L_k of Z^d (index |I_k|) and a label v per point p
+with sigma^v(i_k) = p.  Each orbit contributes L_k, a basis matrix M_k of
+L_k (its oriented HNF unless a `basis` hook picks other rows), and a reduced
+commuting tuple h_k in G: entry j of h_k is coordinate i_k of H(row j of
+M_k), read off the decoded entries of H by one walk (`_coordinate`), which
+also gives `transport` its moves at the labels.  This is the single code
+path used for every arity.  At d = 1 it is the cycle product: the basepoint
+coordinate of (bases, sigma)^m, m the cycle length, is the ordered product
+of the base entries at i_k, sigma^-1(i_k), sigma^-2(i_k), ... under the
+twisted product of WreathGroup.  Two basepoints in one cycle give conjugate
+products, and for commuting entries the product does not depend on the
+direction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_points,
                      int_mat_det, perm_inverse)
-from .lattices import _kernel_from_relations, orbit_relations
+from .lattices import orbit_lattice
 
 # Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
 # (W, elements) of a checked tuple; the least recently used goes first.
@@ -32,7 +35,8 @@ from .lattices import _kernel_from_relations, orbit_relations
 # too.  The `charops verify` suites before fixed-point-bijection leave 860
 # entries (consistency-relations reduces 649 distinct tuples 20,480 times);
 # fixed-point-bijection reduces its 8,646 tuples once each past the memo.
-# An entry at n = 4, d = 2 holds about 1.5 KB, so a full memo holds 6 MB.
+# An entry at n = 4, d = 2 holds about 1.9 KB (520 bytes of it the labels),
+# so a full memo holds about 8 MB.
 _REDUCTION_MEMO_BOUND = 4096
 
 # Most entries |W| |X|^n of one fixed table (64 KB of booleans, built with
@@ -49,8 +53,9 @@ class OrbitReduction:
     """Per-orbit data of the checked elements of a commuting tuple.  Plain
     reductions are shared between callers through the memo of
     `reduce_tuple`, so every field is immutable (tuples, Sublattices, the
-    reduced CommutingTuples), and what only `transport` needs (the
-    coordinate that moves the basepoint to each point) is rebuilt there."""
+    reduced CommutingTuples).  `labels` keeps what the orbit walk found for
+    each point p: its orbit k and a v with sigma^v(i_k) = p, from which
+    `transport` reads the coordinate that moves the basepoint to p."""
 
     group: object              # the wreath group G wr Sigma_n
     elements: tuple            # the input tuple's entries, checked by its caller
@@ -59,6 +64,7 @@ class OrbitReduction:
     stabilizers: tuple         # Sublattice per orbit
     matrices: tuple            # HNF (or hook-chosen) basis rows per orbit
     reduced: tuple             # CommutingTuple in the base group per orbit
+    labels: tuple              # per point p: (orbit k, v with sigma^v(i_k) = p)
 
     def coordinate(self, v, p):
         """Coordinate p of H(v), read off the decoded entries."""
@@ -69,27 +75,18 @@ class OrbitReduction:
 
         Returns TransportData whose forward map picks basepoint coordinates
         and whose inverse moves each orbit representative to every point p of
-        its orbit by coordinate p of H(v), for a v with sigma^v(i_k) = p.
-        Both composites are asserted to be identities.
+        its orbit by coordinate p of H(v), v the label of p.  The sorted
+        images of the inverse must be the product fixed set, which has no
+        repeats, so the inverse is a bijection onto it; forward . inverse
+        must be the identity, so forward is its inverse.
         """
         W = self.group
         if X.group != W.base:
             raise GroupError("G-set group does not match the wreath base")
-        # breadth-first from each basepoint: coordinate s_j(q) of
-        # h_j H(v) = H(v + e_j) is (bases of h_j)[s_j(q)] times coordinate q of H(v)
         G = W.base
-        parts = list(map(W.decode, self.elements))
-        moves = [None] * W.n
-        for k, i_k in enumerate(self.basepoints):
-            moves[i_k] = (k, G.identity)
-            reached = [i_k]
-            for q in reached:
-                c = moves[q][1]
-                for bases, sigma in parts:
-                    p = sigma[q]
-                    if moves[p] is None:
-                        moves[p] = (k, G.mul(bases[p], c))
-                        reached.append(p)
+        parts = _decoded(W, self.elements)
+        moves = tuple((k, _coordinate(G, parts, v, p))
+                      for p, (k, v) in enumerate(self.labels))
 
         # codes list the points of X^n little-endian; sorting the decoded
         # tuples restores lexicographic order
@@ -99,25 +96,13 @@ class OrbitReduction:
                                for c in np.flatnonzero(fixed).tolist())
         orbit_fixed = [fixed_points(X, h_k) for h_k in self.reduced]
 
-        data = TransportData(product_fixed, orbit_fixed, self, X, tuple(moves))
-
-        expected = 1
-        for fs in orbit_fixed:
-            expected *= len(fs)
-        if expected != len(product_fixed):
-            raise GroupError(
-                f"transport cardinality mismatch: {len(product_fixed)} vs {expected}"
-            )
-        fixed_set = set(product_fixed)
-        for xt in product_fixed:
-            if data.inverse(data.forward(xt)) != xt:
-                raise GroupError("inverse . forward is not the identity")
-        for ys in itertools.product(*orbit_fixed):
-            back = data.inverse(ys)
-            if back not in fixed_set:
-                raise GroupError("inverse does not land in the product fixed set")
-            if data.forward(back) != tuple(ys):
-                raise GroupError("forward . inverse is not the identity")
+        data = TransportData(product_fixed, orbit_fixed, self, X, moves)
+        orbit_product = list(itertools.product(*orbit_fixed))
+        images = list(map(data.inverse, orbit_product))
+        if sorted(images) != product_fixed:
+            raise GroupError("inverse is not a bijection onto the product fixed set")
+        if list(map(data.forward, images)) != orbit_product:
+            raise GroupError("forward . inverse is not the identity")
         return data
 
     def to_json(self):
@@ -225,19 +210,19 @@ def _reduce(W, elements, basepoint_rng, basis):
     parts = _decoded(W, elements)
     sigmas = [sigma for _, sigma, _ in parts]
 
-    remaining = set(range(W.n))
-    orbit_data = []
-    while remaining:
-        i0 = min(remaining)
-        order, relations = orbit_relations(sigmas, i0)
-        orbit = tuple(sorted(order))
-        remaining -= set(orbit)
-        orbit_data.append((orbit, relations))
-
     orbits, basepoints, stabs, mats, reduced = [], [], [], [], []
-    for k, (orbit, relations) in enumerate(orbit_data):
-        stab = _kernel_from_relations(relations, len(elements), len(orbit))
+    labels = [None] * W.n
+    remaining = set(range(W.n))
+    while remaining:
+        k = len(orbits)
+        walk, stab = orbit_lattice(sigmas, min(remaining))
+        orbit = tuple(sorted(walk))
+        remaining.difference_update(orbit)
         i_k = orbit[0] if basepoint_rng is None else basepoint_rng.choice(orbit)
+        if i_k != orbit[0]:
+            walk = orbit_lattice(sigmas, i_k)[0]
+        for p, v in walk.items():
+            labels[p] = (k, v)
         rows = stab.basis if basis is None else tuple(map(tuple, basis(stab)))
         if basis is not None and not _spans(rows, stab):
             raise GroupError(f"basis rows of orbit {k} do not span its "
@@ -253,7 +238,7 @@ def _reduce(W, elements, basepoint_rng, basis):
         mats.append(rows)
         reduced.append(h_k)
     return OrbitReduction(W, elements, tuple(orbits), tuple(basepoints), tuple(stabs),
-                          tuple(mats), tuple(reduced))
+                          tuple(mats), tuple(reduced), tuple(labels))
 
 
 @dataclass

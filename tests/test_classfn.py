@@ -479,3 +479,18 @@ def test_from_generators_rejects_images_that_extend_to_no_homomorphism():
         GroupHomomorphism.from_generators(S3, C3, [0, 3])
     sign = GroupHomomorphism.from_generators(S3, cyclic_group(2), [1, 1])
     assert sign.image == [0, 1, 1, 0, 0, 1]
+
+
+def test_a_nan_value_conflicts_with_a_number_on_its_orbit():
+    """A NaN deviation counts as infinite, so NaN and 1.0 on the conjugate
+    keys (1,) and (2,) of S3 are refused in either order; one value object
+    compared with itself still deviates by 0.0."""
+    S3 = symmetric_group(3)
+    nan = GradedValue("complex", {0: float("nan")})
+    one = GradedValue("complex", {0: 1.0})
+    assert graded_deviation(nan, one) == graded_deviation(one, nan) == float("inf")
+    assert graded_deviation(nan, GradedValue("complex", {0: float("nan")})) == float("inf")
+    assert graded_deviation(nan, nan) == 0.0
+    for first, second in ((nan, one), (one, nan)):
+        with pytest.raises(GroupError, match="carry different values"):
+            ClassFunction.from_values(S3, 1, {((1,), 0): first, ((2,), 0): second})

@@ -191,6 +191,36 @@ def _set_matrix(data):
     _first_term(data)["factors"][0][1] = 5
 
 
+def _set_matrix_entry_true(data):
+    """An entry 1 of a factor matrix as JSON true, which Python reads as 1."""
+    M = next(factor[1] for row in data["values"] for F in row["graded"].values()
+             for term in F["terms"] for factor in term["factors"]
+             if 1 in factor[1][0])
+    M[0][M[0].index(1)] = True
+
+
+def _set_kernel_index_true(data):
+    """A factor on kernel 1 of the two-kernel table, its index as true."""
+    assert len(data["kernels"]) == 2
+    factor = next(factor for row in data["values"] for F in row["graded"].values()
+                  for term in F["terms"] for factor in term["factors"] if factor[0] == 1)
+    factor[0] = True
+
+
+def _set_kernel_weight_true(data):
+    """Kernel 0 of weight true under one value of weight 1, which adds up
+    when true reads as 1."""
+    data["kernels"][0]["weight"] = True
+    data["values"] = [{"tuple": [0, 0], "point": 0, "graded": {"1": {
+        "weight": 1, "terms": [{"scale": [1.0, 0.0], "factors": [[0, [[1, 0], [0, 1]]]]}]}}}]
+
+
+def _set_weight_float(data):
+    F = next(F for row in data["values"] for F in row["graded"].values()
+             if F["weight"] == 4)
+    F["weight"] = 4.0
+
+
 def _set_terms(data):
     F = next(F for row in data["values"] for F in row["graded"].values() if F["terms"])
     F["terms"] = 5
@@ -209,6 +239,12 @@ MALFORMED_FUNCTIONS = [
     ("height-2 scale", ["--group", "C2", "--wreath", "2"], 2, _set_scale),
     ("height-2 factor matrix", ["--group", "C2", "--wreath", "2"], 2, _set_matrix),
     ("height-2 terms", ["--group", "C2", "--wreath", "2"], 2, _set_terms),
+    ("factor matrix entry true", ["--group", "C2", "--wreath", "2"], 2,
+     _set_matrix_entry_true),
+    ("kernel index true", ["--group", "C2", "--wreath", "2"], 2, _set_kernel_index_true),
+    ("kernel weight true", ["--group", "C2", "--wreath", "2"], 2, _set_kernel_weight_true),
+    ("height-2 weight not an integer", ["--group", "C2", "--wreath", "2"], 2,
+     _set_weight_float),
     ("kernel not an object", ["--group", "C2", "--wreath", "2"], 2, _set(["kernels", 0], 5)),
     ("value not an object", ["--group", "C2"], 1, _set(["values", 0], 5)),
     ("repeated key", ["--group", "C2"], 1, lambda data: data["values"].append(data["values"][0])),
@@ -275,6 +311,21 @@ def test_conflicting_values_on_one_orbit_exit_2(tmp_path, capsys):
     rows[1]["graded"] = rows[0]["graded"]
     path.write_text(json.dumps({"d": 1, "values": rows}))
     assert run_cli(capsys, "--group", "S3", "--n", "2", "power", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_values_exit_2(tmp_path, capsys, value):
+    """json.loads reads a bare NaN or Infinity; a class function refuses it,
+    here next to 1.0 on a conjugate key."""
+    rows = [{"tuple": [1], "graded": {"0": [value, 0.0]}},
+            {"tuple": [2], "graded": {"0": [1.0, 0.0]}}]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"d": 1, "values": rows}))
+    code, _, err = run_cli(capsys, "--group", "S3", "--n", "2", "power", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "finite numbers" in lines[0], err
 
 
 def test_importing_the_cli_fills_no_cache():

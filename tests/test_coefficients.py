@@ -239,9 +239,9 @@ def test_graded_sum_scale():
 
 
 def test_a_value_compared_with_itself_is_not_evaluated():
-    """graded_deviation(v, v) is 0.0 without evaluating v, which is what the
-    evaluation gives: x - x is 0 or NaN, and the running max drops a NaN.
-    A one-coefficient expansion is refused by the truncation guard at every
+    """graded_deviation(v, v) is 0.0 without evaluating v, and so is a
+    comparison of two values that share a component object.  A
+    one-coefficient expansion is refused by the truncation guard at every
     default tau, so evaluating it raises."""
     refused = LatFunction.from_q_expansion(0, [1])
     for tau in DEFAULT_TAU_SAMPLES:
@@ -249,8 +249,12 @@ def test_a_value_compared_with_itself_is_not_evaluated():
             refused.at_tau(tau)
     v = GradedValue("lat", {0: refused})
     assert graded_deviation(v, v) == 0.0
+    assert graded_deviation(v, GradedValue("lat", {0: refused})) == 0.0
     nan = GradedValue("lat", {0: LatFunction.from_q_expansion(0, [float("nan")] + [0] * 399)})
     assert graded_deviation(nan, GradedValue("lat", dict(nan.components))) == 0.0
+    # a NaN against another object, NaN or not, deviates infinitely
+    other = GradedValue("lat", {0: LatFunction.from_q_expansion(0, [float("nan")] + [0] * 399)})
+    assert graded_deviation(nan, other) == float("inf")
 
 
 # sampled values against the scalar definition ---------------------------------

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from charops.groups import int_mat_det, wreath, cyclic_group, symmetric_group
+from charops.groups import (commuting_tuple_array, int_mat_det, wreath, cyclic_group,
+                            symmetric_group)
 from charops.lattices import (
     LatticeError,
     Sublattice,
     hnf,
     mat_identity,
+    orbit_lattice,
     random_unimodular,
     stabilizer_lattice,
     sublattices_of_index,
@@ -169,6 +171,55 @@ def test_stabilizer_index_equals_orbit_size_wreath():
                     red = reduce_tuple(H)
                     for orbit, stab in zip(red.orbits, red.stabilizers):
                         assert stab.index == len(orbit)
+
+
+def _walk(perms, v, p):
+    """sigma^v(p) for v >= 0, one permutation step at a time."""
+    for sigma, k in zip(perms, v):
+        for _ in range(k):
+            p = sigma[p]
+    return p
+
+
+def _permutation_parts():
+    """(n, sigma tuple) of every commuting tuple of C2 wr n <= 4 and S3 wr
+    n <= 3 at d <= 2, and of C2 wr 3 at d = 3, without repeats: the walk
+    sees only the permutations."""
+    cases = [(G, n, d) for G, top in ((cyclic_group(2), 4), (symmetric_group(3), 3))
+             for n in range(1, top + 1) for d in (0, 1, 2)]
+    cases.append((cyclic_group(2), 3, 3))
+    parts = set()
+    for G, n, d in cases:
+        W = wreath(G, n)
+        for row in commuting_tuple_array(W, d).tolist():
+            parts.add((n, tuple(W.decode(a)[1] for a in row)))
+    return sorted(parts)
+
+
+def test_orbit_lattice_matches_brute_force():
+    """At every basepoint b of every case: the labels cover the closure of b
+    under the generators, lie in the box of L's diagonal and each maps b to
+    its point; every HNF row fixes b; the index is the orbit size m; and
+    every v in [0, 2m)^d with sigma^v(b) = b lies in L."""
+    for n, perms in _permutation_parts():
+        d = len(perms)
+        for b in range(n):
+            labels, L = orbit_lattice(perms, b)
+            orbit = [b]
+            for p in orbit:
+                for s in perms:
+                    if s[p] not in orbit:
+                        orbit.append(s[p])
+            m = len(orbit)
+            assert sorted(labels) == sorted(orbit) and L.d == d and L.index == m
+            for p, v in labels.items():
+                assert all(0 <= v[i] < L.basis[i][i] for i in range(d))
+                assert _walk(perms, v, b) == p
+            for row in L.basis:
+                assert min(row) >= 0 and _walk(perms, row, b) == b
+            for v in itertools.product(range(2 * m), repeat=d):
+                if _walk(perms, v, b) == b:
+                    assert L.contains(v), (perms, b, v)
 
 
 def test_oriented_basis_matrix():

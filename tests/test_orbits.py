@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -392,11 +393,54 @@ def test_transport_bijection_sweep_small():
                 fixed_point_transport(X, CommutingTuple(W, (a,)))
 
 
+@pytest.mark.parametrize("fault,match", [
+    ("merge", "bijection"), ("miss", "bijection"), ("leave", "bijection"),
+    ("swap", "forward . inverse")])
+def test_transport_refuses_a_broken_inverse(monkeypatch, fault, match):
+    """The sorted images of the inverse must be the product fixed set, which
+    catches an inverse that merges two points, misses a point of the
+    n-tuple or leaves the fixed set; a bijection that is not forward's
+    inverse fails forward . inverse."""
+    C2 = cyclic_group(2)
+    W = wreath(C2, 2)
+    X = GSet(C2, 3, [[0, 1], [1, 0], [2, 2]])
+    red = reduce_tuple(CommutingTuple(W, (W.encode((1, 0), (0, 1)),)))
+    assert red.transport(X).product_fixed == [(2, 0), (2, 1), (2, 2)]
+    inverse = orbits.TransportData.inverse
+    swap = {(2, 0): (2, 1), (2, 1): (2, 0)}
+    broken = {"merge": lambda data, ys: inverse(data, (2, 0) if ys == (2, 1) else ys),
+              "miss": lambda data, ys: inverse(data, ys)[:-1],
+              "leave": lambda data, ys: (0,) + inverse(data, ys)[1:],
+              "swap": lambda data, ys: inverse(data, swap.get(ys, ys))}[fault]
+    monkeypatch.setattr(orbits.TransportData, "inverse", broken)
+    with pytest.raises(GroupError, match=re.escape(match)):
+        red.transport(X)
+
+
+def test_transport_with_random_basepoints():
+    """Labels are relative to each orbit's basepoint, also a random one:
+    transport passes on every tuple of C2 wr n <= 3 at d <= 2 over the
+    three spaces, with the product fixed set of the plain reduction."""
+    rng = random.Random(3)
+    moved = 0
+    for n in (1, 2, 3):
+        W = wreath(cyclic_group(2), n)
+        for d in (1, 2):
+            for H in commuting_tuples(W, d):
+                red = reduce_tuple(H, basepoint_rng=rng)
+                plain = reduce_tuple(H)
+                moved += red.basepoints != plain.basepoints
+                for X in C2_SPACES:
+                    assert red.transport(X).product_fixed == \
+                        plain.transport(X).product_fixed
+    assert moved > 0
+
+
 # --- shared reductions and fixed tables ---------------------------------------------
 
 
 REDUCTION_FIELDS = ("group", "elements", "orbits", "basepoints", "stabilizers",
-                    "matrices", "reduced")
+                    "matrices", "reduced", "labels")
 
 
 def _memo_cases():
