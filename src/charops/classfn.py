@@ -272,6 +272,10 @@ class ClassFunction:
             raise ValueError(f"unknown kind {kind!r}")
         if type(d) is not int or d not in (1, 2):
             raise ValueError(f"arity {d!r} is not one of the heights 1 and 2")
+        elliptic = data.get("elliptic", False)
+        if type(elliptic) is not bool or elliptic and kind != "lat":
+            raise ValueError(f"\"elliptic\" is true or false, and only a \"lat\" function "
+                             f"may be elliptic; got {elliptic!r} on kind {kind!r}")
         kernels = kernels_from_json(data.get("kernels", []))
         values = {}
         for row in data["values"]:
@@ -285,8 +289,7 @@ class ClassFunction:
             if key in values:
                 raise GroupError(f"key {list(key[0])}, {key[1]} is listed twice")
             values[key] = graded_from_json(row["graded"], kind, kernels)
-        return cls.from_values(group, d, values, space=space, kind=kind,
-                               elliptic=data.get("elliptic", False))
+        return cls.from_values(group, d, values, space=space, kind=kind, elliptic=elliptic)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .classfn import ClassFunction
-from .coefficients import DEFAULT_TAU_SAMPLES, LatFunction, eisenstein_series
+from .coefficients import (DEFAULT_TAU_SAMPLES, LatFunction, _complex_from_json,
+                           eisenstein_series)
 from .groups import (
     GROUP_SHORTHANDS,
     GroupError,
@@ -64,8 +65,9 @@ def write_json(obj, cfg):
     (cfg.out or sys.stdout).write(json.dumps(obj, default=str) + "\n")
 
 
-def emit(rows, header, cfg):
-    """Write rows as table/csv/json to cfg.out (default stdout)."""
+def emit(rows, header, cfg, note):
+    """Write rows as table/csv/json to cfg.out (default stdout); a table
+    ends in the line "# note"."""
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
         write_json({"seed": cfg.seed, "rows": [dict(zip(header, r)) for r in rows]},
@@ -80,10 +82,11 @@ def emit(rows, header, cfg):
         stream.write("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
         for r in rows:
             stream.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+        stream.write(f"# {note}\n")
 
 
 def cmd_classes(cfg):
-    G = cfg.group
+    G = parse_group(cfg.group, cfg.wreath)
     classes = tuple_conjugacy_classes(G, cfg.d)
     rows = []
     for i, cls in enumerate(classes):
@@ -99,11 +102,8 @@ def cmd_classes(cfg):
     if isinstance(G, WreathGroup) and cfg.d >= 1:
         header += ["orbits", "reduced"]
     total = sum(cls.size for cls in classes)
-    emit(rows, header, cfg)
-    stream = cfg.out or sys.stdout
-    if cfg.fmt == "table":
-        stream.write(f"# {len(classes)} classes, sizes sum to {total} "
-                     f"(group order {G.size})\n")
+    emit(rows, header, cfg,
+         f"{len(classes)} classes, sizes sum to {total} (group order {G.size})")
     # cross-check (Burnside): the commuting d-tuples number |G| times the
     # classes of commuting (d-1)-tuples, and the classes partition them
     if cfg.d >= 1:
@@ -115,39 +115,36 @@ def cmd_classes(cfg):
     return 0
 
 
-def load_class_function(cfg, path):
-    if path == "-":
+def load_class_function(cfg):
+    G = parse_group(cfg.group, cfg.wreath)
+    if cfg.fn == "-":
         data = json.load(sys.stdin)
     else:
-        with open(path) as fh:
+        with open(cfg.fn) as fh:
             data = json.load(fh)
-    return ClassFunction.from_json(cfg.group, data)
+    return ClassFunction.from_json(G, data)
 
 
-def emit_class_function(f, cfg, extra=None):
-    payload = f.to_json()
-    payload["seed"] = cfg.seed
-    if extra:
-        payload.update(extra)
-    write_json(payload, cfg)
+def emit_class_function(f, cfg, extra):
+    write_json({**f.to_json(), "seed": cfg.seed, **extra}, cfg)
 
 
-def cmd_operation(cfg, fn_path, operation):
-    """Emits operation(f, n) (`power_operation` or `adams`) with its
+def cmd_operation(cfg):
+    """Emits cfg.operation(f, n) (`power_operation` or `adams`) with its
     invariance report; exit 1 when the output is not invariant."""
-    f = load_class_function(cfg, fn_path)
-    out = operation(f, cfg.n).materialize()
+    f = load_class_function(cfg)
+    out = cfg.operation(f, cfg.n).materialize()
     rep = out.is_invariant(tau_samples=cfg.tau_samples, tol=cfg.tol)
     emit_class_function(out, cfg, extra={"invariance": {
         "ok": rep.ok, "max_deviation": rep.max_deviation}})
     return 0 if rep.ok else 1
 
 
-def cmd_pseudo(cfg, fn_path, prime):
+def cmd_pseudo(cfg):
     """Emits the pseudo-power class function restricted to the classes where
     it is defined (all tuple entries of p-power order)."""
-    f = load_class_function(cfg, fn_path)
-    out = pseudo_power_etheory(f, cfg.n, p=prime)
+    f = load_class_function(cfg)
+    out = pseudo_power_etheory(f, cfg.n, p=cfg.prime)
     W = out.group
     values = {}
     skipped = 0
@@ -158,31 +155,29 @@ def cmd_pseudo(cfg, fn_path, prime):
         except GroupError:
             skipped += 1
     defined = ClassFunction(W, f.d, kind=f.kind, values=values)
-    emit_class_function(defined, cfg, extra={"prime": prime,
+    emit_class_function(defined, cfg, extra={"prime": cfg.prime,
                                              "undefined_classes": skipped})
     return 0
 
 
-def cmd_hecke(cfg, form_name):
-    if form_name in ("E4", "E6"):
-        F = eisenstein_series(int(form_name[1]), 400)
+def cmd_hecke(cfg):
+    """Tabulates the form and its Hecke image hecke_like(F, n) at the tau
+    samples; exit 1 when their ratio is not one constant eigenvalue."""
+    if cfg.form in ("E4", "E6"):
+        F = eisenstein_series(int(cfg.form[1]), 400)
     else:
-        data = json.loads(form_name)
-        number = lambda c: type(c) in (int, float)      # bool is a subclass of int
+        data = json.loads(cfg.form)
         if not (isinstance(data, dict) and type(data.get("weight")) is int
-                and isinstance(data.get("q"), list) and all(
-                    number(c) or isinstance(c, list) and len(c) == 2 and all(map(number, c))
-                    for c in data["q"])):
+                and isinstance(data.get("q"), list)):
             raise ValueError("a form is an object with an integer \"weight\" and a "
                              "\"q\" list of numbers or [re, im] pairs")
-        F = LatFunction.from_q_expansion(data["weight"],
-                                         [complex(c[0], c[1]) if isinstance(c, list)
-                                          else c for c in data["q"]])
+        F = LatFunction.from_q_expansion(data["weight"], [
+            _complex_from_json(c if isinstance(c, list) else [c, 0]) for c in data["q"]])
     out = hecke_like(F, cfg.n)
     rows = []
     ratios = []
-    for tau in cfg.tau_samples:
-        v_in, v_out = F.at_tau(tau), out.at_tau(tau)
+    for tau, v_in, v_out in zip(cfg.tau_samples, F.values(cfg.tau_samples),
+                                out.values(cfg.tau_samples)):
         ratio = v_out / v_in if abs(v_in) > 1e-12 else float("nan")
         ratios.append(ratio)
         rows.append([str(tau), f"{v_in:.9g}", f"{v_out:.9g}", f"{ratio:.9g}"])
@@ -190,16 +185,13 @@ def cmd_hecke(cfg, form_name):
     if not defined:
         raise ValueError("the input form vanishes at every tau sample, so no "
                          "eigen-ratio is defined")
-    emit(rows, ["tau", "input", "output", "ratio"], cfg)
     spread = max(abs(r - defined[0]) for r in defined)
-    stream = cfg.out or sys.stdout
-    if cfg.fmt == "table":
-        stream.write(f"# eigen-ratio spread {spread:.3e}\n")
+    emit(rows, ["tau", "input", "output", "ratio"], cfg, f"eigen-ratio spread {spread:.3e}")
     return 0 if spread < cfg.tol * 1e3 else 1
 
 
-def cmd_verify(cfg, mutate=None):
-    results = run_all_suites(seed=cfg.seed, mutate=mutate)
+def cmd_verify(cfg):
+    results = run_all_suites(seed=cfg.seed, mutate=cfg.mutate)
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
         write_json({"seed": cfg.seed,
@@ -240,17 +232,22 @@ def build_parser():
                    choices=("table", "csv", "json"))
     p.add_argument("--out", help="output path (default stdout)")
     sub = p.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("classes", help="conjugacy classes of commuting d-tuples")
-    for name in ("power", "adams"):
+    sp = sub.add_parser("classes", help="conjugacy classes of commuting d-tuples")
+    sp.set_defaults(run=cmd_classes)
+    for name, operation in (("power", power_operation), ("adams", adams)):
         sp = sub.add_parser(name, help=f"apply the {name} operation")
         sp.add_argument("fn", help="class function JSON path or - for stdin")
+        sp.set_defaults(run=cmd_operation, operation=operation)
     sp = sub.add_parser("pseudo", help="E-theory pseudo-power operation")
     sp.add_argument("fn")
     sp.add_argument("--prime", type=int, default=2)
+    sp.set_defaults(run=cmd_pseudo)
     sp = sub.add_parser("hecke", help="Hecke-type operator on a lattice function")
     sp.add_argument("form", help="E4, E6, or inline JSON {weight, q}")
+    sp.set_defaults(run=cmd_hecke)
     sp = sub.add_parser("verify", help="run every verification suite")
     sp.add_argument("--mutate", choices=("adams-exponent",), default=None)
+    sp.set_defaults(run=cmd_verify)
     return p
 
 
@@ -269,27 +266,15 @@ def main(argv=None):
 
 
 def _run(cfg):
-    """Runs the parsed arguments, replacing the texts of --tau-samples,
-    --out and --group in place by what they name."""
+    """Runs the subcommand's handler cfg.run, replacing the texts of
+    --tau-samples and --out in place by what they name."""
     out = None
     try:
         if not 0 <= cfg.tol < float("inf"):
             raise ValueError(f"--tol must be a finite number >= 0, got {cfg.tol}")
         cfg.tau_samples = parse_tau_samples(cfg.tau_samples)
         cfg.out = out = open(cfg.out, "w") if cfg.out else None
-        if cfg.subcommand in ("classes", "power", "adams", "pseudo"):
-            cfg.group = parse_group(cfg.group, cfg.wreath)
-        if cfg.subcommand == "classes":
-            code = cmd_classes(cfg)
-        elif cfg.subcommand in ("power", "adams"):
-            operation = power_operation if cfg.subcommand == "power" else adams
-            code = cmd_operation(cfg, cfg.fn, operation)
-        elif cfg.subcommand == "pseudo":
-            code = cmd_pseudo(cfg, cfg.fn, cfg.prime)
-        elif cfg.subcommand == "hecke":
-            code = cmd_hecke(cfg, cfg.form)
-        else:                               # verify; a subcommand is required
-            code = cmd_verify(cfg, cfg.mutate)
+        code = cfg.run(cfg)
     except (GroupError, LatticeError, json.JSONDecodeError, OSError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

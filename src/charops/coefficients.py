@@ -127,10 +127,13 @@ class LatFunction:
     def evaluate(self, l, lp):
         """F(l, l') term by term: the scalar definition of every sampled value."""
         total = 0j
-        for factors, s in self.terms.items():
-            for kernel, ((a, b), (c, d)) in factors:
-                s *= kernel(a * l + b * lp, c * l + d * lp)
-            total += s
+        try:
+            for factors, s in self.terms.items():
+                for kernel, ((a, b), (c, d)) in factors:
+                    s *= kernel(a * l + b * lp, c * l + d * lp)
+                total += s
+        except OverflowError:
+            raise LatticeError("a factor matrix entry is too large for a float") from None
         return total
 
     def at_tau(self, tau):
@@ -303,9 +306,12 @@ class _Kernel:
     def _sample_vector(self, M, samples):
         """(kernel(a 1.0 + b tau, c 1.0 + d tau) for tau in samples) for an
         exact matrix M = ((a, b), (c, d)); `sample_vector` memoizes it per
-        (M, samples)."""
+        (M, samples).  LatticeError when an entry is too large for a float."""
         (a, b), (c, d) = M
-        return tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples])
+        try:
+            return tuple([self(a * 1.0 + b * t, c * 1.0 + d * t) for t in samples])
+        except OverflowError:
+            raise LatticeError("a factor matrix entry is too large for a float") from None
 
     def __call__(self, l, lp):
         l, lp = complex(l), complex(lp)
@@ -503,11 +509,12 @@ def kernels_from_json(table):
 
 def _complex_from_json(pair):
     """complex(re, im) of a JSON [re, im] pair; ValueError unless it is two
-    finite numbers (json.loads reads a bare NaN or Infinity)."""
+    finite numbers that a float can hold (json.loads reads a bare NaN or
+    Infinity, and an integer of any size) and neither is a JSON boolean."""
     try:
         re, im = pair
-        z = complex(re, im)
-    except (TypeError, ValueError):
+        z = None if bool in (type(re), type(im)) else complex(re, im)
+    except (TypeError, ValueError, OverflowError):
         z = None
     if z is None or not cmath.isfinite(z):
         raise ValueError(f"expected a [re, im] pair of finite numbers, got {pair!r}")
@@ -525,12 +532,15 @@ def graded_to_json(v, kernel_index=None):
 
 
 def graded_from_json(data, kind="complex", kernels=()):
-    """Inverse of graded_to_json; kernels is the decoded kernels table."""
+    """Inverse of graded_to_json; kernels is the decoded kernels table.  A
+    degree key is a plain decimal str(j), and every value is read by kind."""
     comp = {}
     for key, val in data.items():
-        if isinstance(val, dict):
-            comp[int(key)] = LatFunction.from_json(val, kernels)
-            kind = "lat"
-        else:
-            comp[int(key)] = _complex_from_json(val)
+        j = int(key)
+        if str(j) != key:
+            raise ValueError(f"degree key {key!r} is not a plain decimal such as {str(j)!r}")
+        if isinstance(val, dict) != (kind == "lat"):
+            raise ValueError(f"the value at degree {key} does not match the declared kind "
+                             f"{kind!r}: a \"lat\" value is an object, a \"complex\" one a pair")
+        comp[j] = LatFunction.from_json(val, kernels) if kind == "lat" else _complex_from_json(val)
     return GradedValue(kind, comp)

@@ -221,6 +221,15 @@ def _set_weight_float(data):
     F["weight"] = 4.0
 
 
+HUGE = 10 ** 400     # an integer that no float can hold
+
+
+def _scale_matrix_row_huge(data):
+    """Row 0 of a factor matrix times 10^400; the determinant stays positive."""
+    M = _first_term(data)["factors"][0][1]
+    M[0] = [HUGE * x for x in M[0]]
+
+
 def _set_terms(data):
     F = next(F for row in data["values"] for F in row["graded"].values() if F["terms"])
     F["terms"] = 5
@@ -246,6 +255,14 @@ MALFORMED_FUNCTIONS = [
     ("height-2 weight not an integer", ["--group", "C2", "--wreath", "2"], 2,
      _set_weight_float),
     ("kernel not an object", ["--group", "C2", "--wreath", "2"], 2, _set(["kernels", 0], 5)),
+    ("graded number past float range", ["--group", "C2"], 1,
+     _set(["values", 0, "graded", "0"], [HUGE, 0])),
+    ("graded number boolean", ["--group", "C2"], 1,
+     _set(["values", 0, "graded", "0"], [True, False])),
+    ("kernel q entry past float range", ["--group", "C2", "--wreath", "2"], 2,
+     _set(["kernels", 0, "q", 1], [HUGE, 0])),
+    ("factor matrix entry past float range", ["--group", "C2", "--wreath", "2"], 2,
+     _scale_matrix_row_huge),
     ("value not an object", ["--group", "C2"], 1, _set(["values", 0], 5)),
     ("repeated key", ["--group", "C2"], 1, lambda data: data["values"].append(data["values"][0])),
     ("document not an object", ["--group", "C2"], 1, lambda data: [data]),
@@ -311,6 +328,51 @@ def test_conflicting_values_on_one_orbit_exit_2(tmp_path, capsys):
     rows[1]["graded"] = rows[0]["graded"]
     path.write_text(json.dumps({"d": 1, "values": rows}))
     assert run_cli(capsys, "--group", "S3", "--n", "2", "power", str(path))[0] == 0
+
+
+# (label, group arguments, height, edit of a valid input, part of the message)
+MISMATCHED_FUNCTIONS = [
+    ("complex kind holding lattice functions", ["--group", "C2", "--wreath", "2"], 2,
+     lambda data: data.update(kind="complex", elliptic=False), "declared kind 'complex'"),
+    ("lat kind holding a pair", ["--group", "C2", "--wreath", "2"], 2,
+     _set(["values", 0, "graded", "0"], [1.0, 0.0]), "declared kind 'lat'"),
+    ("elliptic not a boolean", ["--group", "C2"], 1, _set(["elliptic"], "yes"),
+     '"elliptic" is true or false'),
+    ("elliptic complex function", ["--group", "C2"], 1,
+     lambda data: data.update(d=2, elliptic=True, values=[
+         {"tuple": [0, 0], "graded": {"0": [1.0, 0.0]}}]),
+     'only a "lat" function may be elliptic'),
+]
+
+
+@pytest.mark.parametrize("label,group_args,height,edit,message", MISMATCHED_FUNCTIONS,
+                         ids=[case[0] for case in MISMATCHED_FUNCTIONS])
+def test_values_are_read_by_the_declared_kind(tmp_path, capsys, label, group_args,
+                                              height, edit, message):
+    """Each value is read by the file's "kind", and "elliptic" is a boolean
+    that only a "lat" function may set; a mismatch is refused at read."""
+    data = _height1_input() if height == 1 else _height2_power_output()
+    edit(data)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, *group_args, "--n", "2", "power", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], err
+
+
+@pytest.mark.parametrize("key", ["04", "1_0", " 4"])
+def test_degree_keys_are_plain_decimals(tmp_path, capsys, key):
+    """int() reads "04" and " 4" as 4 and "1_0" as 10; such a key could
+    silently replace the value stored under "4" or "10"."""
+    data = _height1_input()
+    data["values"][0]["graded"] = {"4": [1.0, 0.0], key: [7.0, 0.0]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "--group", "C2", "--n", "1", "adams", str(path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and f"degree key {key!r}" in lines[0], err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
@@ -382,6 +444,23 @@ def test_hecke_e6_sample_order(capsys, samples):
                            "hecke", "E6")
     assert code == 0
     assert "eigen-ratio spread 0.000e+00" in out
+
+
+def test_hecke_reads_each_form_once_at_every_tau(capsys, monkeypatch):
+    """The sweep reads the form and its image with one values() call each,
+    so no kernel computes (and memoizes) a vector for a single tau."""
+    from charops import coefficients
+    sample_vector = coefficients._Kernel._sample_vector
+    lengths = []
+
+    def spy(self, M, samples):
+        lengths.append(len(samples))
+        return sample_vector(self, M, samples)
+
+    monkeypatch.setattr(coefficients._Kernel, "_sample_vector", spy)
+    code, _, _ = run_cli(capsys, "--n", "2", "--tau-samples", "1j,2j,3j", "hecke", "E4")
+    assert code == 0
+    assert lengths and set(lengths) == {3}
 
 
 def test_hecke_vanishing_at_every_sample(capsys):
@@ -540,6 +619,11 @@ MALFORMED_ARGUMENTS = [
     ("q not a list", ["--n", "2", "hecke", '{"weight":4,"q":5}']),
     ("q pair too short", ["--n", "2", "hecke", '{"weight":4,"q":[[1]]}']),
     ("form not an object", ["--n", "2", "hecke", "[1,2]"]),
+    ("q entry past float range",
+     ["--n", "2", "hecke", json.dumps({"weight": 4, "q": [1, HUGE]})]),
+    ("q pair past float range",
+     ["--n", "2", "hecke", json.dumps({"weight": 4, "q": [[HUGE, 0]]})]),
+    ("q entry true", ["--n", "2", "hecke", '{"weight": 4, "q": [true, 240]}']),
     ("weight past float range in the tail bound",
      ["--n", "2", "hecke", '{"weight": 700, "q": [1, 240, 2160]}']),
     ("tau sample where |q| rounds to 1", ["--tau-samples", "1e-20j", "--n", "2", "hecke", "E4"]),

@@ -311,6 +311,17 @@ def test_non_finite_tau_is_refused(tau):
         E4.slash(((1, 1), (0, 2))).at_tau(tau)
 
 
+def test_a_matrix_entry_past_float_range_is_refused_on_evaluation():
+    """Two slashes by diag(10^200, 1) compose the exact entry 10^400, which
+    no float can hold: evaluating it raises LatticeError, not OverflowError."""
+    F = E4.slash(((10 ** 200, 0), (0, 1))).slash(((10 ** 200, 0), (0, 1)))
+    (((_, M),),) = F.terms
+    assert M[0][0] == 10 ** 400
+    for evaluate in (lambda: F.at_tau(1j), lambda: F.values(), lambda: F.evaluate(1.0, 1j)):
+        with pytest.raises(LatticeError, match="too large for a float"):
+            evaluate()
+
+
 def test_constant_slashes_to_itself():
     for F in (LatFunction.constant(2.5), LatFunction(0, {}), LatFunction(4, {})):
         assert F.slash(((2, 1), (0, 3))) is F
