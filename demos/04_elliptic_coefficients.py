@@ -28,7 +28,8 @@ tau = 2j
 print(f"(M*E4)(1, {tau}) = {F.evaluate(1, tau):.6f}")
 print(f"2^-4 E4(tau/2)  = {2 ** -4 * E4.at_tau(tau / 2):.6f}")
 
-# an invariant elliptic class function over C2 with E4 and E6 slots
+# an invariant class function over C2 with E4 and E6 slots; its kind "lat"
+# makes it elliptic, so its invariance report checks the S/T basis changes
 C2 = cyclic_group(2)
 from charops.classfn import pair_orbits
 from charops.groups import GSet
@@ -37,7 +38,7 @@ for i, orbit in enumerate(pair_orbits(C2, 2, GSet.point(C2), elliptic=True)):
     val = GradedValue("lat", {0: 1.0 + i, 4: E4.scale(i), 6: E6.scale(1)})
     for key in orbit:
         values[key] = val
-f = ClassFunction.from_values(C2, 2, values, kind="lat", elliptic=True)
+f = ClassFunction.from_values(C2, 2, values, kind="lat")
 print(f"\ninput invariance: {f.is_invariant()!r}")
 
 P2 = power_operation(f, 2)

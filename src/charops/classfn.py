@@ -7,10 +7,10 @@ exact rather than numerical.  Functions over large wreath products are backed
 by an evaluation rule instead of a table; the rules produced in this package
 are themselves exactly conjugation invariant.
 
-At height 2 a function may be flagged "elliptic": then compatibility with the
-basis-change action on pairs -- value(gamma.(g,g'), x) equals the coefficient
-slash by gamma of value((g,g'), x) -- is a checkable property, verified on
-the generators S and T.
+A function of kind "lat" lives at height 2 and is elliptic: compatibility
+with the basis-change action on pairs -- value(gamma.(g,g'), x) equals the
+coefficient slash by gamma of value((g,g'), x) -- is a checkable property,
+verified on the generators S and T.
 """
 
 from __future__ import annotations
@@ -81,13 +81,14 @@ class InvarianceReport:
 class ClassFunction:
     """GradedValue-valued function on pairs (commuting d-tuple, fixed point)."""
 
-    def __init__(self, group, d, space=None, kind="complex", elliptic=False,
-                 values=None, rule=None, canon=None):
+    def __init__(self, group, d, space=None, kind="complex", values=None, rule=None,
+                 canon=None):
+        if kind == "lat" and d != 2:
+            raise GroupError(f'a "lat" function lives at d = 2, not d = {d}')
         self.group = group
         self.d = d
         self.space = space if space is not None else GSet.point(group)
         self.kind = kind
-        self.elliptic = elliptic
         self.values = values
         self.rule = rule
         if rule is not None:
@@ -97,31 +98,34 @@ class ClassFunction:
         if values is None and rule is None:
             raise GroupError("class function needs stored values or a rule")
 
+    @property
+    def elliptic(self):
+        """Whether invariance includes the S/T basis changes: kind "lat"."""
+        return self.kind == "lat"
+
     # constructors ----------------------------------------------------------
 
     @classmethod
-    def from_values(cls, group, d, values, space=None, kind="complex",
-                    elliptic=False):
-        """Build from {(els, x): GradedValue}; keys are checked and
-        canonicalized on entry; values differing on one orbit raise GroupError."""
-        space = space if space is not None else GSet.point(group)
-        f = cls(group, d, space, kind, elliptic, values={}, rule=None)
+    def from_values(cls, group, d, values, space=None, kind="complex"):
+        """Build from {(els, x): GradedValue}, checking and canonicalizing keys;
+        values of another kind, or differing on one orbit, raise GroupError."""
+        f = cls(group, d, space, kind, values={})
         for (els, x), val in values.items():
+            if val.kind != kind:
+                raise GroupError(f"a {val.kind!r} value in a {kind!r} function")
             key = f.canonical_key(*f._checked_key(els, x))
             if graded_deviation(f.values.setdefault(key, val), val) > 0:
                 raise GroupError(f"keys of the orbit of {key} carry different values")
         return f
 
     @classmethod
-    def from_rule(cls, group, d, rule, space=None, kind="complex",
-                  elliptic=False):
-        return cls(group, d, space, kind, elliptic, values=None, rule=rule)
+    def from_rule(cls, group, d, rule, space=None, kind="complex"):
+        return cls(group, d, space, kind, rule=rule)
 
     @classmethod
-    def constant(cls, group, d, value=1.0, space=None, kind="complex",
-                 elliptic=False):
+    def constant(cls, group, d, value=1.0, space=None, kind="complex"):
         v = GradedValue.scalar(value, kind)
-        return cls.from_rule(group, d, lambda els, x: v, space, kind, elliptic)
+        return cls.from_rule(group, d, lambda els, x: v, space, kind)
 
     # keys --------------------------------------------------------------------
 
@@ -191,7 +195,7 @@ class ClassFunction:
             for key in orbit:
                 canon[key] = rep
         return ClassFunction(self.group, self.d, self.space, self.kind,
-                             self.elliptic, values=values, canon=canon)
+                             values=values, canon=canon)
 
     # properties ------------------------------------------------------------------
 
@@ -272,10 +276,10 @@ class ClassFunction:
             raise ValueError(f"unknown kind {kind!r}")
         if type(d) is not int or d not in (1, 2):
             raise ValueError(f"arity {d!r} is not one of the heights 1 and 2")
-        elliptic = data.get("elliptic", False)
-        if type(elliptic) is not bool or elliptic and kind != "lat":
-            raise ValueError(f"\"elliptic\" is true or false, and only a \"lat\" function "
-                             f"may be elliptic; got {elliptic!r} on kind {kind!r}")
+        for field, view in (("height", d), ("elliptic", kind == "lat")):
+            if field in data and (type(data[field]) is not type(view) or data[field] != view):
+                raise ValueError(f"\"{field}\" is {str(view).lower()} for a {kind!r} function "
+                                 f"at d = {d}, got {data[field]!r}")
         kernels = kernels_from_json(data.get("kernels", []))
         values = {}
         for row in data["values"]:
@@ -289,7 +293,7 @@ class ClassFunction:
             if key in values:
                 raise GroupError(f"key {list(key[0])}, {key[1]} is listed twice")
             values[key] = graded_from_json(row["graded"], kind, kernels)
-        return cls.from_values(group, d, values, space=space, kind=kind, elliptic=elliptic)
+        return cls.from_values(group, d, values, space=space, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +321,7 @@ def restrict_along(f, phi, space_map=None):
     def rule(els, x):
         return f._value(tuple(phi(e) for e in els), mapping(x))
 
-    return ClassFunction.from_rule(source, f.d, rule, space=src_space,
-                                   kind=f.kind, elliptic=f.elliptic)
+    return ClassFunction.from_rule(source, f.d, rule, space=src_space, kind=f.kind)
 
 
 def _check_equivariance(phi, src_space, dst_space, mapping):
@@ -336,7 +339,7 @@ def _check_equivariance(phi, src_space, dst_space, mapping):
 def _check_same_domain(f, g, what):
     if f.group != g.group or f.d != g.d or f.kind != g.kind:
         raise GroupError(f"shape mismatch in class function {what}")
-    if f.space is not g.space and (f.space.size, g.space.size) != (1, 1):
+    if f.space != g.space:
         raise GroupError("class functions live on different spaces")
 
 
@@ -347,8 +350,7 @@ def multiply(f, g):
     def rule(els, x):
         return graded_product(f._value(els, x), g._value(els, x))
 
-    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
-                                   kind=f.kind, elliptic=f.elliptic and g.elliptic)
+    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)
 
 
 def add(f, g):
@@ -358,8 +360,7 @@ def add(f, g):
     def rule(els, x):
         return graded_sum(f._value(els, x), g._value(els, x))
 
-    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
-                                   kind=f.kind, elliptic=f.elliptic and g.elliptic)
+    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)
 
 
 def external_product(f, g):
@@ -380,8 +381,7 @@ def external_product(f, g):
         x1, x2 = split_point(x)
         return graded_product(f._value(e1, x1), g._value(e2, x2))
 
-    return ClassFunction.from_rule(P, f.d, rule, space=space, kind=f.kind,
-                                   elliptic=f.elliptic and g.elliptic)
+    return ClassFunction.from_rule(P, f.d, rule, space=space, kind=f.kind)
 
 
 # ---------------------------------------------------------------------------

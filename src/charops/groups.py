@@ -354,6 +354,9 @@ def perm_group(degree, generator_perms):
         raise GroupError("permutation generators are a list of integer lists")
     if degree < 0:
         raise GroupError("permutation degree must be >= 0")
+    if degree and not generator_perms:
+        raise GroupError(f"no generators bound the degree {degree}; the trivial group is "
+                         '{"type": "cyclic", "n": 1}')
     gens = [tuple(p) for p in generator_perms]
     for p in gens:
         if sorted(p) != list(range(degree)):
@@ -1143,14 +1146,14 @@ def _extend_action(G, perms, npoints):
                    np.arange(npoints), "action not compatible")
 
 
+@dataclass(frozen=True)
 class _PointGSet(GSet):
     """One point with the trivial action; no table, so it stays cheap for
-    arbitrarily large groups."""
+    arbitrarily large groups.  The points over equal groups are equal."""
 
-    def __init__(self, group):
-        self.group = group
-        self.size = 1
-        self.action = None
+    group: FiniteGroup
+    size = 1
+    action = None
 
     def apply(self, g, x):
         return 0
@@ -1159,22 +1162,24 @@ class _PointGSet(GSet):
         return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x)), dtype=np.int64)
 
 
+@dataclass(frozen=True)
 class PowerGSet(GSet):
-    """X^n as a G wr Sigma_n set, with points encoded in base |X|.
+    """X^n as a G wr Sigma_n set, points in base |X|; equal for equal X and W.
 
     The action is computed on the fly: (w . x)_a = g_a x_{sigma^-1(a)}.
     """
 
-    def __init__(self, base_space, wreath_group):
-        self.base_space = base_space
-        self.group = wreath_group
-        self.n = wreath_group.n
-        self.size = base_space.size ** self.n
+    base_space: GSet
+    group: WreathGroup
+
+    @functools.cached_property
+    def size(self):
+        return self.base_space.size ** self.group.n
 
     def decode_point(self, code):
         out = []
         m = self.base_space.size
-        for _ in range(self.n):
+        for _ in range(self.group.n):
             code, r = divmod(code, m)
             out.append(r)
         return tuple(out)
@@ -1191,7 +1196,7 @@ class PowerGSet(GSet):
         xt = self.decode_point(x)
         si = perm_inverse(sigma)
         moved = tuple(self.base_space.apply(bases[a], xt[si[a]])
-                      for a in range(self.n))
+                      for a in range(self.group.n))
         return self.encode_point(moved)
 
     def apply_array(self, g, x):
@@ -1201,13 +1206,13 @@ class PowerGSet(GSet):
         W = self.group
         g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
                                    np.asarray(x, dtype=np.int64))
-        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
+        if not 1 <= W.n <= _SIGMA_TABLE_ARITY:
             return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
                                                              x.ravel().tolist())],
                             dtype=np.int64).reshape(g.shape)
         r, c = np.divmod(g, W._bn)
         bases = c[..., None] // W._power_array % W._bs
-        places = self.base_space.size ** np.arange(self.n, dtype=np.int64)
+        places = self.base_space.size ** np.arange(W.n, dtype=np.int64)
         digits = x[..., None] // places % self.base_space.size
         moved = self.base_space.apply_array(
             bases, np.take_along_axis(digits, W._inverse_array[r], axis=-1))

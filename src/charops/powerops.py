@@ -70,20 +70,13 @@ def power_operation(f, n, mode="lazy", basepoint_rng=None, basis=None):
             warnings.warn(f"power operation applied to a non-invariant input: {rep}")
     G = f.group
     W = wreath(G, n)
-    if f.space.size == 1:
-        out_space = GSet.point(W)
-        def x_points(x):
-            return (0,) * n
-    else:
-        out_space = PowerGSet(f.space, W)
-        def x_points(x):
-            return out_space.decode_point(x)
+    power = PowerGSet(f.space, W)
 
     def rule(els, x):
-        return _power_value(f, W, els, x_points(x), basepoint_rng, basis)
+        return _power_value(f, W, els, power.decode_point(x), basepoint_rng, basis)
 
-    out = ClassFunction.from_rule(W, f.d, rule, space=out_space, kind=f.kind,
-                                  elliptic=f.elliptic)
+    out_space = GSet.point(W) if f.space.size == 1 else power
+    out = ClassFunction.from_rule(W, f.d, rule, space=out_space, kind=f.kind)
     return out.materialize() if mode == "eager" else out
 
 
@@ -102,8 +95,7 @@ def adams(f, n):
         G = f.group
         return scale_by_degree(n, f._value(tuple(G.power(e, n) for e in els), x))
 
-    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
-                                   kind=f.kind, elliptic=f.elliptic)
+    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)
 
 
 def cayley_torsion_tuple(H, n):
@@ -158,8 +150,7 @@ def adams_via_power(f, n):
         tau = cayley_torsion_tuple(CommutingTuple(G, els), n)
         return _power_value(f, W, tau.elements, (x,) * npts)
 
-    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
-                                   kind=f.kind, elliptic=f.elliptic)
+    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +196,14 @@ def pseudo_power_etheory(f, n, p, basis=None):
     picks for the stabilizer sublattice L_k.  With the default HNF basis this
     is exactly the degree-0 height-1 power operation.  Raises on tuples
     whose entries do not have p-power order, and at once when p is not a
-    prime.
+    prime or a stored input has a component in positive degree.
     """
     if not _is_prime(p):
         raise GroupError(f"the pseudo-power operation needs a prime p, got {p}")
     if f.space.size != 1:
         raise GroupError("the pseudo-power operation takes functions on the point")
+    if f.values is not None and any(j > 0 for v in f.values.values() for j in v.components):
+        raise GroupError("the pseudo-power operation takes degree-0 functions")
     G = f.group
     W = wreath(G, n)
 

@@ -129,7 +129,7 @@ def random_height2_function(G, rng):
         val = GradedValue("lat", comp)
         for key in orbit:
             values[key] = val
-    return ClassFunction.from_values(G, 2, values, kind="lat", elliptic=True)
+    return ClassFunction.from_values(G, 2, values, kind="lat")
 
 
 def sample_commuting_pairs(W, count, rng):
@@ -591,5 +591,4 @@ def buggy_adams_full_degree(f, n):
         powered = CommutingTuple(f.group, els).entry_power(n)
         return scale_by_degree(n * n, f.evaluate(powered, x))
 
-    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space,
-                                   kind=f.kind, elliptic=f.elliptic)
+    return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)

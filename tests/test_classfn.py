@@ -20,7 +20,7 @@ from charops.coefficients import (
     graded_deviation,
     weight_slash_graded,
 )
-from charops.powerops import power_operation
+from charops.powerops import adams, power_operation
 from charops.reporacle import character, regular_representation
 from charops.verify import random_height2_function
 from charops.groups import (
@@ -142,7 +142,7 @@ def test_evaluate_rejects_pairs_outside_the_domain(label, build, els, x):
 
 def test_is_invariant_constant():
     S3 = symmetric_group(3)
-    one = ClassFunction.constant(S3, 2, 1.0, kind="lat", elliptic=True)
+    one = ClassFunction.constant(S3, 2, 1.0, kind="lat")
     rep = one.is_invariant()
     assert rep.ok
 
@@ -151,7 +151,7 @@ def test_is_invariant_e4_trivial_group():
     one = cyclic_group(1)
     f = ClassFunction.from_values(
         one, 2, {((0, 0), 0): GradedValue("lat", {4: E4})},
-        kind="lat", elliptic=True)
+        kind="lat")
     rep = f.is_invariant()
     assert rep.ok
     assert rep.max_deviation < 1e-9
@@ -161,7 +161,7 @@ def test_is_invariant_detects_tau_violation():
     one = cyclic_group(1)
     f = ClassFunction.from_values(
         one, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
-        kind="lat", elliptic=True)
+        kind="lat")
     rep = f.is_invariant()
     assert not rep.ok
     assert any(v.kind == "sl2" for v in rep.violations)
@@ -200,10 +200,10 @@ def _invariance_cases():
     E2 = eisenstein_e2()
     tau_slot = ClassFunction.from_values(
         C2, 2, {(t.elements, 0): GradedValue("lat", {2: E2, 4: E4})
-                for t in commuting_tuples(C2, 2)}, kind="lat", elliptic=True)
+                for t in commuting_tuples(C2, 2)}, kind="lat")
     first_entry = ClassFunction.from_rule(
         S3, 2, lambda els, x: GradedValue("lat", {4: E4.scale(els[0] + 1)}),
-        kind="lat", elliptic=True)
+        kind="lat")
     return [pytest.param(stored["C2"], id="C2 stored"),
             pytest.param(stored["S3"], id="S3 stored"),
             pytest.param(multiply(stored["C2"], stored["C2"]), id="C2 rule"),
@@ -494,3 +494,21 @@ def test_a_nan_value_conflicts_with_a_number_on_its_orbit():
     for first, second in ((nan, one), (one, nan)):
         with pytest.raises(GroupError, match="carry different values"):
             ClassFunction.from_values(S3, 1, {((1,), 0): first, ((2,), 0): second})
+
+
+def test_a_value_of_another_kind_is_refused_at_construction():
+    C2 = cyclic_group(2)
+    with pytest.raises(GroupError, match="a 'lat' value in a 'complex' function"):
+        ClassFunction.from_values(C2, 2, {((0, 0), 0): GradedValue("lat", {4: E4})})
+    with pytest.raises(GroupError, match='a "lat" function lives at d = 2'):
+        ClassFunction.constant(C2, 1, 1.0, kind="lat")
+
+
+def test_elliptic_is_the_lat_kind_on_every_operation():
+    C2 = cyclic_group(2)
+    for f in (ClassFunction.from_values(C2, 1, regular_values(C2)),
+              ClassFunction.constant(C2, 2, 2.0, kind="lat")):
+        trivial = GroupHomomorphism.from_generators(cyclic_group(1), C2, [C2.identity])
+        outputs = [f, power_operation(f, 2), adams(f, 3), restrict_along(f, trivial),
+                   external_product(f, f), multiply(f, f)]
+        assert [g.elliptic for g in outputs] == [f.kind == "lat"] * len(outputs)

@@ -266,6 +266,11 @@ MALFORMED_FUNCTIONS = [
     ("value not an object", ["--group", "C2"], 1, _set(["values", 0], 5)),
     ("repeated key", ["--group", "C2"], 1, lambda data: data["values"].append(data["values"][0])),
     ("document not an object", ["--group", "C2"], 1, lambda data: [data]),
+    ("lattice function at d = 1", ["--group", "C2", "--wreath", "2"], 2,
+     lambda data: data.update(height=1, d=1, values=[dict(data["values"][0], tuple=[0])])),
+    ("lattice function not elliptic", ["--group", "C2", "--wreath", "2"], 2,
+     _set(["elliptic"], False)),
+    ("height other than d", ["--group", "C2"], 1, _set(["height"], 2)),
 ]
 
 
@@ -337,11 +342,11 @@ MISMATCHED_FUNCTIONS = [
     ("lat kind holding a pair", ["--group", "C2", "--wreath", "2"], 2,
      _set(["values", 0, "graded", "0"], [1.0, 0.0]), "declared kind 'lat'"),
     ("elliptic not a boolean", ["--group", "C2"], 1, _set(["elliptic"], "yes"),
-     '"elliptic" is true or false'),
+     '"elliptic" is false for a \'complex\' function at d = 1, got \'yes\''),
     ("elliptic complex function", ["--group", "C2"], 1,
-     lambda data: data.update(d=2, elliptic=True, values=[
+     lambda data: data.update(height=2, d=2, elliptic=True, values=[
          {"tuple": [0, 0], "graded": {"0": [1.0, 0.0]}}]),
-     'only a "lat" function may be elliptic'),
+     '"elliptic" is false for a \'complex\' function at d = 2, got True'),
 ]
 
 
@@ -349,8 +354,8 @@ MISMATCHED_FUNCTIONS = [
                          ids=[case[0] for case in MISMATCHED_FUNCTIONS])
 def test_values_are_read_by_the_declared_kind(tmp_path, capsys, label, group_args,
                                               height, edit, message):
-    """Each value is read by the file's "kind", and "elliptic" is a boolean
-    that only a "lat" function may set; a mismatch is refused at read."""
+    """Each value is read by the file's "kind", and "elliptic" is the boolean
+    that is true exactly for a "lat" function; a mismatch is refused at read."""
     data = _height1_input() if height == 1 else _height2_power_output()
     edit(data)
     path = tmp_path / "f.json"
@@ -489,6 +494,19 @@ def test_pseudo_command(tmp_path, capsys):
     assert vals[(0,)] == 4.0 and vals[(4,)] == 2.0
 
 
+@pytest.mark.parametrize("build", [
+    lambda C2: verify.random_height2_function(C2, random.Random(1)),
+    lambda C2: verify.random_height1_function(C2, random.Random(1), degrees=(0, 2))],
+    ids=["height 2", "height 1 degree 2"])
+def test_pseudo_refuses_positive_degrees(tmp_path, capsys, build):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(build(groups.cyclic_group(2)).to_json()))
+    code, out, err = run_cli(capsys, "--group", "C2", "--n", "2", "pseudo", str(path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "degree-0 functions" in lines[0], err
+
+
 def test_verify_command_stubbed(monkeypatch, capsys):
     calls = {}
 
@@ -567,7 +585,7 @@ def test_sl2_invariance_reports_a_non_invariant_input_as_fail(monkeypatch):
     E2 = eisenstein_e2()
     monkeypatch.setattr(verify, "random_height2_function", lambda G, rng: (
         ClassFunction.from_values(G, 2, {((0, 0), 0): GradedValue("lat", {2: E2})},
-                                  kind="lat", elliptic=True)))
+                                  kind="lat")))
     r = verify.suite_sl2_invariance()
     assert not r.passed and r.detail == "C1 input" and r.max_deviation > 0
 
@@ -631,6 +649,8 @@ MALFORMED_ARGUMENTS = [
     ("negative symmetric degree", ["--group", '{"type":"symmetric","n":-3}', "classes"]),
     ("negative permutation degree",
      ["--group", '{"type":"perm","degree":-2,"generators":[]}', "classes"]),
+    ("permutation degree with no generators",
+     ["--group", '{"type":"perm","degree":10000000,"generators":[]}', "classes"]),
     ("wreath order past 64-bit indices",
      ["--group", "C2", "--wreath", "17", "--format", "json", "classes"]),
     ("Hecke index past the term bound", ["--n", "1000000", "hecke", "E4"]),

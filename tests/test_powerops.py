@@ -29,9 +29,10 @@ from charops.powerops import (
     power_operation,
     pseudo_power_etheory,
 )
-from charops.classfn import add
+from charops.classfn import add, multiply, pair_orbits
 from charops.lattices import LatticeError, mat_mul
 from charops.orbits import reduce_tuple
+from charops.verify import random_height1_function, random_height2_function
 from references import check_weight_homogeneity, eisenstein_e2
 
 E4 = eisenstein_series(4, 400)
@@ -68,6 +69,28 @@ def test_power_c2_regular_worked_example():
     assert val((0, 0), ident) == 4.0  # f(e)^2
 
 
+@pytest.mark.parametrize("n,orbits", [(2, 9), (3, 22)])
+def test_power_is_multiplicative_on_one_g_set(n, orbits):
+    """Two power operations of functions on one G-set land on one space, so
+    P_n(f g) = P_n(f) P_n(g) holds exactly at every pair orbit, and their sum
+    evaluates."""
+    C2 = cyclic_group(2)
+    X = GSet(C2, 3, [[0, 1], [1, 0], [2, 2]])
+    rng = random.Random(n)
+    f, g = [ClassFunction.from_values(C2, 1, {
+        o[0]: GradedValue("complex", {0: complex(rng.randint(-3, 3), rng.randint(-3, 3)),
+                                      2: complex(rng.randint(-3, 3), rng.randint(-3, 3))})
+        for o in pair_orbits(C2, 1, X)}, space=X) for _ in range(2)]
+    lhs = power_operation(multiply(f, g), n)
+    rhs = multiply(power_operation(f, n), power_operation(g, n))
+    total = add(power_operation(f, n), power_operation(g, n))
+    keys = [o[0] for o in pair_orbits(lhs.group, 1, lhs.space)]
+    assert len(keys) == orbits
+    for key in keys:
+        assert graded_deviation(lhs.evaluate(*key), rhs.evaluate(*key)) == 0.0
+        assert total.evaluate(*key).kind == "complex"
+
+
 def test_power_at_n0_is_constant_one():
     f = c2_regular_character()
     P0 = power_operation(f, 0)
@@ -85,7 +108,7 @@ def test_power_warns_on_non_invariant_input():
     C1 = cyclic_group(1)
     bad = ClassFunction.from_values(
         C1, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
-        kind="lat", elliptic=True)
+        kind="lat")
     with w.catch_warnings(record=True) as caught:
         w.simplefilter("always")
         power_operation(bad, 2, mode="lazy")
@@ -104,7 +127,7 @@ def test_input_invariance_report_is_computed_once_per_stored_input(monkeypatch):
     def non_invariant():
         return ClassFunction.from_values(
             C1, 2, {((0, 0), 0): GradedValue("lat", {2: eisenstein_e2()})},
-            kind="lat", elliptic=True)
+            kind="lat")
 
     checks = []
     report = classfn.ClassFunction._invariance_report
@@ -131,7 +154,7 @@ def test_stored_inputs_of_any_size_are_checked():
     classes = tuple_conjugacy_classes(W, 2)
     bad = ClassFunction.from_values(
         W, 2, {(c.representative.elements, 0): GradedValue("lat", {2: eisenstein_e2()})
-               for c in classes}, kind="lat", elliptic=True)
+               for c in classes}, kind="lat")
     assert len(bad.values) == len(classes) == 84
     with w.catch_warnings(record=True) as caught:
         w.simplefilter("always")
@@ -233,7 +256,7 @@ def test_power_height2_trivial_group_example():
     C1 = cyclic_group(1)
     f = ClassFunction.from_values(
         C1, 2, {((0, 0), 0): GradedValue("lat", {4: E4})},
-        kind="lat", elliptic=True)
+        kind="lat")
     P2 = power_operation(f, 2, mode="eager")
     W = P2.group
     swap_el = W.encode((0, 0), (1, 0))
@@ -327,7 +350,7 @@ def test_adams_degree0_height2_no_scaling():
         vals[(t.elements, 0)] = GradedValue(
             "lat", {0: __import__("charops.coefficients", fromlist=["LatFunction"])
                     .LatFunction.constant(float(sum(t.elements)))})
-    f = ClassFunction.from_values(C2, 2, vals, kind="lat", elliptic=True)
+    f = ClassFunction.from_values(C2, 2, vals, kind="lat")
     psi = adams(f, 3)
     for t in commuting_tuples(C2, 2):
         lhs = psi.evaluate(t, 0).component(0).at_tau(1j)
@@ -389,7 +412,7 @@ def test_adams_via_power_d2_height2():
     for t in commuting_tuples(C2, 2):
         c = 1.0 + t.elements[0] + 2 * t.elements[1]
         vals[(t.elements, 0)] = GradedValue("lat", {4: E4.scale(c)})
-    f = ClassFunction.from_values(C2, 2, vals, kind="lat", elliptic=True)
+    f = ClassFunction.from_values(C2, 2, vals, kind="lat")
     for n in (2, 3):
         via = adams_via_power(f, n)
         direct = adams(f, n)
@@ -433,6 +456,17 @@ def test_pseudo_power_takes_functions_on_the_point():
     swap = GSet(C2, 2, [[0, 1], [1, 0]])
     with pytest.raises(GroupError, match="on the point"):
         pseudo_power_etheory(ClassFunction.constant(C2, 1, 1.0, space=swap), 2, p=2)
+
+
+@pytest.mark.parametrize("f", [
+    lambda: random_height1_function(cyclic_group(2), random.Random(1), degrees=(0, 2)),
+    lambda: random_height2_function(cyclic_group(2), random.Random(1))],
+    ids=["height 1 degree 2", "height 2"])
+def test_pseudo_power_refuses_positive_degrees(f):
+    """The operation is defined on degree-0 functions; a stored input with a
+    component in positive degree is refused at construction."""
+    with pytest.raises(GroupError, match="degree-0 functions"):
+        pseudo_power_etheory(f(), 2, p=2)
 
 
 @pytest.mark.parametrize("p", [-2, 0, 1, 4])
@@ -612,7 +646,7 @@ def test_class_function_json_roundtrip():
     vals = {}
     for t in commuting_tuples(C2, 2):
         vals[(t.elements, 0)] = GradedValue("lat", {4: E4.scale(sum(t.elements))})
-    f = CF.from_values(C2, 2, vals, kind="lat", elliptic=True)
+    f = CF.from_values(C2, 2, vals, kind="lat")
     back = CF.from_json(C2, f.to_json())
     for t in commuting_tuples(C2, 2):
         assert graded_deviation(f.evaluate(t, 0), back.evaluate(t, 0)) < 1e-9
@@ -730,7 +764,7 @@ def test_power_operation_sums_to_hecke_operator_over_transitive_pairs(weight):
     F = E4 if weight == 4 else E6
     C1 = cyclic_group(1)
     f = ClassFunction.from_values(C1, 2, {((0, 0), 0): GradedValue("lat", {weight: F})},
-                                  kind="lat", elliptic=True)
+                                  kind="lat")
     for n in range(2, 6):
         W = wreath(C1, n)
         P = power_operation(f, n)
