@@ -26,6 +26,7 @@ from .coefficients import (
     DEFAULT_TAU_SAMPLES,
     TOL,
     GradedValue,
+    _graded_deviation,
     graded_deviation,
     graded_from_json,
     graded_product,
@@ -208,6 +209,7 @@ class ClassFunction:
         tau_samples and tol, over every stored key, is computed once and
         kept: no method writes to `values` after a constructor fills it, and
         the stored GradedValues are frozen, so the report cannot go stale."""
+        tau_samples = tuple(tau_samples)    # every comparison reads them all
         default = (self.values is not None and sample_pairs is None
                    and tau_samples == DEFAULT_TAU_SAMPLES and tol == TOL)
         if default and self._default_report is not None:
@@ -233,6 +235,10 @@ class ClassFunction:
         moves = [(kind, move, moved.tolist(), moved_points.tolist())
                  for kind, move, moved, moved_points
                  in pair_moves(G, tuples, points, self.space, self.elliptic)]
+        # A stored value recurs as S/T images of other keys, and a constant slashes
+        # to itself; any other slashed function is new and read once, so not kept.
+        stored = functools.cache(lambda F: F._sample_vector(tau_samples))
+        slashed = lambda F: F._sample_vector(tau_samples) if any(F.terms) else stored(F)
         violations = []
         worst = 0.0
         checked = 0
@@ -240,8 +246,8 @@ class ClassFunction:
             base = self._value(els, x)
             for kind, move, moved, moved_points in moves:
                 expected = base if kind == "conjugation" else weight_slash_graded(move, base)
-                dev = graded_deviation(self._value(tuple(moved[i]), moved_points[i]),
-                                       expected, tau_samples)
+                dev = _graded_deviation(self._value(tuple(moved[i]), moved_points[i]),
+                                        expected, stored, stored if expected is base else slashed)
                 checked += 1
                 worst = max(worst, dev)
                 if dev > tol:

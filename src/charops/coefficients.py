@@ -87,18 +87,14 @@ class LatFunction:
     kernels ordered by creation serial, to a complex scale; F is the sum of
     scale * prod kernel(a l + b l', c l + d l').  Equal terms merge, zero
     terms drop, and a constant is the empty product.
-
-    The values at the last tuple of tau samples asked for are kept as one
-    (samples, values) pair.
     """
 
-    __slots__ = ("weight", "terms", "_sampled")
+    __slots__ = ("weight", "terms")
 
     def __init__(self, weight, terms):
         _check_term_count(len(terms))
         self.weight = weight
         self.terms = terms
-        self._sampled = None
 
     # construction ----------------------------------------------------------
 
@@ -146,16 +142,12 @@ class LatFunction:
         """(F(1.0, tau) for tau in samples), samples a tuple.  Products run in
         the order and terms are summed in the order of evaluate, so every
         value equals evaluate(1.0, tau) bit for bit."""
-        hit = self._sampled
-        if hit is not None and hit[0] == samples:
-            return hit[1]
         totals = (0j,) * len(samples)
         for factors, s in self.terms.items():
             vec = (s,) * len(samples)
             for kernel, M in factors:
                 vec = tuple(map(operator.mul, vec, kernel.sample_vector(M, samples)))
             totals = tuple(map(operator.add, totals, vec))
-        self._sampled = (samples, totals)
         return totals
 
     # algebra -----------------------------------------------------------------
@@ -455,29 +447,38 @@ def weight_slash_graded(M, v):
     return GradedValue("lat", {j: F._slash_exact(M) for j, F in v.components.items()})
 
 
+def worst_deviation(*devs):
+    """The largest of 0.0 and devs, a NaN deviation counting as infinite:
+    a bare max(0.0, nan) is 0.0, which would pass a check that computed
+    nothing."""
+    worst = 0.0
+    for dev in devs:
+        if not dev <= worst:        # NaN compares false both ways
+            worst = dev if dev == dev else math.inf
+    return worst
+
+
 def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
-    """Max componentwise deviation between two graded values; a NaN
-    deviation counts as infinite.  A value or component compared with itself
-    deviates by 0.0 without evaluation (x - x is 0 or NaN)."""
+    """Max componentwise deviation between two graded values, a NaN one
+    counting as infinite (worst_deviation).  A value or component compared
+    with itself deviates by 0.0 without evaluation (x - x is 0 or NaN)."""
+    sample = functools.partial(LatFunction._sample_vector, samples=tuple(samples))
+    return _graded_deviation(u, v, sample, sample)
+
+
+def _graded_deviation(u, v, sample_u, sample_v):
+    """graded_deviation reading u's lattice functions by sample_u, v's by sample_v."""
     if u is v:
         return 0.0
     if u.kind != v.kind:
         raise LatticeError("kind mismatch")
-    samples = tuple(samples)
-    worst = 0.0
+    devs = []
     for j in sorted(set(u.degrees) | set(v.degrees)):
         a, b = u.component(j), v.component(j)
-        if a is b:
-            continue
-        if u.kind == "lat":
-            devs = map(abs, map(operator.sub, a._sample_vector(samples),
-                                b._sample_vector(samples)))
-        else:
-            devs = (abs(a - b),)
-        for dev in devs:
-            if not dev <= worst:        # NaN compares false both ways
-                worst = dev if dev == dev else math.inf
-    return worst
+        if a is not b:
+            devs += (map(abs, map(operator.sub, sample_u(a), sample_v(b)))
+                     if u.kind == "lat" else (abs(a - b),))
+    return worst_deviation(*devs)
 
 
 # JSON surface ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classfn import ClassFunction
-from .coefficients import GradedValue
+from .coefficients import GradedValue, worst_deviation
 from .groups import (
     CommutingTuple,
     GroupError,
@@ -219,7 +219,7 @@ def compare_with_geometric(rep, n):
         w = cls.representative.elements[0]
         oracle = tensor_power_trace_wreath(rep, W, w)
         geo = Pn.evaluate(cls.representative, 0).component(0)
-        worst = max(worst, abs(oracle - geo))
+        worst = worst_deviation(worst, abs(oracle - geo))
     return worst
 
 
@@ -232,7 +232,7 @@ def adams_character_check(rep, n):
     for g in range(G.size):
         lhs = psi.evaluate(CommutingTuple(G, (g,)), 0).component(0)
         rhs = complex(np.trace(rep.matrices[G.power(g, n)]))
-        worst = max(worst, abs(lhs - rhs))
+        worst = worst_deviation(worst, abs(lhs - rhs))
     return worst
 
 

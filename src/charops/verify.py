@@ -8,6 +8,7 @@ and the command line runs them all and exits nonzero on any failure.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import random
 import time
@@ -30,6 +31,7 @@ from .coefficients import (
     eisenstein_series,
     graded_deviation,
     scale_by_degree,
+    worst_deviation,
 )
 from .groups import (
     GROUP_SHORTHANDS,
@@ -354,12 +356,12 @@ def suite_hecke(tol=1e-6):
         Sn = hecke_like(E4, n)
         ratios = [Sn.at_tau(t) / E4.at_tau(t) for t in DEFAULT_TAU_SAMPLES]
         for r in ratios:
-            worst = max(worst, abs(r - eig))
+            worst = worst_deviation(worst, abs(r - eig))
             checks += 1
         # independent q-expansion oracle for the normalization S_n = n^(1-w) T_n
         Tn = LatFunction.from_q_expansion(4, hecke_q_oracle(E4.q_coefficients(), 4, n))
         for t in DEFAULT_TAU_SAMPLES:
-            worst = max(worst, abs(Sn.at_tau(t) - n ** (1 - 4) * Tn.at_tau(t)))
+            worst = worst_deviation(worst, abs(Sn.at_tau(t) - n ** (1 - 4) * Tn.at_tau(t)))
             checks += 1
     return SuiteResult("hecke-eigencheck", worst < tol, worst, checks=checks)
 
@@ -454,7 +456,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
                 a = Q1.evaluate(t, 0).components[0]
                 b = Q2.evaluate(t, 0).components[0]
                 c = Pn.evaluate(t, 0).components[0]
-                worst = max(worst, abs(a - b), abs(a - c))
+                worst = worst_deviation(worst, abs(a - b), abs(a - c))
                 checks += 1
     # d = 2 cross-check with an SL_2(Z) unit on a small group; the input is
     # a function of the generated subgroup, hence automorphism invariant
@@ -472,7 +474,7 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
             continue
         a = Qs[0].evaluate(t, 0).components[0]
         b = Qs[1].evaluate(t, 0).components[0]
-        worst = max(worst, abs(a - b))
+        worst = worst_deviation(worst, abs(a - b))
         checks += 1
     passed = worst == 0.0
     return SuiteResult("etheory-agreement", passed, worst, checks=checks)
@@ -560,17 +562,14 @@ ALL_SUITES = [
 
 
 def run_all_suites(seed=0, mutate=None):
-    """Run every suite; `mutate` optionally injects a known bug (used to
-    demonstrate that the checks can fail).  A GroupError or LatticeError
-    raised inside a suite means a construction it checks broke: it is
-    recorded as that suite's FAIL result, carrying the message, and the
-    remaining suites still run."""
+    """Run every suite, passing `seed` to each one whose signature takes it;
+    `mutate` optionally injects a known bug (used to demonstrate that the
+    checks can fail).  A GroupError or LatticeError raised inside a suite
+    means a construction it checks broke: it is recorded as that suite's
+    FAIL result, carrying the message, and the remaining suites still run."""
     results = []
     for name, suite in ALL_SUITES:
-        kwargs = {}
-        if name in ("consistency-relations", "adams-coherence", "sl2-invariance",
-                    "choice-independence", "etheory-agreement"):
-            kwargs["seed"] = seed
+        kwargs = {"seed": seed} if "seed" in inspect.signature(suite).parameters else {}
         if name == "adams-coherence" and mutate == "adams-exponent":
             kwargs["adams_impl"] = buggy_adams_full_degree
         t0 = time.perf_counter()

@@ -166,6 +166,8 @@ def test_is_invariant_detects_tau_violation():
     assert not rep.ok
     assert any(v.kind == "sl2" for v in rep.violations)
     assert {v.move for v in rep.violations} == {SL2_S, SL2_T}
+    once = f.is_invariant(tau_samples=iter([1j, 2j]))     # spent by one comparison
+    assert once.violations == f.is_invariant(tau_samples=[1j, 2j]).violations
 
 
 def reference_is_invariant(f):
@@ -216,6 +218,29 @@ def _invariance_cases():
 def test_is_invariant_matches_scalar_reference(f):
     rep = f.is_invariant()
     assert (rep.violations, rep.max_deviation, rep.checked) == reference_is_invariant(f)
+
+
+def test_invariance_report_samples_each_lattice_function_once(monkeypatch):
+    """One report reads the samples of each lattice function once, though
+    stored values recur as S/T images of other keys and constants slash to
+    themselves."""
+    from collections import Counter
+
+    from charops.coefficients import LatFunction
+
+    P = power_operation(random_height2_function(cyclic_group(2), random.Random(5)), 2)
+    f = P.materialize()
+    sampled = Counter()         # holds every sampled function, so no id is reused
+    sample_vector = LatFunction._sample_vector
+
+    def spy(F, samples):
+        sampled[F] += 1
+        return sample_vector(F, samples)
+
+    monkeypatch.setattr(LatFunction, "_sample_vector", spy)
+    rep = f.is_invariant()
+    assert rep.ok and rep.checked > len(f.values)
+    assert sampled and max(sampled.values()) == 1
 
 
 def test_restrict_identity():

@@ -579,6 +579,53 @@ def test_verify_reports_construction_error_as_fail(monkeypatch, capsys,
     assert not failed["passed"] and exc.__name__ in failed["detail"]
 
 
+def test_every_suite_that_takes_a_seed_receives_it(monkeypatch):
+    """run_all_suites reads who takes a seed off each suite's signature."""
+    import functools
+    import inspect
+
+    received = {}
+
+    def spy(name, suite):
+        @functools.wraps(suite)     # keeps the suite's signature
+        def run(**kwargs):
+            received[name] = kwargs.get("seed")
+            return SuiteResult(name, True, 0.0)
+        return name, run
+
+    seeded = {name for name, suite in verify.ALL_SUITES
+              if "seed" in inspect.signature(suite).parameters}
+    monkeypatch.setattr(verify, "ALL_SUITES", [spy(*entry) for entry in verify.ALL_SUITES])
+    verify.run_all_suites(seed=7)
+    assert len(seeded) == 5
+    assert received == {name: 7 if name in seeded else None
+                        for name, _ in verify.ALL_SUITES}
+
+
+def _nan_class_function(group, d):
+    return ClassFunction.constant(group, d, float("nan"))
+
+
+@pytest.mark.parametrize("module,name,stub,suite", [
+    ("reporacle", "tensor_power_trace_wreath", lambda rep, W, element: float("nan"),
+     "suite_oracle_equivalence"),
+    ("reporacle", "adams", lambda f, n: _nan_class_function(f.group, f.d),
+     "suite_adams_character"),
+    ("verify", "hecke_like", lambda F, n: F.scale(float("nan")), "suite_hecke"),
+    ("verify", "pseudo_power_etheory",
+     lambda f, n, p, basis=None: _nan_class_function(groups.wreath(f.group, n), f.d),
+     "suite_etheory"),
+], ids=["oracle-equivalence", "adams-character", "hecke-eigencheck", "etheory-agreement"])
+def test_a_nan_deviation_fails_its_suite(monkeypatch, module, name, stub, suite):
+    """A NaN result deviates infinitely: max(0.0, nan) would be 0.0 and
+    pass the suite without a single finite comparison."""
+    from charops import reporacle
+
+    monkeypatch.setattr({"reporacle": reporacle, "verify": verify}[module], name, stub)
+    r = getattr(verify, suite)()
+    assert not r.passed and r.max_deviation == float("inf") and r.checks > 0
+
+
 def test_sl2_invariance_reports_a_non_invariant_input_as_fail(monkeypatch):
     """The input check is a FAIL result, not an assert that `python -O`
     drops or that escapes run_all_suites."""

@@ -279,8 +279,8 @@ def test_concurrent_readers_agree_with_serial():
 def test_concurrent_sample_readers_agree_with_serial(monkeypatch):
     """Threads that read the sampled values of one height-2 function read
     back from JSON, alternating two tuples of tau samples, see exactly what a
-    serial reader sees while the per-function sample slots are replaced and
-    the kernel memos fill and evict (the bound is lowered to 8 here)."""
+    serial reader sees while the kernel memos fill and evict (the bound is
+    lowered to 8 here)."""
     from charops import coefficients
     from charops.coefficients import DEFAULT_TAU_SAMPLES
     from charops.powerops import power_operation
