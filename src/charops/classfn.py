@@ -5,7 +5,10 @@ Values are stored on canonical orbit keys of the simultaneous G-action
 zeta . (h, x) = (zeta h zeta^-1, zeta x), which makes conjugation invariance
 exact rather than numerical.  Functions over large wreath products are backed
 by an evaluation rule instead of a table; the rules produced in this package
-are themselves exactly conjugation invariant.
+are themselves exactly conjugation invariant.  A rule-backed function holds
+only its rule and calls it on every read.  The one memo of rule results is
+the power operation's (`powerops._RULE_CACHE_BOUND`): its values are read
+again and again, and each costs an orbit reduction.
 
 A function of kind "lat" lives at height 2 and is elliptic: compatibility
 with the basis-change action on pairs -- value(gamma.(g,g'), x) equals the
@@ -48,12 +51,6 @@ from .groups import (
     wreath,
 )
 
-# Most rule results one rule-backed function keeps, keyed on the checked pair
-# (els, x); the least recently used goes first.  `charops verify` at seed 0
-# leaves at most 165 in any one function, and one pass of each benchmark
-# workload at most 84.
-_RULE_CACHE_BOUND = 4096
-
 
 @dataclass
 class InvarianceViolation:
@@ -92,8 +89,6 @@ class ClassFunction:
         self.kind = kind
         self.values = values
         self.rule = rule
-        if rule is not None:
-            self._rule_value = functools.lru_cache(maxsize=_RULE_CACHE_BOUND)(rule)
         self._canon = canon if canon is not None else {}
         self._default_report = None
         if values is None and rule is None:
@@ -134,10 +129,13 @@ class ClassFunction:
         """The least pair of the orbit of (els, x).  The first key of an
         orbit conjugates by every group element in one batched call and
         enters the whole orbit into the canonical map, so later keys of the
-        same orbit are dict hits; the map never outgrows the domain."""
+        same orbit are dict hits; the map never outgrows the domain, since
+        a point that the tuple does not fix raises GroupError."""
         hit = self._canon.get((els, x))
         if hit is not None:
             return hit
+        if any(self.space.apply(e, x) != x for e in els):
+            raise GroupError(f"point {x} is not fixed by the tuple {els}")
         orbit = conjugation_orbit(self.group, els, x, self.space)
         self._canon.update(dict.fromkeys(orbit, orbit[0]))
         return orbit[0]
@@ -174,9 +172,12 @@ class ClassFunction:
 
     def _value(self, els, x):
         """evaluate for a pair (els, x) already known to be in the domain:
-        the package's rules derive their keys from checked ones."""
+        the package's rules derive their keys from checked ones.  A stored
+        function still refuses a point the tuple does not fix (see
+        `canonical_key`), and warns and reads 0 on an orbit it does not
+        store."""
         if self.rule is not None:
-            return self._rule_value(els, x)
+            return self.rule(els, x)
         key = self.canonical_key(els, x)
         val = self.values.get(key)
         if val is None:
@@ -277,6 +278,8 @@ class ClassFunction:
         if not (isinstance(data, dict) and isinstance(data.get("values"), list)):
             raise ValueError("a class function is an object with a \"values\" list")
         kind = data.get("kind", "complex")
+        if "d" not in data and "height" not in data:
+            raise ValueError('a class function needs a "d" or a "height" field')
         d = data["d"] if "d" in data else data["height"]
         if kind not in ("complex", "lat"):
             raise ValueError(f"unknown kind {kind!r}")

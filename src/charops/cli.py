@@ -275,8 +275,10 @@ def _run(cfg):
         cfg.tau_samples = parse_tau_samples(cfg.tau_samples)
         cfg.out = out = open(cfg.out, "w") if cfg.out else None
         code = cfg.run(cfg)
-    except (GroupError, LatticeError, json.JSONDecodeError, OSError, KeyError,
-            ValueError) as exc:
+    except KeyError as exc:         # a JSON object read without a field it needs
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (GroupError, LatticeError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

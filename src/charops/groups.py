@@ -122,9 +122,6 @@ class FiniteGroup:
         z = np.asarray(z, dtype=np.int64)
         return self.mul_array(self.mul_array(z, a), self.inv_array(z))
 
-    def elements(self):
-        return range(self.size)
-
     def generators(self):
         """A deterministic generating set."""
         raise NotImplementedError
@@ -155,9 +152,6 @@ class FiniteGroup:
 
     def commutes(self, a, b):
         return self.mul(a, b) == self.mul(b, a)
-
-    def centralizer(self, a):
-        return [g for g in self.elements() if self.commutes(g, a)]
 
     def label(self, a):
         if self.labels is not None:
@@ -773,15 +767,6 @@ class CommutingTuple:
         for e, k in zip(self.elements, vector):
             out = G.mul(out, G.power(e, k))
         return out
-
-    def entry_power(self, n):
-        """Raise every entry to the n-th power (precompose with n * id)."""
-        G = self.group
-        return CommutingTuple(G, tuple(G.power(e, n) for e in self.elements))
-
-    def conjugate(self, z):
-        G = self.group
-        return CommutingTuple(G, tuple(G.conj(z, e) for e in self.elements))
 
     def image_subgroup(self):
         """Elements of the subgroup generated by the entries (abelian)."""

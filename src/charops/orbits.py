@@ -66,10 +66,6 @@ class OrbitReduction:
     reduced: tuple             # CommutingTuple in the base group per orbit
     labels: tuple              # per point p: (orbit k, v with sigma^v(i_k) = p)
 
-    def coordinate(self, v, p):
-        """Coordinate p of H(v), read off the decoded entries."""
-        return _coordinate(self.group.base, _decoded(self.group, self.elements), v, p)
-
     def transport(self, X):
         """Fixed points of X^n under im(H) against the product of orbit fixed sets.
 

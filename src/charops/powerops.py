@@ -16,6 +16,7 @@ section-dependent pseudo-power operation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .classfn import ClassFunction
@@ -31,6 +32,15 @@ from .lattices import sublattices_of_index
 from .orbits import _reduction
 
 ADAMS_WREATH_BUDGET = 9
+
+# Most values one rule-backed power operation keeps, keyed on the pair
+# (els, x); the least recently used goes first.  The package's one memo of
+# rule results: a warm pass of the `relations` benchmark workload (seed 1)
+# reads power values 2,584 times and hits 630, while restrictions and Adams
+# operations, cheap compositions around it, are almost never read twice at
+# one pair.  `charops verify` at seed 0 leaves at most 165 values in any one
+# power operation, and one pass of each benchmark workload at most 84.
+_RULE_CACHE_BOUND = 4096
 
 
 def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
@@ -48,8 +58,9 @@ def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
 
 def power_operation(f, n, mode="lazy", basepoint_rng=None, basis=None):
     """The n-th power operation: class functions over G to class functions
-    over G wr Sigma_n, rule-backed, or with mode "eager" its `materialize()`
-    on every pair orbit.  The randomization hooks re-run the orbit reduction
+    over G wr Sigma_n, rule-backed with its values memoized (at most
+    `_RULE_CACHE_BOUND`), or with mode "eager" its `materialize()` on every
+    pair orbit.  The randomization hooks re-run the orbit reduction
     with random basepoints or with the stabilizer bases picked by `basis`
     (see `reduce_tuple`); outputs must not depend on them.
 
@@ -72,6 +83,7 @@ def power_operation(f, n, mode="lazy", basepoint_rng=None, basis=None):
     W = wreath(G, n)
     power = PowerGSet(f.space, W)
 
+    @functools.lru_cache(maxsize=_RULE_CACHE_BOUND)
     def rule(els, x):
         return _power_value(f, W, els, power.decode_point(x), basepoint_rng, basis)
 

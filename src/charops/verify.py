@@ -587,7 +587,7 @@ def buggy_adams_full_degree(f, n):
     kept only so the verification suite can demonstrate a failure."""
 
     def rule(els, x):
-        powered = CommutingTuple(f.group, els).entry_power(n)
-        return scale_by_degree(n * n, f.evaluate(powered, x))
+        G = f.group
+        return scale_by_degree(n * n, f._value(tuple(G.power(e, n) for e in els), x))
 
     return ClassFunction.from_rule(f.group, f.d, rule, space=f.space, kind=f.kind)

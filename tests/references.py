@@ -18,6 +18,17 @@ def gl_act_on_tuple(gamma, h):
     return CommutingTuple(h.group, tuple(h.at(ginv[j]) for j in range(d)))
 
 
+def conjugate_tuple(h, z):
+    """z h z^-1, entry by entry, as a commuting tuple over the same group."""
+    G = h.group
+    return CommutingTuple(G, tuple(G.conj(z, e) for e in h.elements))
+
+
+def centralizer(G, a):
+    """The elements of G that commute with a, in index order."""
+    return [g for g in range(G.size) if G.commutes(g, a)]
+
+
 def cycle_product(G, bases, sigma, cycle, basepoint):
     """Ordered product of base entries along a cycle of sigma, traversed
     basepoint, sigma^-1(basepoint), sigma^-2(basepoint), ...: the basepoint

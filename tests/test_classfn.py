@@ -97,6 +97,23 @@ def test_missing_orbit_warns_and_defaults_zero():
     assert v.components == {}
 
 
+def test_stored_read_at_an_unfixed_point_raises():
+    """`_value`, which rules call without checking their keys, refuses a
+    point the tuple does not fix and leaves that orbit out of the canonical
+    map; a fixed pair of an orbit with no stored value still warns and
+    reads 0."""
+    C2 = cyclic_group(2)
+    X = GSet(C2, 3, [[0, 0], [1, 2], [2, 1]])     # the generator swaps 1 and 2
+    f = ClassFunction.from_values(
+        C2, 1, {((0,), 1): GradedValue("complex", {0: 1.0})}, space=X)
+    with pytest.raises(GroupError, match="not fixed"):
+        f._value((1,), 1)
+    assert ((1,), 1) not in f._canon
+    with pytest.warns(UserWarning, match="no value stored"):
+        assert f._value((1,), 0).components == {}
+    assert f._value((0,), 2).components == {0: 1.0}
+
+
 def _s3_stored_pairs():
     S3 = symmetric_group(3)
     return ClassFunction.from_values(
@@ -394,6 +411,35 @@ def test_external_product():
     assert fg.evaluate(t, 0).components[0] == 12.0
     t = CommutingTuple(P, (P.encode(1, 0),))
     assert fg.evaluate(t, 0).components[0] == 0.0
+
+
+def test_power_operation_holds_the_one_rule_memo():
+    """A rule-backed function calls its rule on every read, and so do
+    restrictions, external products and Adams operations; only the power
+    operation memoizes its values, bounded at `powerops._RULE_CACHE_BOUND`."""
+    from charops import powerops
+    S3 = symmetric_group(3)
+    calls = []
+
+    def rule(els, x):
+        calls.append(els)
+        return GradedValue("complex", {0: 2.0})
+
+    f = ClassFunction.from_rule(S3, 1, rule)
+    ident = GroupHomomorphism(S3, S3, list(range(6)))
+    for g in (f, restrict_along(f, ident), external_product(f, f), adams(f, 2)):
+        reads = []
+        for _ in range(3):
+            before = len(calls)
+            g.evaluate((g.group.size - 1,), 0)
+            reads.append(len(calls) - before)
+        assert reads[0] > 0 and reads == reads[:1] * 3
+    P = power_operation(f, 2)
+    assert P.rule.cache_info().maxsize == powerops._RULE_CACHE_BOUND
+    P.evaluate((P.group.size - 1,), 0)
+    before = len(calls)
+    P.evaluate((P.group.size - 1,), 0)
+    assert len(calls) == before and P.rule.cache_info().hits == 1
 
 
 def test_pair_orbits_counts():

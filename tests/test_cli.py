@@ -115,6 +115,7 @@ def test_adams_n1_identity(tmp_path, capsys):
     assert vals == {(0,): 2.0, (1,): 0.5}
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_missing_orbit_warns_in_one_line(tmp_path, capsys):
     """The default-to-0 warning is one "warning:" line, without the source
     file and line of Python's own format, and the exit code stays 0."""
@@ -318,6 +319,7 @@ def test_boolean_keys_exit_2(tmp_path, capsys, key):
     assert len(lines) == 1 and "element and point indices" in lines[0], err
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_conflicting_values_on_one_orbit_exit_2(tmp_path, capsys):
     """Two conjugate keys with different values are refused; neither wins."""
     S3 = groups.symmetric_group(3)
@@ -361,6 +363,38 @@ def test_values_are_read_by_the_declared_kind(tmp_path, capsys, label, group_arg
     path = tmp_path / "f.json"
     path.write_text(json.dumps(data))
     code, _, err = run_cli(capsys, *group_args, "--n", "2", "power", str(path))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], err
+
+
+def _drop_first_weight(data):
+    del next(iter(data["values"][0]["graded"].values()))["weight"]
+
+
+# (label, group arguments, height, edit of a valid input, part of the message)
+MISSING_FIELDS = [
+    ("cyclic order", ["--group", '{"type":"cyclic"}'], 1, None, "missing field 'n'"),
+    ("group table", ["--group", '{"type":"table"}'], 1, None, "missing field 'table'"),
+    ("permutation generators", ["--group", '{"type":"perm","degree":2}'], 1, None,
+     "missing field 'generators'"),
+    ("arity", ["--group", "C2"], 1, lambda data: [data.pop(k) for k in ("d", "height")],
+     'needs a "d" or a "height" field'),
+    ("lattice function weight", ["--group", "C2", "--wreath", "2"], 2, _drop_first_weight,
+     "missing field 'weight'"),
+]
+
+
+@pytest.mark.parametrize("label,group_args,height,edit,message", MISSING_FIELDS,
+                         ids=[case[0] for case in MISSING_FIELDS])
+def test_a_missing_field_is_named(tmp_path, capsys, label, group_args, height, edit,
+                                  message):
+    data = _height1_input() if height == 1 else _height2_power_output()
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, *group_args, "--n", "2", "adams", str(path))
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], err

@@ -386,10 +386,10 @@ def test_concurrent_reducers_agree_with_serial(monkeypatch):
 
 def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
     """Threads that evaluate one rule-backed power operation over shuffled
-    pairs see what a serial reader sees while its rule cache fills and evicts
-    (the bound is lowered to 8 here); the cache never holds more than the
+    pairs see what a serial reader sees while its memo fills and evicts
+    (the bound is lowered to 8 here); the memo never holds more than the
     bound."""
-    from charops import classfn
+    from charops import powerops
     from charops.powerops import power_operation
 
     values = {(cls.representative.elements, 0): GradedValue("complex", {0: complex(i, 1)})
@@ -399,7 +399,7 @@ def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
     serial_P = power_operation(f, 3, mode="lazy")
     serial = {key: serial_P.evaluate(*key).components for key in keys}
     bound = 8
-    monkeypatch.setattr(classfn, "_RULE_CACHE_BOUND", bound)
+    monkeypatch.setattr(powerops, "_RULE_CACHE_BOUND", bound)
     shared = power_operation(f, 3, mode="lazy")
     results = [None] * 4
     largest = [0] * 4
@@ -412,7 +412,7 @@ def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
             out = {}
             for key in order:
                 out[key] = shared.evaluate(*key).components
-                largest[i] = max(largest[i], shared._rule_value.cache_info().currsize)
+                largest[i] = max(largest[i], shared.rule.cache_info().currsize)
             results[i] = out
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -430,4 +430,4 @@ def test_concurrent_rule_readers_agree_with_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == serial for r in results)
-    assert max(largest) <= bound and shared._rule_value.cache_info().currsize == bound
+    assert max(largest) <= bound and shared.rule.cache_info().currsize == bound

@@ -22,7 +22,7 @@ from charops.groups import (
 from charops.lattices import mat_identity, mat_mul, random_unimodular
 from charops.powerops import cayley_torsion_tuple
 from charops.orbits import fixed_point_transport, reduce_tuple
-from references import cycle_product
+from references import conjugate_tuple, cycle_product
 
 
 def conjugate_in(G, a, b):
@@ -135,7 +135,7 @@ def walk_cases():
     for H, box in cases:
         W = H.group
         z = rng.randrange(W.size)
-        out.append((H.conjugate(z), rng.sample(box, min(len(box), 20))))
+        out.append((conjugate_tuple(H, z), rng.sample(box, min(len(box), 20))))
     return out
 
 
@@ -146,10 +146,11 @@ def test_decoded_walk_matches_wreath_law():
     for H, vectors in walk_cases():
         red = reduce_tuple(H)
         W = H.group
+        parts = orbits._decoded(W, H.elements)
         for v in vectors:
             bases = W.decode(H.at(v))[0]
             for p in range(W.n):
-                assert red.coordinate(v, p) == bases[p]
+                assert orbits._coordinate(W.base, parts, v, p) == bases[p]
                 checked += 1
         for orbit, rows, h_k, i_k in zip(red.orbits, red.matrices, red.reduced,
                                          red.basepoints):
