@@ -410,7 +410,7 @@ def wreath_block_inclusion(G, j, k):
         perm = tuple(s1) + tuple(p + j for p in s2)
         return W.encode(b1 + b2, perm)
 
-    return GroupHomomorphism.from_generators(P, W, [fn(a) for a in P.generators()])
+    return GroupHomomorphism(P, W, [fn(a) for a in P.generators()])
 
 
 def wreath_composition_inclusion(G, j, k):
@@ -436,7 +436,7 @@ def wreath_composition_inclusion(G, j, k):
                 perm[b * k + c] = pi[b] * k + rho[c]
         return W.encode(tuple(bases), tuple(perm))
 
-    return GroupHomomorphism.from_generators(WW, W, [fn(a) for a in WW.generators()])
+    return GroupHomomorphism(WW, W, [fn(a) for a in WW.generators()])
 
 
 def wreath_diagonal(G, G2, k):
@@ -453,4 +453,4 @@ def wreath_diagonal(G, G2, k):
         g2 = tuple(P.decode(b)[1] for b in bases)
         return T.encode(W1.encode(g1, s), W2.encode(g2, s))
 
-    return GroupHomomorphism.from_generators(WP, T, [fn(a) for a in WP.generators()])
+    return GroupHomomorphism(WP, T, [fn(a) for a in WP.generators()])

@@ -429,7 +429,7 @@ def build_group(spec):
         return quaternion_group()
     if kind == "table":
         G = TableGroup(spec["table"])
-        if "size" in spec and G.size != spec["size"]:
+        if "size" in spec and G.size != _int_field(spec, "size"):
             raise GroupError("declared size does not match table")
         return G
     if kind == "perm":
@@ -574,7 +574,7 @@ class WreathGroup(FiniteGroup):
         tables and combined by the base group's own batched law; the
         composite permutation's rank is read from the product table of
         Sigma_n (`_SigmaTables.products`)."""
-        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
+        if self.n > _SIGMA_TABLE_ARITY:
             return super().mul_array(a, b)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                    np.asarray(b, dtype=np.int64))
@@ -590,7 +590,7 @@ class WreathGroup(FiniteGroup):
     def inv_array(self, a):
         """Batched inverse: coordinate b of (g, s)^-1 holds g_{s(b)}^-1; the
         inverse permutation's rank is read from a table."""
-        if not 1 <= self.n <= _SIGMA_TABLE_ARITY:
+        if self.n > _SIGMA_TABLE_ARITY:
             return super().inv_array(a)
         r, c = np.divmod(np.asarray(a, dtype=np.int64), self._bn)
         g = c[..., None] // self._perm_places[r] % self._bs
@@ -691,41 +691,21 @@ def direct_product(g1, g2):
 
 
 class GroupHomomorphism:
-    """Map of groups stored as a dense image array on source indices."""
+    """Map of groups sending source.generators()[k] to images[k], stored as a
+    dense image array on source indices, built and checked by one walk over
+    the source (`_extend`)."""
 
-    def __init__(self, source, target, image, validate=True):
-        self.source = source
-        self.target = target
-        self.image = list(image)
-        if len(self.image) != source.size:
-            raise GroupError("image array has wrong length")
-        if validate:
-            self.validate()
-
-    @classmethod
-    def from_generators(cls, source, target, images):
-        """The homomorphism sending source.generators()[k] to images[k],
-        built and checked by one walk over the source (`_extend`)."""
+    def __init__(self, source, target, images):
         images = np.asarray(images, dtype=np.int64)
         if images.size and (images.min() < 0 or images.max() >= target.size):
             raise GroupError("generator images leave the target group")
-        image = _extend(source, images, target.mul_array, target.identity,
-                        "not a homomorphism")
-        return cls(source, target, image.tolist(), validate=False)
+        self.source = source
+        self.target = target
+        self.image = _extend(source, images, target.mul_array, target.identity,
+                             "not a homomorphism").tolist()
 
     def __call__(self, a):
         return self.image[a]
-
-    def validate(self):
-        """Exact check: the image array equals the extension of its values on
-        the source generators (`from_generators`)."""
-        image = np.array(self.image, dtype=np.int64)
-        if image.min() < 0 or image.max() >= self.target.size:
-            raise GroupError("image array leaves the target group")
-        gens = self.source.generators()
-        if self.from_generators(self.source, self.target, image[gens]).image != self.image:
-            raise GroupError("not a homomorphism: the image array is not the extension "
-                             "of its generator images")
 
 
 # ---------------------------------------------------------------------------
@@ -1065,14 +1045,25 @@ SL2_T = ((1, 1), (0, 1))
 
 
 class GSet:
-    """Finite left G-set.  action[x][g] is the image of point x under g."""
+    """Finite left G-set.  action[x][g] is the image of point x under g.
 
-    def __init__(self, group, size, action, validate=True):
+    The one check of a table, run on every construction: it is a map
+    G x X -> X equal to the extension (`_extend_action`) of its generator
+    columns."""
+
+    def __init__(self, group, size, action):
+        act = np.array(action, dtype=np.int64)
+        if act.shape != (size, group.size) or act.min(initial=0) < 0 \
+                or act.max(initial=0) >= size:
+            raise GroupError("action table is not a map G x X -> X")
+        bad = _extend_action(group, act[:, group.generators()].T, size) != act.T
+        if bad.any():
+            h, x = np.argwhere(bad)[0]
+            raise GroupError(f"action not compatible at h={h}, x={x}")
         self.group = group
         self.size = size
         self.action = action
-        if validate:
-            self.validate()
+        self._action_array = act
 
     def apply(self, g, x):
         return self.action[x][g]
@@ -1082,37 +1073,20 @@ class GSet:
         broadcasting like numpy."""
         return self._action_array[x, g]
 
-    @functools.cached_property
-    def _action_array(self):
-        return np.array(self.action, dtype=np.int64).reshape(self.size, self.group.size)
-
-    def validate(self):
-        """Exact check: the table equals the extension (`_extend_action`)
-        of its generator columns."""
-        G = self.group
-        act = np.array(self.action, dtype=np.int64)
-        if act.shape != (self.size, G.size) or act.min(initial=0) < 0 \
-                or act.max(initial=0) >= self.size:
-            raise GroupError("action table is not a map G x X -> X")
-        bad = _extend_action(G, act[:, G.generators()].T, self.size) != act.T
-        if bad.any():
-            h, x = np.argwhere(bad)[0]
-            raise GroupError(f"action not compatible at h={h}, x={x}")
-
     @classmethod
     def point(cls, group):
         return _PointGSet(group)
 
     @classmethod
     def trivial(cls, group, size):
-        return cls(group, size, [[x] * group.size for x in range(size)], validate=False)
+        return cls(group, size, [[x] * group.size for x in range(size)])
 
     @classmethod
     def left_translation(cls, group):
         """The group acting on itself by left translation (a free action)."""
         elements = np.arange(group.size, dtype=np.int64)
         act = group.mul_array(elements, elements[:, None])
-        return cls(group, group.size, act.tolist(), validate=False)
+        return cls(group, group.size, act.tolist())
 
     def product(self, other):
         """Product G-set of two sets over the two groups' direct product."""
@@ -1121,7 +1095,7 @@ class GSet:
         x2, x1 = np.divmod(np.arange(self.size * other.size, dtype=np.int64)[:, None],
                            self.size)
         act = self.apply_array(g1, x1) + other.apply_array(g2, x2) * self.size
-        return GSet(P, self.size * other.size, act.tolist(), validate=False)
+        return GSet(P, self.size * other.size, act.tolist())
 
 
 def _extend_action(G, perms, npoints):
@@ -1157,6 +1131,11 @@ class PowerGSet(GSet):
     base_space: GSet
     group: WreathGroup
 
+    def __post_init__(self):
+        if not isinstance(self.group, WreathGroup) or self.group.base != self.base_space.group:
+            raise GroupError("the group of a power G-set is a wreath product over "
+                             "the base space's group")
+
     @functools.cached_property
     def size(self):
         return self.base_space.size ** self.group.n
@@ -1191,7 +1170,7 @@ class PowerGSet(GSet):
         W = self.group
         g, x = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
                                    np.asarray(x, dtype=np.int64))
-        if not 1 <= W.n <= _SIGMA_TABLE_ARITY:
+        if W.n > _SIGMA_TABLE_ARITY:
             return np.array([self.apply(a, b) for a, b in zip(g.ravel().tolist(),
                                                              x.ravel().tolist())],
                             dtype=np.int64).reshape(g.shape)
@@ -1250,10 +1229,9 @@ def conjugate_pairs(G, zs, tuples, points, space):
     return moved, space.apply_array(zs[:, None], points[None])
 
 
-def conjugation_orbit(G, els, x=0, space=None):
+def conjugation_orbit(G, els, x, space):
     """The orbit of the pair (els, x), conjugated by every element of G in
     one batched call: its distinct pairs, sorted."""
-    space = space if space is not None else GSet.point(G)
     codes = PairCodes(G, len(els), space.size)
     if not (all(0 <= e < G.size for e in els) and 0 <= x < space.size):
         raise GroupError(f"pair ({els}, {x}) leaves the group or the space")

@@ -77,8 +77,7 @@ class OrbitReduction:
         must be the identity, so forward is its inverse.
         """
         W = self.group
-        if X.group != W.base:
-            raise GroupError("G-set group does not match the wreath base")
+        power = PowerGSet(X, W)
         G = W.base
         parts = _decoded(W, self.elements)
         moves = tuple((k, _coordinate(G, parts, v, p))
@@ -86,7 +85,6 @@ class OrbitReduction:
 
         # codes list the points of X^n little-endian; sorting the decoded
         # tuples restores lexicographic order
-        power = PowerGSet(X, W)
         fixed = _fixed_rows(power, self.elements).all(axis=0)
         product_fixed = sorted(power.decode_point(c)
                                for c in np.flatnonzero(fixed).tolist())

@@ -333,7 +333,7 @@ def suite_sl2_invariance(seed=0, tol=1e-9, arities=(2, 3)):
             return SuiteResult("sl2-invariance", False, rep.max_deviation,
                                detail=f"{gname} input", checks=checks)
         for n in arities:
-            Pn = power_operation(f, n, mode="eager")
+            Pn = power_operation(f, n).materialize()
             rep = Pn.is_invariant(tol=tol)
             worst = max(worst, rep.max_deviation)
             checks += rep.checked

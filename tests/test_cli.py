@@ -447,6 +447,25 @@ def test_importing_the_cli_fills_no_cache():
     assert proc.stdout.split() == ["2"] + ["0"] * 5, proc.stderr
 
 
+def test_the_module_entry_point_runs_the_cli():
+    """`python -m charops` reaches `cli.main` and exits with its code."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "charops", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    proc = run("--group", "C2", "--wreath", "2", "classes")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == \
+        "# 5 classes, sizes sum to 8 (group order 8)"
+    proc = run("--group", '{"type":"cyclic"}', "classes")
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def test_readme_flags_match_parser():
     """The README's "Flags:" line names exactly the global options."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -700,9 +719,15 @@ def test_out_flag(tmp_path, capsys):
     assert dest.read_text().startswith("class,")
 
 
+# a table descriptor's declared size is read like every integer field
+SIZE_NOT_AN_INTEGER = [
+    ("table size true", ["--group", '{"type":"table","size":true,"table":[[0]]}', "classes"]),
+    ("table size 1.0", ["--group", '{"type":"table","size":1.0,"table":[[0]]}', "classes"]),
+]
+
 # (label, argv) of malformed descriptors, forms and options, each rejected where it
 # enters the program
-MALFORMED_ARGUMENTS = [
+MALFORMED_ARGUMENTS = SIZE_NOT_AN_INTEGER + [
     ("descriptor not an object", ["--group", "[1,2]", "classes"]),
     ("ragged table", ["--group", '{"type":"table","table":[[0,1],[1]]}', "classes"]),
     ("table not a list", ["--group", '{"type":"table","table":5}', "classes"]),
@@ -758,6 +783,13 @@ def test_malformed_arguments_exit_2(tmp_path, capsys, label, argv):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("label,argv", SIZE_NOT_AN_INTEGER,
+                         ids=[case[0] for case in SIZE_NOT_AN_INTEGER])
+def test_a_table_size_must_be_an_integer(capsys, label, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "'size'" in err, err
 
 
 @pytest.mark.parametrize("descriptor", ['{"type":"cyclic","n":100000}',

@@ -11,6 +11,7 @@ from charops.groups import (
     GroupError,
     GroupHomomorphism,
     GSet,
+    PowerGSet,
     TableGroup,
     build_group,
     commuting_tuples,
@@ -41,7 +42,7 @@ from references import (
 def class_members(cls):
     """The sorted tuples of a class: its representative's conjugation orbit."""
     rep = cls.representative
-    return [els for els, _ in conjugation_orbit(rep.group, rep.elements)]
+    return [els for els, _ in conjugation_orbit(rep.group, rep.elements, 0, GSet.point(rep.group))]
 
 
 def brute_conjugacy_classes(G):
@@ -605,34 +606,39 @@ def test_reducing_an_out_of_range_wreath_tuple_raises_group_error():
 
 
 def test_homomorphism_validation():
+    """Built from the image of the generator c of C4: reduction mod 2 extends,
+    c -> c in C3 does not (c^4 = e but c^4 != e in C3), and an image outside
+    the target is refused before the walk."""
     C4, C2 = cyclic_group(4), cyclic_group(2)
-    GroupHomomorphism(C4, C2, [0, 1, 0, 1])           # reduction mod 2
-    with pytest.raises(GroupError):
-        GroupHomomorphism(C4, C2, [0, 1, 1, 0])
-    with pytest.raises(GroupError, match="leaves the target"):
-        GroupHomomorphism(C4, C2, [0, 1, 0, 2])
+    assert C4.generators() == [1]
+    assert GroupHomomorphism(C4, C2, [1]).image == [0, 1, 0, 1]
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        GroupHomomorphism(C4, cyclic_group(3), [1])
+    with pytest.raises(GroupError, match="leave the target"):
+        GroupHomomorphism(C4, C2, [2])
 
 
 def test_homomorphism_validation_is_exact_on_large_sources():
-    """The block inclusion of (S3 wr 2) x (S3 wr 2) has 5184 source elements;
-    giving element 6 the image of element 7 breaks only the products that
-    involve 6, which a sampled check of 2000 random pairs (seed 0) misses."""
+    """The block inclusion of (S3 wr 2) x (S3 wr 2) has 5184 source elements
+    and six generators; sending the first to the identity while keeping the
+    other five images extends to no homomorphism, and the walk finds it."""
     from charops.classfn import wreath_block_inclusion
     hom = wreath_block_inclusion(symmetric_group(3), 2, 2)
-    image = list(hom.image)
-    image[6] = image[7]
+    images = [hom(g) for g in hom.source.generators()]
+    assert len(images) == 6
+    images[0] = hom.target.identity
     with pytest.raises(GroupError, match="not a homomorphism"):
-        GroupHomomorphism(hom.source, hom.target, image)
+        GroupHomomorphism(hom.source, hom.target, images)
 
 
 def test_validation_rejects_non_generating_generators(monkeypatch):
     """Both checks run over the generators, so generators that miss part of
-    the group must be rejected: [0, 1, 1, 0] is not a homomorphism, yet it
-    respects multiplication by c^2 on the subgroup {e, c^2}."""
+    the group must be rejected: c^2 -> 1 in C2 respects multiplication on the
+    subgroup {e, c^2}, yet reaches only half of C4."""
     C4, C2 = cyclic_group(4), cyclic_group(2)
     monkeypatch.setattr(C4, "generators", lambda: [2])
     with pytest.raises(GroupError, match="generators reach 2 of 4"):
-        GroupHomomorphism(C4, C2, [0, 1, 1, 0])
+        GroupHomomorphism(C4, C2, [1])
     with pytest.raises(GroupError, match="generators reach 2 of 4"):
         GSet(C4, 2, [[0, 1, 0, 1], [1, 0, 1, 0]])
 
@@ -658,6 +664,51 @@ def test_gset_validation_is_exact_on_large_groups():
 def test_gset_validation_rejects_malformed_tables(act):
     with pytest.raises(GroupError):
         GSet(cyclic_group(4), 2, act)
+
+
+def test_left_translation_is_checked(monkeypatch):
+    """C4 whose batched law reads one product wrong (c^3 c^3 = e, not c^2):
+    its left translation table is no action, and the builder says so."""
+    C4 = cyclic_group(4)
+    table = np.array([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    table[3, 3] = 0
+    monkeypatch.setattr(C4, "mul_array", lambda a, b: table[a, b])
+    with pytest.raises(GroupError, match="action not compatible"):
+        GSet.left_translation(C4)
+
+
+def test_trivial_and_product_gsets_are_checked(monkeypatch):
+    calls = []
+    check = groups._extend_action
+
+    def spy(G, perms, npoints):
+        calls.append((G, npoints))
+        return check(G, perms, npoints)
+
+    monkeypatch.setattr(groups, "_extend_action", spy)
+    C2, S3 = cyclic_group(2), symmetric_group(3)
+    X = GSet.trivial(C2, 2)
+    assert calls == [(C2, 2)]
+    Y = GSet(S3, 3, [[S3.perms[g][x] for g in range(S3.size)] for x in range(3)])
+    Z = X.product(Y)
+    assert calls[1:] == [(S3, 3), (Z.group, 6)]
+
+
+def test_power_gset_needs_a_wreath_product_over_its_base_group():
+    X = GSet.trivial(cyclic_group(2), 2)
+    PowerGSet(X, wreath(cyclic_group(2), 2))
+    for W in (wreath(cyclic_group(3), 2), symmetric_group(3)):
+        with pytest.raises(GroupError, match="wreath product over the base space's group"):
+            PowerGSet(X, W)
+
+
+@pytest.mark.parametrize("G", [cyclic_group(2), symmetric_group(3)], ids=repr)
+def test_power_gset_apply_array_matches_apply_at_arity_0(G):
+    """X^0 is one point under the trivial group G wr 0, on the Sigma_0 tables."""
+    for X in (GSet.trivial(G, 2), GSet.left_translation(G)):
+        power = PowerGSet(X, wreath(G, 0))
+        assert power.size == power.group.size == 1
+        assert power.apply_array(np.array([0]), np.array([0])).tolist() == [power.apply(0, 0)]
 
 
 def _mul_array_groups():

@@ -181,7 +181,7 @@ def test_canonical_map_holds_one_orbit_per_miss():
 def class_members(cls):
     """The sorted tuples of a class: its representative's conjugation orbit."""
     rep = cls.representative
-    return [els for els, _ in conjugation_orbit(rep.group, rep.elements)]
+    return [els for els, _ in conjugation_orbit(rep.group, rep.elements, 0, GSet.point(rep.group))]
 
 
 def scalar_tuple_orbit(G, elements):

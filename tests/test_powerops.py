@@ -622,7 +622,7 @@ def test_restrict_with_space_map():
     X = GSet(C2, 2, [[0, 1], [1, 0]])
     f = ClassFunction.from_values(
         C2, 1, {((0,), 0): GradedValue("complex", {0: 3.0})}, space=X)
-    ident = GroupHomomorphism(C2, C2, [0, 1])
+    ident = GroupHomomorphism(C2, C2, C2.generators())
     g = restrict_along(f, ident, space_map=(X, lambda x: x))
     assert g.evaluate(CommutingTuple(C2, (0,)), 1).components[0] == 3.0
     # a non-equivariant map must be rejected
@@ -636,7 +636,7 @@ def test_restrict_with_space_map():
     h = ClassFunction.constant(W, 1, 1.0, space=R)
     swap = {2: 3, 3: 2}
     with pytest.raises(GroupError):
-        restrict_along(h, GroupHomomorphism(W, W, list(range(W.size))),
+        restrict_along(h, GroupHomomorphism(W, W, W.generators()),
                        space_map=(R, lambda x: swap.get(x, x)))
 
 
