@@ -86,6 +86,8 @@ class ClassFunction:
         self.group = group
         self.d = d
         self.space = space if space is not None else GSet.point(group)
+        if self.space.group is not group and self.space.group != group:
+            raise GroupError("the space of a class function is not a G-set over its group")
         self.kind = kind
         self.values = values
         self.rule = rule
@@ -312,37 +314,46 @@ class ClassFunction:
 def restrict_along(f, phi, space_map=None):
     """Pull back a class function along a group homomorphism.
 
-    (phi* f)(h, x) = f(phi . h, space_map(x)).  space_map defaults to the
+    (phi* f)(h, x) = f(phi . h, space_map(x)), space_map a pair (G-set over
+    phi.source, map of its points into f.space).  space_map defaults to the
     unique map when both spaces are points; it must be phi-equivariant.
     """
     if phi.target != f.group:
         raise GroupError("homomorphism target does not match the function's group")
-    source = phi.source
-    src_space = GSet.point(source)
     if space_map is None:
         if f.space.size != 1:
             raise GroupError("space_map required for a non-point space")
-        mapping = lambda x: 0
+        src_space, images = GSet.point(phi.source), [0]
     else:
-        src_space, mapping = space_map
-        _check_equivariance(phi, src_space, f.space, mapping)
+        src_space, images = space_map[0], _checked_space_map(phi, *space_map, f.space)
 
     def rule(els, x):
-        return f._value(tuple(phi(e) for e in els), mapping(x))
+        return f._value(tuple(phi(e) for e in els), images[x])
 
-    return ClassFunction.from_rule(source, f.d, rule, space=src_space, kind=f.kind)
+    return ClassFunction.from_rule(phi.source, f.d, rule, space=src_space, kind=f.kind)
 
 
-def _check_equivariance(phi, src_space, dst_space, mapping):
-    """Exact check of mapping(g x) = phi(g) mapping(x) for every source
-    generator g and every source point x; by induction on word length it
-    then holds for every group element."""
+def _checked_space_map(phi, src_space, mapping, dst_space):
+    """The images of the source points under mapping, after an exact check
+    that src_space is over phi.source, that they are points of dst_space and
+    that mapping(g x) = phi(g) mapping(x) for every source generator g and
+    every source point x; by induction on word length it then holds for
+    every group element."""
+    if src_space.group != phi.source:
+        raise GroupError("the source space is not a G-set over the homomorphism's source")
+    try:
+        images = [operator.index(mapping(x)) for x in range(src_space.size)]
+    except TypeError:
+        raise GroupError("space map returns a non-index") from None
+    if not all(0 <= y < dst_space.size for y in images):
+        raise GroupError(f"space map leaves the {dst_space.size} points of the function's space")
     for g in phi.source.generators():
         pg = phi(g)
         for x in range(src_space.size):
-            if mapping(src_space.apply(g, x)) != dst_space.apply(pg, mapping(x)):
+            if images[src_space.apply(g, x)] != dst_space.apply(pg, images[x]):
                 raise GroupError(
                     f"space map is not equivariant at generator {g}, point {x}")
+    return images
 
 
 def _check_same_domain(f, g, what):

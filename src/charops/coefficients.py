@@ -458,11 +458,11 @@ def worst_deviation(*devs):
     return worst
 
 
-def graded_deviation(u, v, samples=DEFAULT_TAU_SAMPLES):
-    """Max componentwise deviation between two graded values, a NaN one
-    counting as infinite (worst_deviation).  A value or component compared
-    with itself deviates by 0.0 without evaluation (x - x is 0 or NaN)."""
-    sample = functools.partial(LatFunction._sample_vector, samples=tuple(samples))
+def graded_deviation(u, v):
+    """Max componentwise deviation of two graded values at DEFAULT_TAU_SAMPLES,
+    a NaN one counting as infinite (worst_deviation).  A value or component
+    compared with itself deviates by 0.0 unevaluated (x - x is 0 or NaN)."""
+    sample = functools.partial(LatFunction._sample_vector, samples=DEFAULT_TAU_SAMPLES)
     return _graded_deviation(u, v, sample, sample)
 
 

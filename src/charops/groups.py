@@ -100,8 +100,8 @@ class FiniteGroup:
 
     def mul_array(self, a, b):
         """The group law on integer arrays of element indices, broadcasting
-        like numpy.  This scalar loop serves groups without a vectorised
-        law."""
+        like numpy.  Every built-in group but the wreath products above
+        arity 7 overrides this scalar loop."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                    np.asarray(b, dtype=np.int64))
         out = [self.mul(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
@@ -111,8 +111,8 @@ class FiniteGroup:
         raise NotImplementedError
 
     def inv_array(self, a):
-        """Inverses of an integer array of element indices; a scalar loop
-        for groups without a vectorised inverse."""
+        """Inverses of an integer array of element indices; every built-in
+        group but the wreath products above arity 7 overrides this loop."""
         a = np.asarray(a, dtype=np.int64)
         return np.array([self.inv(x) for x in a.ravel().tolist()],
                         dtype=np.int64).reshape(a.shape)
@@ -145,10 +145,6 @@ class FiniteGroup:
             x = self.mul(x, a)
             k += 1
         return k
-
-    def conj(self, z, a):
-        """z a z^-1."""
-        return self.mul(self.mul(z, a), self.inv(z))
 
     def commutes(self, a, b):
         return self.mul(a, b) == self.mul(b, a)
@@ -485,6 +481,18 @@ def _read_only(array):
     return array
 
 
+def _index_array(values, what):
+    """values as a fresh int64 array; GroupError if they are ragged or numpy
+    reads them as anything but integers (floats, booleans)."""
+    try:
+        array = np.array(values)
+    except ValueError:
+        raise GroupError(f"{what} is ragged") from None
+    if array.size and array.dtype.kind not in "iu":
+        raise GroupError(f"{what} holds {array.dtype} entries, not integer indices")
+    return array.astype(np.int64)
+
+
 # The shared _SigmaTables of arity n <= _SIGMA_TABLE_ARITY.
 _sigma = functools.lru_cache(maxsize=_SIGMA_TABLE_ARITY + 1)(_SigmaTables)
 
@@ -696,7 +704,9 @@ class GroupHomomorphism:
     the source (`_extend`)."""
 
     def __init__(self, source, target, images):
-        images = np.asarray(images, dtype=np.int64)
+        images = _index_array(images, "generator images")
+        if images.ndim != 1:
+            raise GroupError("generator images are not a flat sequence of indices")
         if images.size and (images.min() < 0 or images.max() >= target.size):
             raise GroupError("generator images leave the target group")
         self.source = source
@@ -1045,33 +1055,33 @@ SL2_T = ((1, 1), (0, 1))
 
 
 class GSet:
-    """Finite left G-set.  action[x][g] is the image of point x under g.
+    """Finite left G-set.  table[x, g] is the image of point x under g.
 
     The one check of a table, run on every construction: it is a map
     G x X -> X equal to the extension (`_extend_action`) of its generator
-    columns."""
+    columns.  The G-set keeps a read-only int64 copy of the checked table,
+    never the caller's object."""
 
     def __init__(self, group, size, action):
-        act = np.array(action, dtype=np.int64)
-        if act.shape != (size, group.size) or act.min(initial=0) < 0 \
-                or act.max(initial=0) >= size:
+        table = _index_array(action, "action table")
+        if table.shape != (size, group.size) or table.min(initial=0) < 0 \
+                or table.max(initial=0) >= size:
             raise GroupError("action table is not a map G x X -> X")
-        bad = _extend_action(group, act[:, group.generators()].T, size) != act.T
+        bad = _extend_action(group, table[:, group.generators()].T, size) != table.T
         if bad.any():
             h, x = np.argwhere(bad)[0]
             raise GroupError(f"action not compatible at h={h}, x={x}")
         self.group = group
         self.size = size
-        self.action = action
-        self._action_array = act
+        self.table = _read_only(table)
 
     def apply(self, g, x):
-        return self.action[x][g]
+        return self.table.item(x, g)
 
     def apply_array(self, g, x):
         """The action on integer arrays of group elements and points,
         broadcasting like numpy."""
-        return self._action_array[x, g]
+        return self.table[x, g]
 
     @classmethod
     def point(cls, group):
@@ -1085,8 +1095,7 @@ class GSet:
     def left_translation(cls, group):
         """The group acting on itself by left translation (a free action)."""
         elements = np.arange(group.size, dtype=np.int64)
-        act = group.mul_array(elements, elements[:, None])
-        return cls(group, group.size, act.tolist())
+        return cls(group, group.size, group.mul_array(elements, elements[:, None]))
 
     def product(self, other):
         """Product G-set of two sets over the two groups' direct product."""
@@ -1095,7 +1104,7 @@ class GSet:
         x2, x1 = np.divmod(np.arange(self.size * other.size, dtype=np.int64)[:, None],
                            self.size)
         act = self.apply_array(g1, x1) + other.apply_array(g2, x2) * self.size
-        return GSet(P, self.size * other.size, act.tolist())
+        return GSet(P, self.size * other.size, act)
 
 
 def _extend_action(G, perms, npoints):
@@ -1112,7 +1121,6 @@ class _PointGSet(GSet):
 
     group: FiniteGroup
     size = 1
-    action = None
 
     def apply(self, g, x):
         return 0

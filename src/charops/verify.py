@@ -155,19 +155,21 @@ def _d1_class_points(W):
 # criterion 1: oracle equivalence
 
 
+def _representation_sweep(name, check, gnames, arities, tol, max_dim=None):
+    """The result of check(rep, n), a deviation, over the built-in
+    representations of each named group and every arity n."""
+    devs = [check(rep, n) for gname in gnames
+            for rep in builtin_representations(_group(gname), max_dim=max_dim)
+            for n in arities]
+    worst = worst_deviation(*devs)
+    return SuiteResult(name, worst < tol, worst, checks=len(devs))
+
+
 @_timed
 def suite_oracle_equivalence(tol=1e-9, arities=(2, 3)):
     """Tensor-power trace oracle vs geometric power operation of characters."""
-    worst = 0.0
-    checks = 0
-    for gname in ("C2", "C3", "S3", "Q8"):
-        G = _group(gname)
-        for rep in builtin_representations(G, max_dim=3):
-            for n in arities:
-                dev = compare_with_geometric(rep, n)
-                worst = max(worst, dev)
-                checks += 1
-    return SuiteResult("oracle-equivalence", worst < tol, worst, checks=checks)
+    return _representation_sweep("oracle-equivalence", compare_with_geometric,
+                                 ("C2", "C3", "S3", "Q8"), arities, tol, max_dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +182,11 @@ def _relation_points(source, height, rng):
     return sample_commuting_pairs(source, 6, rng)
 
 
-def _compare_at(points, lhs, rhs):
-    return max((graded_deviation(lhs.evaluate(t, 0), rhs.evaluate(t, 0))
-                for t in points), default=0.0)
+def _compare_at(points, lhs, *rhs):
+    """Worst deviation of each function in rhs from lhs over the points,
+    reading lhs once per point."""
+    return max((graded_deviation(value, g.evaluate(t, 0)) for t in points
+                for value in [lhs.evaluate(t, 0)] for g in rhs), default=0.0)
 
 
 @_timed
@@ -251,21 +255,14 @@ def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None, arities=(2, 3)):
     checks = 0
     for gname in ("C2", "C4", "S3"):
         G = _group(gname)
-        f1 = random_height1_function(G, rng)
-        f2 = random_height2_function(G, rng)
+        inputs = ((1, random_height1_function(G, rng),
+                   [c.representative for c in tuple_conjugacy_classes(G, 1)]),
+                  (2, random_height2_function(G, rng), commuting_tuples(G, 2)))
         for n in arities:
-            via = adams_via_power(f1, n)
-            ref = adams_impl(f1, n)
-            for t in [c.representative for c in tuple_conjugacy_classes(G, 1)]:
-                dev = graded_deviation(via.evaluate(t, 0), ref.evaluate(t, 0))
-                worst[1] = max(worst[1], dev)
-                checks += 1
-            via = adams_via_power(f2, n)
-            ref = adams_impl(f2, n)
-            for t in commuting_tuples(G, 2):
-                dev = graded_deviation(via.evaluate(t, 0), ref.evaluate(t, 0))
-                worst[2] = max(worst[2], dev)
-                checks += 1
+            for height, f, points in inputs:
+                worst[height] = max(worst[height], _compare_at(
+                    points, adams_via_power(f, n), adams_impl(f, n)))
+                checks += len(points)
     return _graded_result("adams-coherence", worst, tol, checks)
 
 
@@ -275,15 +272,8 @@ def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None, arities=(2, 3)):
 
 @_timed
 def suite_adams_character(tol=1e-9, max_n=4):
-    worst = 0.0
-    checks = 0
-    for gname in ("C2", "C3", "C4", "S3", "Q8"):
-        G = _group(gname)
-        for rep in builtin_representations(G):
-            for n in range(1, max_n + 1):
-                worst = max(worst, adams_character_check(rep, n))
-                checks += 1
-    return SuiteResult("adams-character", worst < tol, worst, checks=checks)
+    return _representation_sweep("adams-character", adams_character_check,
+                                 ("C2", "C3", "C4", "S3", "Q8"), range(1, max_n + 1), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +375,14 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50):
         W = wreath(G, 2)
         pts = [c.representative for c in tuple_conjugacy_classes(W, 1)]
         ref = power_operation(f, 2)
-        ref_vals = [ref.evaluate(t, 0) for t in pts]
         for _ in range(runs):
             alt = power_operation(f, 2, basepoint_rng=random.Random(rng.randrange(10 ** 9)))
-            for t, v in zip(pts, ref_vals):
-                dev = graded_deviation(alt.evaluate(t, 0), v)
-                worst[1] = max(worst[1], dev)
-                checks += 1
+            worst[1] = max(worst[1], _compare_at(pts, alt, ref))
+            checks += len(pts)
         # height 2
         f2 = random_height2_function(G, rng)
         pairs = sample_commuting_pairs(W, 4, rng)
         ref = power_operation(f2, 2)
-        ref_vals = [ref.evaluate(t, 0) for t in pairs]
         for _ in range(runs):
             twist_rng = random.Random(rng.randrange(10 ** 9))
             # small unimodular twists U . HNF: large entries drag the
@@ -405,10 +391,8 @@ def suite_choice_independence(seed=0, tol=1e-9, runs=50):
                 f2, 2, basepoint_rng=random.Random(rng.randrange(10 ** 9)),
                 basis=lambda L: mat_mul(random_unimodular(
                     2, twist_rng, steps=2, max_coeff=1), L.basis))
-            for t, v in zip(pairs, ref_vals):
-                dev = graded_deviation(alt.evaluate(t, 0), v)
-                worst[2] = max(worst[2], dev)
-                checks += 1
+            worst[2] = max(worst[2], _compare_at(pairs, alt, ref))
+            checks += len(pairs)
     return _graded_result("choice-independence", worst, tol, checks)
 
 
@@ -434,6 +418,11 @@ def aut_invariant_height1_function(G, rng):
         (els, 0): GradedValue("complex", {0: canon_value(els[0])}) for els in reps})
 
 
+def _p_power_tuples(W, tuples, p):
+    """The tuples whose entries all have p-power order in W."""
+    return [t for t in tuples if all(_is_prime_power_order(W, e, p) for e in t.elements)]
+
+
 @_timed
 def suite_etheory(seed=0, p=2, arities=(2, 4)):
     """Section independence of the pseudo-power operation, and agreement
@@ -449,15 +438,10 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
             Q2 = pseudo_power_etheory(f, n, p=p, basis=lambda L: mat_mul(((-1,),), L.basis))
             Pn = power_operation(f, n)
             W = Q1.group
-            for cls in tuple_conjugacy_classes(W, 1):
-                t = cls.representative
-                if not all(_is_prime_power_order(W, e, p) for e in t.elements):
-                    continue
-                a = Q1.evaluate(t, 0).components[0]
-                b = Q2.evaluate(t, 0).components[0]
-                c = Pn.evaluate(t, 0).components[0]
-                worst = worst_deviation(worst, abs(a - b), abs(a - c))
-                checks += 1
+            pts = _p_power_tuples(
+                W, [c.representative for c in tuple_conjugacy_classes(W, 1)], p)
+            worst = worst_deviation(worst, _compare_at(pts, Q1, Q2, Pn))
+            checks += len(pts)
     # d = 2 cross-check with an SL_2(Z) unit on a small group; the input is
     # a function of the generated subgroup, hence automorphism invariant
     C2 = _group("C2")
@@ -469,15 +453,10 @@ def suite_etheory(seed=0, p=2, arities=(2, 4)):
     Qs = [pseudo_power_etheory(f2, 2, p=p),
           pseudo_power_etheory(f2, 2, p=p, basis=lambda L: mat_mul(((1, 1), (0, 1)), L.basis))]
     W = Qs[0].group
-    for t in commuting_tuples(W, 2):
-        if not all(_is_prime_power_order(W, e, p) for e in t.elements):
-            continue
-        a = Qs[0].evaluate(t, 0).components[0]
-        b = Qs[1].evaluate(t, 0).components[0]
-        worst = worst_deviation(worst, abs(a - b))
-        checks += 1
-    passed = worst == 0.0
-    return SuiteResult("etheory-agreement", passed, worst, checks=checks)
+    pts = _p_power_tuples(W, commuting_tuples(W, 2), p)
+    worst = worst_deviation(worst, _compare_at(pts, *Qs))
+    checks += len(pts)
+    return SuiteResult("etheory-agreement", worst == 0.0, worst, checks=checks)
 
 
 # ---------------------------------------------------------------------------

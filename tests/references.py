@@ -18,10 +18,15 @@ def gl_act_on_tuple(gamma, h):
     return CommutingTuple(h.group, tuple(h.at(ginv[j]) for j in range(d)))
 
 
+def conj(G, z, a):
+    """z a z^-1 for one pair of elements (the scalar form of `conj_array`)."""
+    return G.mul(G.mul(z, a), G.inv(z))
+
+
 def conjugate_tuple(h, z):
     """z h z^-1, entry by entry, as a commuting tuple over the same group."""
     G = h.group
-    return CommutingTuple(G, tuple(G.conj(z, e) for e in h.elements))
+    return CommutingTuple(G, tuple(conj(G, z, e) for e in h.elements))
 
 
 def centralizer(G, a):

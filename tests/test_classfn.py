@@ -38,7 +38,7 @@ from charops.groups import (
     wreath,
 )
 
-from references import eisenstein_e2, gl_act_on_tuple
+from references import conj, eisenstein_e2, gl_act_on_tuple
 
 E4 = eisenstein_series(4, 400)
 
@@ -73,7 +73,7 @@ def test_lookup_and_canonicalization():
     for _ in range(50):
         z = rng.randrange(6)
         h = rng.randrange(6)
-        a = g.evaluate(CommutingTuple(S3, (S3.conj(z, h),)), 0)
+        a = g.evaluate(CommutingTuple(S3, (conj(S3, z, h),)), 0)
         b = g.evaluate(CommutingTuple(S3, (h,)), 0)
         assert graded_deviation(a, b) == 0.0
 
@@ -198,7 +198,7 @@ def reference_is_invariant(f):
     violations, worst, checked = [], 0.0, 0
     for els, x in pairs:
         base = f.evaluate(els, x)
-        checks = [("conjugation", z, tuple(G.conj(z, e) for e in els), f.space.apply(z, x),
+        checks = [("conjugation", z, tuple(conj(G, z, e) for e in els), f.space.apply(z, x),
                    base) for z in G.generators()]
         if f.elliptic and f.d == 2:
             checks += [("sl2", gamma, gl_act_on_tuple(gamma, CommutingTuple(G, els)).elements,
@@ -287,6 +287,40 @@ def test_restrict_c2_in_s3():
     g = restrict_along(f, phi)
     assert g.evaluate(CommutingTuple(C2, (0,)), 0).components[0] == 6.0
     assert g.evaluate(CommutingTuple(C2, (1,)), 0).components[0] == 0.0
+
+
+def test_from_values_refuses_a_space_over_another_group():
+    S3 = symmetric_group(3)
+    v = GradedValue("complex", {0: 1.0})
+    with pytest.raises(GroupError, match="not a G-set over its group"):
+        ClassFunction.from_values(S3, 1, {((0,), 0): v},
+                                  space=GSet.trivial(cyclic_group(2), 2))
+
+
+def test_constant_refuses_a_space_over_another_group():
+    with pytest.raises(GroupError, match="not a G-set over its group"):
+        ClassFunction.constant(symmetric_group(3), 1, space=GSet.trivial(cyclic_group(4), 1))
+
+
+def _two_point_function_and_identity():
+    C2 = cyclic_group(2)
+    f = ClassFunction.constant(C2, 1, space=GSet.trivial(C2, 2))
+    return f, GroupHomomorphism(C2, C2, C2.generators())
+
+
+def test_restrict_refuses_map_values_outside_the_function_space():
+    f, ident = _two_point_function_and_identity()
+    X = GSet.trivial(ident.source, 1)
+    with pytest.raises(GroupError, match="leaves the 2 points"):
+        restrict_along(f, ident, (X, lambda x: 5))
+    with pytest.raises(GroupError, match="non-index"):
+        restrict_along(f, ident, (X, lambda x: 0.5))
+
+
+def test_restrict_refuses_a_source_space_over_another_group():
+    f, ident = _two_point_function_and_identity()
+    with pytest.raises(GroupError, match="homomorphism's source"):
+        restrict_along(f, ident, (GSet.trivial(symmetric_group(3), 2), lambda x: x))
 
 
 def test_restrict_functorial():

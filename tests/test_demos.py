@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion under the test suite's warning
+policy (`filterwarnings` in pyproject.toml): a warning is an error."""
 
 import os
 import subprocess
@@ -16,6 +17,8 @@ def test_demo_exits_0(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-W", "error::RuntimeWarning",
+         str(script)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

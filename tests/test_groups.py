@@ -33,6 +33,7 @@ from charops.orbits import reduce_tuple
 from references import (
     QUATERNION_UNITS,
     centralizer,
+    conj,
     conjugate_tuple,
     gl_act_on_tuple,
     quaternion_table,
@@ -52,7 +53,7 @@ def brute_conjugacy_classes(G):
     for g in range(G.size):
         if g in seen:
             continue
-        orbit = {G.conj(z, g) for z in range(G.size)}
+        orbit = {conj(G, z, g) for z in range(G.size)}
         seen |= orbit
         classes.append(sorted(orbit))
     return classes
@@ -379,7 +380,7 @@ def test_tuple_class_counts():
         for h in cent:
             if h in seen:
                 continue
-            orbit = {S3.conj(z, h) for z in cent}
+            orbit = {conj(S3, z, h) for z in cent}
             seen |= orbit
             total += 1
     assert total == 8
@@ -608,7 +609,8 @@ def test_reducing_an_out_of_range_wreath_tuple_raises_group_error():
 def test_homomorphism_validation():
     """Built from the image of the generator c of C4: reduction mod 2 extends,
     c -> c in C3 does not (c^4 = e but c^4 != e in C3), and an image outside
-    the target is refused before the walk."""
+    the target, a float or boolean one, or a nested list, is refused before
+    the walk."""
     C4, C2 = cyclic_group(4), cyclic_group(2)
     assert C4.generators() == [1]
     assert GroupHomomorphism(C4, C2, [1]).image == [0, 1, 0, 1]
@@ -616,6 +618,11 @@ def test_homomorphism_validation():
         GroupHomomorphism(C4, cyclic_group(3), [1])
     with pytest.raises(GroupError, match="leave the target"):
         GroupHomomorphism(C4, C2, [2])
+    for images in ([1.7], [1.0], [True]):
+        with pytest.raises(GroupError, match="not integer indices"):
+            GroupHomomorphism(C4, C2, images)
+    with pytest.raises(GroupError, match="not a flat sequence"):
+        GroupHomomorphism(C4, C2, [[1]])
 
 
 def test_homomorphism_validation_is_exact_on_large_sources():
@@ -653,17 +660,36 @@ def test_gset_validation_is_exact_on_large_groups():
     with pytest.raises(GroupError, match="action not compatible"):
         GSet(G, 2, act)
     W = wreath(symmetric_group(3), 2)
-    GSet(W, W.size, GSet.left_translation(W).action)
+    GSet(W, W.size, GSet.left_translation(W).table)
 
 
 @pytest.mark.parametrize("act", [
     [[1, 1, 0, 1], [0, 0, 1, 0]],   # the identity moves the points
     [[0, 1, 0, 1], [1, 0, 1, 2]],   # an image outside the set
     [[0, 1, 0, 1]],                 # one row for two points
+    [[0, 1, 0, 1], [1, 0, 1, 0.5]], # a float, which an int cast reads as 0
+    [[0, 1, 0, 1.0], [1, 0, 1, 0]], # even an integral float
+    [[False, True, False, True], [True, False, True, False]],   # booleans
+    [[0, 1, 0, 1], [1, 0, 1]],      # a ragged table
 ])
 def test_gset_validation_rejects_malformed_tables(act):
     with pytest.raises(GroupError):
         GSet(cyclic_group(4), 2, act)
+
+
+def test_gset_keeps_a_read_only_copy_of_its_table():
+    """Editing the caller's rows after construction changes neither apply
+    nor apply_array, and the stored table refuses writes."""
+    C2 = cyclic_group(2)
+    rows = [[0, 1], [1, 0]]
+    X = GSet(C2, 2, rows)
+    rows[0][1] = 0
+    assert [X.apply(g, x) for x in range(2) for g in range(2)] == [0, 1, 1, 0]
+    assert X.apply_array(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])).tolist() == \
+        [0, 1, 1, 0]
+    assert X.table.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="read-only"):
+        X.table[0, 1] = 0
 
 
 def test_left_translation_is_checked(monkeypatch):
@@ -755,10 +781,10 @@ def test_inv_array_and_conj_array_match_scalar(G):
     assert G.inv_array(np.array(els)).tolist() == [G.inv(x) for x in els]
     z, a = _pairs(G, 144)
     assert G.conj_array(np.array(z), np.array(a)).tolist() == \
-        [G.conj(x, y) for x, y in zip(z, a)]
+        [conj(G, x, y) for x, y in zip(z, a)]
     col, row = np.array(z[:20])[:, None], np.array(a[-5:])
     assert G.conj_array(col, row).tolist() == \
-        [[G.conj(x, y) for y in a[-5:]] for x in z[:20]]
+        [[conj(G, x, y) for y in a[-5:]] for x in z[:20]]
 
 
 def test_direct_product():
@@ -777,9 +803,9 @@ def _c2_spaces():
                          ids=repr)
 def test_left_translation_matches_scalar_definition(G):
     X = GSet.left_translation(G)
-    assert X.action == [[G.mul(g, x) for g in range(G.size)] for x in range(G.size)]
-    assert all(type(a) is int for a in X.action[0])
-    GSet(G, G.size, X.action)
+    assert X.table.tolist() == [[G.mul(g, x) for g in range(G.size)] for x in range(G.size)]
+    assert all(type(X.apply(g, 0)) is int for g in range(G.size))
+    GSet(G, G.size, X.table)
 
 
 @pytest.mark.parametrize("pair", range(4))
@@ -793,8 +819,8 @@ def test_gset_product_matches_scalar_definition(pair):
     expected = [[X.apply(P.decode(g)[0], x1) + Y.apply(P.decode(g)[1], x2) * X.size
                  for g in range(P.size)]
                 for x2 in range(Y.size) for x1 in range(X.size)]
-    assert Z.action == expected
-    GSet(P, Z.size, Z.action)
+    assert Z.table.tolist() == expected
+    GSet(P, Z.size, Z.table)
 
 
 def test_associativity_check_is_exact_above_64_elements():

@@ -36,11 +36,11 @@ from charops.groups import (
     wreath,
 )
 from charops.powerops import PowerGSet
-from references import gl_act_on_tuple
+from references import conj, gl_act_on_tuple
 
 
 def scalar_canonical_key(G, space, els, x):
-    return min((tuple(G.conj(z, e) for e in els), space.apply(z, x))
+    return min((tuple(conj(G, z, e) for e in els), space.apply(z, x))
                for z in range(G.size))
 
 
@@ -57,7 +57,7 @@ def scalar_pair_orbits(G, d, space, elliptic=False):
         while bdy:
             new = []
             for els, x in bdy:
-                moves = [(tuple(G.conj(z, e) for e in els), space.apply(z, x))
+                moves = [(tuple(conj(G, z, e) for e in els), space.apply(z, x))
                          for z in G.generators()]
                 if elliptic and d == 2:
                     moves += [(gl_act_on_tuple(gamma, CommutingTuple(G, els)).elements, x)
@@ -174,7 +174,7 @@ def test_canonical_map_holds_one_orbit_per_miss():
     W = wreath(S3, 2)
     f = ClassFunction.constant(W, 1, 1.0)
     key = f.canonical_key((5,), 0)
-    orbit = {(tuple(W.conj(z, e) for e in (5,)), 0) for z in range(W.size)}
+    orbit = {(tuple(conj(W, z, e) for e in (5,)), 0) for z in range(W.size)}
     assert set(f._canon) == orbit and set(f._canon.values()) == {key}
 
 
@@ -191,7 +191,7 @@ def scalar_tuple_orbit(G, elements):
         new = []
         for els in bdy:
             for z in G.generators():
-                c = tuple(G.conj(z, e) for e in els)
+                c = tuple(conj(G, z, e) for e in els)
                 if c not in orbit:
                     orbit.add(c)
                     new.append(c)

@@ -22,11 +22,11 @@ from charops.groups import (
 from charops.lattices import mat_identity, mat_mul, random_unimodular
 from charops.powerops import cayley_torsion_tuple
 from charops.orbits import fixed_point_transport, reduce_tuple
-from references import conjugate_tuple, cycle_product
+from references import conj, conjugate_tuple, cycle_product
 
 
 def conjugate_in(G, a, b):
-    return any(G.conj(z, a) == b for z in range(G.size))
+    return any(conj(G, z, a) == b for z in range(G.size))
 
 
 # --- reduce ---------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_reduce_conjugation_equivariance():
         w = rng.randrange(W.size)
         z = rng.randrange(W.size)
         red0 = reduce_tuple(CommutingTuple(W, (w,)))
-        red1 = reduce_tuple(CommutingTuple(W, (W.conj(z, w),)))
+        red1 = reduce_tuple(CommutingTuple(W, (conj(W, z, w),)))
         # orbit size multisets agree and reduced tuples match up to conjugacy
         sizes0 = sorted(len(o) for o in red0.orbits)
         sizes1 = sorted(len(o) for o in red1.orbits)
