@@ -122,7 +122,7 @@ class ClassFunction:
 
     @classmethod
     def constant(cls, group, d, value=1.0, space=None, kind="complex"):
-        v = GradedValue.scalar(value, kind)
+        v = GradedValue(kind, {0: value})
         return cls.from_rule(group, d, lambda els, x: v, space, kind)
 
     # keys --------------------------------------------------------------------
@@ -184,7 +184,7 @@ class ClassFunction:
         val = self.values.get(key)
         if val is None:
             warnings.warn(f"no value stored for orbit of {key}; defaulting to 0")
-            val = GradedValue.zero(self.kind)
+            val = GradedValue(self.kind, {})
         return val
 
     def materialize(self):

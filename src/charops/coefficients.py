@@ -381,22 +381,6 @@ class GradedValue:
                 comp[j] = complex(v)
         object.__setattr__(self, "components", comp)
 
-    @classmethod
-    def unit(cls, kind="complex"):
-        if kind == "lat":
-            return cls("lat", {0: LatFunction.constant(1.0)})
-        return cls("complex", {0: 1.0 + 0j})
-
-    @classmethod
-    def zero(cls, kind="complex"):
-        return cls(kind, {})
-
-    @classmethod
-    def scalar(cls, value, kind="complex"):
-        if kind == "lat":
-            return cls("lat", {0: LatFunction.constant(value)})
-        return cls("complex", {0: complex(value)})
-
     def component(self, j):
         if self.kind == "lat":
             return self.components.get(j, LatFunction(j, {}))

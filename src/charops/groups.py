@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattices
+from .lattices import int_mat_det
+
 # Group elements per batched step of the exact validation checks (divided
 # by the number of points for G-sets): bounds the temporary arrays
 # independently of the group order.  Blocks of 2048 raise the traced peak
@@ -889,15 +892,12 @@ def _wreath_tuple_classes(W, d):
     prod over distinct types of multiplicity r of (m |C_G(h)|)^r r!, which
     gives the class size.
     """
-    # lattices imports this module, so the import cannot sit at the top
-    from .lattices import sublattices_of_index
-
     G = W.base
     n = W.n
     base_classes = tuple_conjugacy_classes(G, d)
     types = []              # (m, block, centralizer order of one block)
     for m in range(1, n + 1):
-        for L in sublattices_of_index(d, m):
+        for L in lattices.sublattices_of_index(d, m):
             for c in base_classes:
                 types.append((m, _transitive_block(G, L, c.representative),
                               m * (G.size // c.size)))
@@ -971,21 +971,6 @@ def _transitive_block(G, L, h):
 
 # ---------------------------------------------------------------------------
 # integer matrices and the unimodular action on tuples
-
-
-def int_mat_det(M):
-    n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    det = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        det += (-1) ** j * M[0][j] * int_mat_det(minor)
-    return det
 
 
 def int_mat_inverse_unimodular(M):
@@ -1063,6 +1048,8 @@ class GSet:
     never the caller's object."""
 
     def __init__(self, group, size, action):
+        if type(size) is not int:       # bool is a subclass of int
+            raise GroupError(f"G-set size must be an integer, got {size!r}")
         table = _index_array(action, "action table")
         if table.shape != (size, group.size) or table.min(initial=0) < 0 \
                 or table.max(initial=0) >= size:

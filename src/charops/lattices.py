@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import int_mat_det, perm_compose
-
 
 class LatticeError(ValueError):
     pass
@@ -28,6 +26,21 @@ def mat_mul(A, B):
 
 def mat_identity(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+
+
+def int_mat_det(M):
+    n = len(M)
+    if n == 0:
+        return 1
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    det = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        det += (-1) ** j * M[0][j] * int_mat_det(minor)
+    return det
 
 
 def hnf_rows(rows, d):
@@ -185,9 +198,9 @@ def stabilizer_lattice(perms, basepoint):
     """
     perms = [tuple(p) for p in perms]
     npts = len(perms[0]) if perms else 1
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            if perm_compose(perms[i], perms[j]) != perm_compose(perms[j], perms[i]):
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms[i + 1:], i + 1):
+            if [p[x] for x in q] != [q[x] for x in p]:
                 raise LatticeError(f"permutations {i} and {j} do not commute")
     labels, L = orbit_lattice(perms, basepoint)
     if len(labels) != npts:

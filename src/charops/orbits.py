@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (CommutingTuple, GroupError, PowerGSet, WreathGroup, fixed_points,
-                     int_mat_det, perm_inverse)
-from .lattices import orbit_lattice
+                     perm_inverse)
+from .lattices import int_mat_det, orbit_lattice
 
 # Most plain reductions (no basepoint_rng, no basis hook) kept, keyed on
 # (W, elements) of a checked tuple; the least recently used goes first.

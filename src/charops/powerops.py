@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
+
+import numpy as np
 
 from .classfn import ClassFunction
 from .coefficients import (
@@ -46,7 +49,7 @@ _RULE_CACHE_BOUND = 4096
 def _power_value(f, W, els, x_points, basepoint_rng=None, basis=None):
     """Value of the power operation at a tuple over W and product point."""
     red = _reduction(W, els, basepoint_rng, basis)
-    acc = GradedValue.unit(f.kind)
+    acc = GradedValue(f.kind, {0: 1})
     for k, orbit in enumerate(red.orbits):
         v = f._value(red.reduced[k].elements, x_points[red.basepoints[k]])
         if f.kind == "lat":
@@ -77,7 +80,6 @@ def power_operation(f, n, mode="lazy", basepoint_rng=None, basis=None):
     if f.values is not None:
         rep = f.is_invariant()
         if not rep.ok:
-            import warnings
             warnings.warn(f"power operation applied to a non-invariant input: {rep}")
     G = f.group
     W = wreath(G, n)
@@ -116,32 +118,14 @@ def cayley_torsion_tuple(H, n):
     Entry j is the pair (diagonal tuple of h_j, Cayley translation by e_j on
     Z^d / n Z^d).  The kernel of the permutation part is n Z^d.
     """
-    G = H.group
-    d = H.d
-    npts = n ** d
-    W = wreath(G, npts)
-
-    def point(v):
-        code = 0
-        for c in reversed(v):
-            code = code * n + c
-        return code
-
-    def translation(j):
-        perm = [0] * npts
-        for code in range(npts):
-            v = []
-            c = code
-            for _ in range(d):
-                c, r = divmod(c, n)
-                v.append(r)
-            v[j] = (v[j] + 1) % n
-            perm[code] = point(v)
-        return tuple(perm)
-
+    W = wreath(H.group, n ** H.d)
+    # point v of Z^d / n Z^d has code sum_i v_i n^i; e_j moves digit j
+    codes = np.arange(W.n, dtype=np.int64)
     entries = []
-    for j in range(d):
-        entries.append(W.encode((H.elements[j],) * npts, translation(j)))
+    for j, h in enumerate(H.elements):
+        digit = codes // n ** j % n
+        translation = codes + ((digit + 1) % n - digit) * n ** j
+        entries.append(W.encode((h,) * W.n, translation.tolist()))
     return CommutingTuple(W, tuple(entries))
 
 
@@ -200,14 +184,15 @@ def _is_prime(p):
 
 def pseudo_power_etheory(f, n, p, basis=None):
     """The section-dependent power operation on degree-0 class functions of
-    p-power-order tuples.
-
-    Value at [h over G wr Sigma_n] is the product over orbits k of
-    f([psi* h_k]), where psi: Z^d -> L_k is the isomorphism sending e_j to
-    the j-th row that the section basis(L) -> rows (the `reduce_tuple` hook)
-    picks for the stabilizer sublattice L_k.  With the default HNF basis this
-    is exactly the degree-0 height-1 power operation.  Raises on tuples
-    whose entries do not have p-power order, and at once when p is not a
+    p-power-order tuples: the power operation's orbit product with the
+    stabilizer bases picked by the section basis(L) -> rows (the
+    `reduce_tuple` hook), so on the p-power locus its values equal
+    `power_operation(f, n, basis=basis)`; with the default HNF basis, the
+    degree-0 power operation.  Orbit k contributes f([psi* h_k]), psi:
+    Z^d -> L_k sending e_j to the j-th row the section picks for the
+    stabilizer L_k.  Raises on tuples whose entries do not have p-power
+    order (a reduced entry, a coordinate of a product of commuting p-power
+    elements, then has p-power order too), and at once when p is not a
     prime or a stored input has a component in positive degree.
     """
     if not _is_prime(p):
@@ -216,20 +201,13 @@ def pseudo_power_etheory(f, n, p, basis=None):
         raise GroupError("the pseudo-power operation takes functions on the point")
     if f.values is not None and any(j > 0 for v in f.values.values() for j in v.components):
         raise GroupError("the pseudo-power operation takes degree-0 functions")
-    G = f.group
-    W = wreath(G, n)
+    W = wreath(f.group, n)
 
     def rule(els, x):
         for e in els:
             if not _is_prime_power_order(W, e, p):
                 raise GroupError(f"tuple entry of non-{p}-power order")
-        red = _reduction(W, els, basis=basis)
-        acc = GradedValue.unit(f.kind)
-        for t in red.reduced:
-            if not all(_is_prime_power_order(G, e, p) for e in t.elements):
-                raise GroupError(f"reduced entry of non-{p}-power order")
-            acc = graded_product(acc, f._value(t.elements, 0))
-        return acc
+        return _power_value(f, W, els, (0,) * n, basis=basis)
 
     return ClassFunction.from_rule(W, f.d, rule, kind=f.kind)
 

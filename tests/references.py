@@ -4,6 +4,8 @@ None of these is used by the package itself: each restates a convention of
 `charops` one element or one sample point at a time.
 """
 
+import itertools
+
 from charops.coefficients import LatFunction, divisor_power_sums
 from charops.groups import CommutingTuple, GroupError, int_mat_inverse_unimodular, perm_inverse
 
@@ -32,6 +34,23 @@ def conjugate_tuple(h, z):
 def centralizer(G, a):
     """The elements of G that commute with a, in index order."""
     return [g for g in range(G.size) if G.commutes(g, a)]
+
+
+def cayley_translations(n, d):
+    """Translation by e_j on Z^d / n Z^d for each j, as the permutation of
+    the point codes sum_i v_i n^i (the order of `cayley_torsion_tuple`),
+    written out one point v and one coordinate at a time."""
+    points = list(itertools.product(range(n), repeat=d))
+    code = {v: sum(c * n ** i for i, c in enumerate(v)) for v in points}
+    translations = []
+    for j in range(d):
+        perm = [0] * len(points)
+        for v in points:
+            w = list(v)
+            w[j] = (w[j] + 1) % n
+            perm[code[v]] = code[tuple(w)]
+        translations.append(tuple(perm))
+    return translations
 
 
 def cycle_product(G, bases, sigma, cycle, basepoint):

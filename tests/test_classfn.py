@@ -81,7 +81,7 @@ def test_lookup_and_canonicalization():
 def test_evaluate_rejects_unfixed_point():
     C2 = cyclic_group(2)
     X = GSet(C2, 2, [[0, 1], [1, 0]])
-    f = ClassFunction.from_rule(C2, 1, lambda els, x: GradedValue.unit(), space=X)
+    f = ClassFunction.from_rule(C2, 1, lambda els, x: GradedValue("complex", {0: 1}), space=X)
     with pytest.raises(GroupError):
         f.evaluate(CommutingTuple(C2, (1,)), 0)
     # identity fixes everything

@@ -141,7 +141,7 @@ def test_scale_by_degree_composes():
 
 
 def test_graded_product_unit():
-    u = GradedValue.unit("complex")
+    u = GradedValue("complex", {0: 1})
     v = GradedValue("complex", {0: 2.0, 2: 1.5})
     assert graded_deviation(graded_product(u, v), v) <= TOL
 

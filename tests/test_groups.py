@@ -663,18 +663,20 @@ def test_gset_validation_is_exact_on_large_groups():
     GSet(W, W.size, GSet.left_translation(W).table)
 
 
-@pytest.mark.parametrize("act", [
-    [[1, 1, 0, 1], [0, 0, 1, 0]],   # the identity moves the points
-    [[0, 1, 0, 1], [1, 0, 1, 2]],   # an image outside the set
-    [[0, 1, 0, 1]],                 # one row for two points
-    [[0, 1, 0, 1], [1, 0, 1, 0.5]], # a float, which an int cast reads as 0
-    [[0, 1, 0, 1.0], [1, 0, 1, 0]], # even an integral float
-    [[False, True, False, True], [True, False, True, False]],   # booleans
-    [[0, 1, 0, 1], [1, 0, 1]],      # a ragged table
-])
-def test_gset_validation_rejects_malformed_tables(act):
+@pytest.mark.parametrize("size,act", [
+    (2, [[1, 1, 0, 1], [0, 0, 1, 0]]),     # the identity moves the points
+    (2, [[0, 1, 0, 1], [1, 0, 1, 2]]),     # an image outside the set
+    (2, [[0, 1, 0, 1]]),                   # one row for two points
+    (2, [[0, 1, 0, 1], [1, 0, 1, 0.5]]),   # a float, which an int cast reads as 0
+    (2, [[0, 1, 0, 1.0], [1, 0, 1, 0]]),   # even an integral float
+    (2, [[False, True, False, True], [True, False, True, False]]),   # booleans
+    (2, [[0, 1, 0, 1], [1, 0, 1]]),        # a ragged table
+    (2.0, [[0, 1, 0, 1], [1, 0, 1, 0]]),   # a float size: (2, 4) == (2.0, 4)
+    (True, [[0, 0, 0, 0]]),                # a boolean size
+], ids=[f"act{i}" for i in range(9)])
+def test_gset_validation_rejects_malformed_tables(size, act):
     with pytest.raises(GroupError):
-        GSet(cyclic_group(4), 2, act)
+        GSet(cyclic_group(4), size, act)
 
 
 def test_gset_keeps_a_read_only_copy_of_its_table():

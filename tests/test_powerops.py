@@ -7,6 +7,7 @@ from charops.classfn import ClassFunction
 from charops.coefficients import (
     DEFAULT_TAU_SAMPLES,
     GradedValue,
+    LatFunction,
     eisenstein_series,
     graded_deviation,
 )
@@ -16,6 +17,7 @@ from charops.groups import (
     GSet,
     commuting_tuples,
     cyclic_group,
+    quaternion_group,
     symmetric_group,
     tuple_conjugacy_classes,
     wreath,
@@ -33,7 +35,7 @@ from charops.classfn import add, multiply, pair_orbits
 from charops.lattices import LatticeError, mat_mul
 from charops.orbits import reduce_tuple
 from charops.verify import random_height1_function, random_height2_function
-from references import check_weight_homogeneity, conj, eisenstein_e2
+from references import cayley_translations, check_weight_homogeneity, conj, eisenstein_e2
 
 E4 = eisenstein_series(4, 400)
 E6 = eisenstein_series(6, 400)
@@ -389,6 +391,21 @@ def test_cayley_torsion_tuple_shape():
     assert p0 == (1, 0, 3, 2)  # translation by e1 on Z^2 / 2Z^2
 
 
+@pytest.mark.parametrize("d,n", [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1),
+                                 (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_cayley_torsion_tuple_matches_the_pointwise_translations(d, n):
+    """Every n^d <= 9 with d <= 3, d = 0 included: entry j is the diagonal
+    of h_j with the translation by e_j of the reference."""
+    for G in (cyclic_group(3), symmetric_group(3)):
+        for h in commuting_tuples(G, d):
+            tau = cayley_torsion_tuple(h, n)
+            W = tau.group
+            assert W.base == G and W.n == n ** d and tau.d == d
+            assert [W.decode(e) for e in tau.elements] == [
+                ((h_j,) * n ** d, perm)
+                for h_j, perm in zip(h.elements, cayley_translations(n, d))]
+
+
 def test_adams_via_power_d1_exhaustive():
     S3 = symmetric_group(3)
     rng = random.Random(5)
@@ -530,6 +547,59 @@ def test_pseudo_power_rejects_a_section_off_the_stabilizer():
             Q.evaluate(CommutingTuple(W, els), 0)
         # on a tuple whose orbits all have stabilizer Z^d the section is fine
         assert Q.evaluate(CommutingTuple(W, (W.identity,) * d), 0).components[0] == 1.0
+
+
+# the sections of the etheory-agreement suite, one per rank
+TWISTED_SECTIONS = {1: lambda L: mat_mul(((-1,),), L.basis),
+                    2: lambda L: mat_mul(((1, 1), (0, 1)), L.basis)}
+
+
+@pytest.mark.parametrize("G,d,arities", [
+    (cyclic_group(2), 1, (1, 2, 3, 4)),
+    (cyclic_group(4), 1, (1, 2, 3, 4)),
+    (quaternion_group(), 1, (1, 2, 3, 4)),
+    (symmetric_group(3), 1, (1, 2, 3, 4)),
+    (cyclic_group(2), 2, (1, 2, 3)),
+    (symmetric_group(3), 2, (1, 2))],
+    ids=["C2 d=1", "C4 d=1", "Q8 d=1", "S3 d=1", "C2 d=2", "S3 d=2"])
+def test_reduced_entries_of_a_p_power_tuple_have_p_power_order(G, d, arities):
+    """A reduced entry is the basepoint coordinate of a product of commuting
+    2-power elements, so it has 2-power order, under the HNF basis and the
+    twisted sections alike: the pseudo-power operation checks only the
+    entries of its input.  Class representatives at d = 1 and every pair
+    at d = 2, as in the etheory-agreement suite.  The 2-groups of that
+    suite hold it trivially, as all their elements have 2-power order; S3
+    has 3-cycles."""
+    for n in arities:
+        W = wreath(G, n)
+        tuples = ([c.representative for c in tuple_conjugacy_classes(W, 1)] if d == 1
+                  else commuting_tuples(W, 2))
+        for H in tuples:
+            if not all(_pow2_order(W, e) for e in H.elements):
+                continue
+            for basis in (None, TWISTED_SECTIONS[d]):
+                for h_k in reduce_tuple(H, basis=basis).reduced:
+                    assert all(_pow2_order(G, e) for e in h_k.elements)
+
+
+def test_pseudo_power_equals_the_power_operation_on_a_lattice_function():
+    """A degree-0 "lat" input that is not a constant, one value on every
+    commuting pair of C2: the pseudo-power operation is the orbit product
+    of the power operation, basis slash included.  The input is not
+    invariant, so the power operation warns."""
+    C2 = cyclic_group(2)
+    F = eisenstein_series(4, 200) * LatFunction.from_q_expansion(-4, [1.0] + [0.0] * 199)
+    f = ClassFunction.from_values(
+        C2, 2, {(t.elements, 0): GradedValue("lat", {0: F}) for t in commuting_tuples(C2, 2)},
+        kind="lat")
+    Q = pseudo_power_etheory(f, 2, p=2)
+    with pytest.warns(UserWarning, match="non-invariant input"):
+        P = power_operation(f, 2)
+    classes = tuple_conjugacy_classes(Q.group, 2)
+    assert len(classes) == 22
+    for c in classes:
+        assert graded_deviation(Q.evaluate(c.representative, 0),
+                                P.evaluate(c.representative, 0)) == 0.0
 
 
 def test_pseudo_power_rejects_bad_order():
