@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattices
-from .lattices import int_mat_det
 
 # Group elements per batched step of the exact validation checks (divided
 # by the number of points for G-sets): bounds the temporary arrays
@@ -969,68 +968,10 @@ def _transitive_block(G, L, h):
     return block
 
 
-# ---------------------------------------------------------------------------
-# integer matrices and the unimodular action on tuples
-
-
-def int_mat_inverse_unimodular(M):
-    """Exact inverse of a matrix with determinant +-1 (adjugate method)."""
-    n = len(M)
-    det = int_mat_det(M)
-    if det not in (1, -1):
-        raise GroupError(f"matrix is not unimodular (det={det})")
-    if n == 0:
-        return []
-    if n == 1:
-        return [[det]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
-            adj[j][i] = (-1) ** (i + j) * int_mat_det(minor)
-    return [[a * det for a in row] for row in adj]  # det is +-1
-
-
-def gl_act_on_tuple_array(G, gamma, tuples):
-    """Basis-change action of GL_d(Z) on the rows of an (M, d) array of
-    commuting d-tuples over G.
-
-    The convention is precomposition with the inverse transpose: the j-th
-    entry of gamma.h is h evaluated at the j-th row of gamma^-1.  For d = 2
-    and gamma = [[a,b],[c,d]] this gives (g, g') -> (g^d g'^-b, g^-c g'^a).
-
-    Composition is contravariant: T_{AB} = T_B . T_A (an action of the
-    opposite group).  The coefficient-side slash composes the same way, so
-    the two twists pair coherently in invariance checks.
-    """
-    tuples = np.asarray(tuples, dtype=np.int64)
-    d = tuples.shape[-1]
-    if len(gamma) != d or any(len(r) != d for r in gamma):
-        raise GroupError("matrix shape does not match tuple arity")
-    ginv = int_mat_inverse_unimodular([list(r) for r in gamma])
-    out = np.empty_like(tuples)
-    for j, row in enumerate(ginv):
-        acc = np.full(tuples.shape[:-1], G.identity, dtype=np.int64)
-        for i, k in enumerate(row):
-            if k:
-                acc = G.mul_array(acc, _power_array(G, tuples[..., i], k))
-        out[..., j] = acc
-    return out
-
-
-def _power_array(G, a, k):
-    """a^k elementwise, by repeated squaring."""
-    if k < 0:
-        a, k = G.inv_array(a), -k
-    out = np.full(np.shape(a), G.identity, dtype=np.int64)
-    while k:
-        if k & 1:
-            out = G.mul_array(out, a)
-        a = G.mul_array(a, a)
-        k >>= 1
-    return out
-
-
+# The generators of SL_2(Z) that move pairs in `pair_moves`: S (g, h) =
+# (h, g^-1) and T (g, h) = (g h^-1, h).  Entry j of gamma.h is h evaluated at
+# row j of gamma^-1, so the action composes contravariantly (T_{AB} = T_B
+# T_A), as the coefficient slash does.
 SL2_S = ((0, -1), (1, 0))
 SL2_T = ((1, 1), (0, 1))
 
@@ -1254,8 +1195,9 @@ def pair_moves(G, tuples, points, space, elliptic=False):
     moved, moved_points = conjugate_pairs(G, gens, tuples, points, space)
     out = [("conjugation", z, moved[k], moved_points[k]) for k, z in enumerate(gens)]
     if elliptic and tuples.shape[1] == 2:
-        out += [("sl2", gamma, gl_act_on_tuple_array(G, gamma, tuples), points)
-                for gamma in (SL2_S, SL2_T)]
+        g, h = tuples[:, 0], tuples[:, 1]
+        out += [("sl2", SL2_S, np.stack([h, G.inv_array(g)], axis=1), points),
+                ("sl2", SL2_T, np.stack([G.mul_array(g, G.inv_array(h)), h], axis=1), points)]
     return out
 
 

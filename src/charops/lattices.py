@@ -89,6 +89,8 @@ def hnf(M):
     d = len(M)
     if any(len(r) != d for r in M):
         raise LatticeError("hnf expects a square matrix")
+    if any(type(x) is not int for r in M for x in r):      # bool is a subclass of int
+        raise LatticeError(f"hnf expects integer entries, got {M!r}")
     if d == 0:
         return ()
     if int_mat_det([list(r) for r in M]) == 0:
@@ -194,14 +196,19 @@ def stabilizer_lattice(perms, basepoint):
 
     The permutations must commute pairwise and act transitively; the action
     of a transitive abelian group is simply transitive, so the stabilizer is
-    basepoint independent and its index equals the orbit size.
+    basepoint independent and its index equals the orbit size.  Every entry
+    must permute one common range(n), with the basepoint in it.
     """
     perms = [tuple(p) for p in perms]
     npts = len(perms[0]) if perms else 1
     for i, p in enumerate(perms):
-        for j, q in enumerate(perms[i + 1:], i + 1):
+        if any(type(x) is not int for x in p) or sorted(p) != list(range(npts)):
+            raise LatticeError(f"entry {i} is not a permutation of range({npts}): {p!r}")
+        for j, q in enumerate(perms[:i]):
             if [p[x] for x in q] != [q[x] for x in p]:
-                raise LatticeError(f"permutations {i} and {j} do not commute")
+                raise LatticeError(f"permutations {j} and {i} do not commute")
+    if perms and not (type(basepoint) is int and 0 <= basepoint < npts):
+        raise LatticeError(f"basepoint {basepoint!r} is not in range({npts})")
     labels, L = orbit_lattice(perms, basepoint)
     if len(labels) != npts:
         raise LatticeError("action is not transitive")

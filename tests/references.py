@@ -7,17 +7,22 @@ None of these is used by the package itself: each restates a convention of
 import itertools
 
 from charops.coefficients import LatFunction, divisor_power_sums
-from charops.groups import CommutingTuple, GroupError, int_mat_inverse_unimodular, perm_inverse
+from charops.groups import CommutingTuple, GroupError, perm_inverse
 
 
 def gl_act_on_tuple(gamma, h):
-    """Basis change of one commuting tuple: entry j of gamma.h is h at row j
-    of gamma^-1 (the convention of `groups.gl_act_on_tuple_array`)."""
-    d = h.d
-    if len(gamma) != d or any(len(r) != d for r in gamma):
-        raise GroupError("matrix shape does not match tuple arity")
-    ginv = int_mat_inverse_unimodular([list(r) for r in gamma])
-    return CommutingTuple(h.group, tuple(h.at(ginv[j]) for j in range(d)))
+    """Basis change of one commuting tuple by a 2 x 2 unimodular gamma: entry
+    j of gamma.h is h at row j of gamma^-1, so the action composes
+    contravariantly.  The general form of the S and T moves of
+    `groups.pair_moves`."""
+    if h.d != 2 or len(gamma) != 2 or any(len(r) != 2 for r in gamma):
+        raise GroupError("gl_act_on_tuple takes a 2 x 2 matrix and a pair")
+    (a, b), (c, d) = gamma
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise GroupError(f"matrix is not unimodular (det={det})")
+    ginv = ((d * det, -b * det), (-c * det, a * det))  # det is +-1
+    return CommutingTuple(h.group, tuple(h.at(row) for row in ginv))
 
 
 def conj(G, z, a):

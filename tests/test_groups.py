@@ -475,7 +475,7 @@ def test_wreath_classes_other_arities_use_bfs(d):
     assert all(c.representative.elements == class_members(c)[0] for c in built)
 
 
-# --- GL_d(Z) action ---------------------------------------------------------------
+# --- GL_2(Z) action (the scalar oracle of the S and T moves) ----------------------
 
 def test_gl_action_s_matrix():
     S3 = symmetric_group(3)

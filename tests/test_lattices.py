@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from charops.groups import (commuting_tuple_array, int_mat_det, wreath, cyclic_group,
-                            symmetric_group)
+from charops.groups import commuting_tuple_array, wreath, cyclic_group, symmetric_group
 from charops.lattices import (
     LatticeError,
     Sublattice,
     hnf,
+    int_mat_det,
     mat_identity,
     orbit_lattice,
     random_unimodular,
@@ -150,6 +150,26 @@ def test_stabilizer_requires_commuting():
     t = (0, 2, 1)
     with pytest.raises(LatticeError):
         stabilizer_lattice([s, t], 0)
+
+
+@pytest.mark.parametrize("entry,args", [
+    (stabilizer_lattice, ([(1, 1)], 0)),             # not a permutation: the walk never ended
+    (stabilizer_lattice, ([(0, 1)], -1)),            # basepoint never revisited
+    (stabilizer_lattice, ([(1, 0), (0, 1, 2)], 0)),  # lengths differ
+    (stabilizer_lattice, ([(1, 0, 2), (0, 1)], 0)),
+    (stabilizer_lattice, ([(0, 1)], 5)),             # basepoint out of range
+    (hnf, (((0.5, 0.3), (0.2, 1)),)),                # floats were reduced as if exact
+    (hnf, (((1.5, 0), (0, 1)),)),
+    (hnf, (((True, 0), (0, 1)),)),
+], ids=["repeated-point", "basepoint-minus-1", "longer-second", "shorter-second",
+        "basepoint-5", "float-matrix", "float-pivot", "bool-entry"])
+def test_lattice_entry_points_refuse_malformed_input(entry, args):
+    with pytest.raises(LatticeError):
+        entry(*args)
+
+
+def test_stabilizer_of_no_permutations_is_the_rank_0_lattice():
+    assert stabilizer_lattice([], 0) == Sublattice((), d=0)
 
 
 def test_stabilizer_index_equals_orbit_size_wreath():

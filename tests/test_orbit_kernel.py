@@ -29,6 +29,7 @@ from charops.groups import (
     cyclic_group,
     direct_product,
     fixed_points,
+    pair_moves,
     quaternion_group,
     symmetric_group,
     tuple_conjugacy_classes,
@@ -126,6 +127,26 @@ def test_pair_orbits_match_scalar_bfs(name, d):
 def test_pair_orbits_product_space(d):
     P, X = _product_space()
     assert pair_orbits(P, d, X) == scalar_pair_orbits(P, d, X)
+
+
+@pytest.mark.parametrize("name", [name for name, d in ORBIT_CASES if d == 2])
+def test_sl2_moves_match_the_scalar_basis_change(name):
+    """The last two moves of an elliptic pair are S and T, each equal to
+    `gl_act_on_tuple` on every commuting pair, and keep the point; the orbit
+    tests alone would not tell S from S^-1."""
+    G = GROUPS[name]()
+    for label, X in spaces(name, G).items():
+        pairs = [(h, x) for h in commuting_tuples(G, 2) for x in fixed_points(X, h)]
+        tuples = np.array([h.elements for h, _ in pairs], dtype=np.int64)
+        points = np.array([x for _, x in pairs], dtype=np.int64)
+        moves = pair_moves(G, tuples, points, X, elliptic=True)
+        assert [kind for kind, *_ in moves] == \
+            ["conjugation"] * len(G.generators()) + ["sl2", "sl2"], label
+        for (_, move, moved, moved_points), gamma in zip(moves[-2:], (SL2_S, SL2_T)):
+            assert move == gamma
+            assert moved.tolist() == [list(gl_act_on_tuple(gamma, h).elements)
+                                      for h, _ in pairs], (label, gamma)
+            assert moved_points.tolist() == points.tolist(), (label, gamma)
 
 
 def _sample_keys(G, d, X, count, rng):

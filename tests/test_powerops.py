@@ -374,29 +374,12 @@ def test_adams_composition_degree0():
         assert graded_deviation(lhs.evaluate(t, 0), rhs.evaluate(t, 0)) == 0.0
 
 
-def test_cayley_torsion_tuple_shape():
-    C2 = cyclic_group(2)
-    h = CommutingTuple(C2, (1,))
-    tau = cayley_torsion_tuple(h, 2)
-    W = tau.group
-    assert W.n == 2
-    bases, perm = W.decode(tau.elements[0])
-    assert bases == (1, 1) and perm == (1, 0)
-
-    h2 = CommutingTuple(C2, (1, 0))
-    tau2 = cayley_torsion_tuple(h2, 2)
-    assert tau2.group.n == 4
-    b0, p0 = tau2.group.decode(tau2.elements[0])
-    assert b0 == (1, 1, 1, 1)
-    assert p0 == (1, 0, 3, 2)  # translation by e1 on Z^2 / 2Z^2
-
-
 @pytest.mark.parametrize("d,n", [(0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1),
                                  (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_cayley_torsion_tuple_matches_the_pointwise_translations(d, n):
     """Every n^d <= 9 with d <= 3, d = 0 included: entry j is the diagonal
     of h_j with the translation by e_j of the reference."""
-    for G in (cyclic_group(3), symmetric_group(3)):
+    for G in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
         for h in commuting_tuples(G, d):
             tau = cayley_torsion_tuple(h, n)
             W = tau.group
