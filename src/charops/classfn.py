@@ -19,6 +19,7 @@ verified on the generators S and T.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -206,7 +207,10 @@ class ClassFunction:
     def is_invariant(self, tau_samples=DEFAULT_TAU_SAMPLES, tol=TOL,
                      sample_pairs=None):
         """Check conjugation invariance and, when elliptic, the S/T
-        compatibility value(gamma.h, x) = gamma-slash of value(h, x).
+        compatibility value(gamma.h, x) = gamma-slash of value(h, x).  A
+        check fails when its deviation exceeds tol * max(1, s), s the largest
+        magnitude of the expected value at the tau samples (an infinite
+        deviation always fails); the report's max_deviation is absolute.
 
         The report of a function with stored values at the default
         tau_samples and tol, over every stored key, is computed once and
@@ -249,11 +253,13 @@ class ClassFunction:
             base = self._value(els, x)
             for kind, move, moved, moved_points in moves:
                 expected = base if kind == "conjugation" else weight_slash_graded(move, base)
-                dev = _graded_deviation(self._value(tuple(moved[i]), moved_points[i]),
-                                        expected, stored, stored if expected is base else slashed)
+                dev, compared = _graded_deviation(
+                    self._value(tuple(moved[i]), moved_points[i]), expected,
+                    stored, stored if expected is base else slashed)
                 checked += 1
                 worst = max(worst, dev)
-                if dev > tol:
+                if dev > tol and (dev == math.inf or dev > tol * max(
+                        1.0, *(abs(x) for samples in compared for x in samples))):
                     violations.append(InvarianceViolation(kind, (els, x), move, dev))
         return InvarianceReport(violations, worst, checked)
 

@@ -191,7 +191,7 @@ def cmd_hecke(cfg):
 
 
 def cmd_verify(cfg):
-    results = run_all_suites(seed=cfg.seed, mutate=cfg.mutate)
+    results = run_all_suites(seed=cfg.seed)
     stream = cfg.out or sys.stdout
     if cfg.fmt == "json":
         write_json({"seed": cfg.seed,
@@ -206,9 +206,6 @@ def cmd_verify(cfg):
         stream.write(f"# verification run, seed {cfg.seed}\n")
         for r in results:
             stream.write(r.line() + "\n")
-        stream.write("# note: the Adams degree scaling follows the square-root "
-                     "convention n^(deg/2); the full-degree variant is "
-                     "demonstrably inconsistent (try --mutate adams-exponent)\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -246,7 +243,6 @@ def build_parser():
     sp.add_argument("form", help="E4, E6, or inline JSON {weight, q}")
     sp.set_defaults(run=cmd_hecke)
     sp = sub.add_parser("verify", help="run every verification suite")
-    sp.add_argument("--mutate", choices=("adams-exponent",), default=None)
     sp.set_defaults(run=cmd_verify)
     return p
 

