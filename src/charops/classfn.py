@@ -46,11 +46,15 @@ from .groups import (
     GroupError,
     GroupHomomorphism,
     GSet,
-    conjugation_orbit,
+    conjugation_orbits,
     pair_moves,
     pair_orbits,
     wreath,
 )
+
+# Conjugated pairs per batch when `from_values` canonicalizes its keys: an
+# unbounded batch raises the peak memory of reading a large function.
+_CONJUGATION_BATCH = 4096
 
 
 @dataclass
@@ -106,13 +110,22 @@ class ClassFunction:
 
     @classmethod
     def from_values(cls, group, d, values, space=None, kind="complex"):
-        """Build from {(els, x): GradedValue}, checking and canonicalizing keys;
-        values of another kind, or differing on one orbit, raise GroupError."""
+        """Build from {(els, x): GradedValue}: check every key, enter the orbits
+        of the distinct keys into the canonical map in batches of at most
+        _CONJUGATION_BATCH conjugated pairs, then store the values.  A value
+        of another kind, or two differing values on one orbit, raise GroupError."""
         f = cls(group, d, space, kind, values={})
+        checked = []
         for (els, x), val in values.items():
             if val.kind != kind:
                 raise GroupError(f"a {val.kind!r} value in a {kind!r} function")
-            key = f.canonical_key(*f._checked_key(els, x))
+            checked.append((f._checked_key(els, x), val))
+        keys = list(dict.fromkeys(key for key, _ in checked))
+        step = max(1, _CONJUGATION_BATCH // group.size)
+        for start in range(0, len(keys), step):
+            f._enter_orbits([key for key in keys[start:start + step] if key not in f._canon])
+        for key, val in checked:
+            key = f._canon[key]
             if graded_deviation(f.values.setdefault(key, val), val) > 0:
                 raise GroupError(f"keys of the orbit of {key} carry different values")
         return f
@@ -129,19 +142,23 @@ class ClassFunction:
     # keys --------------------------------------------------------------------
 
     def canonical_key(self, els, x):
-        """The least pair of the orbit of (els, x).  The first key of an
-        orbit conjugates by every group element in one batched call and
-        enters the whole orbit into the canonical map, so later keys of the
-        same orbit are dict hits; the map never outgrows the domain, since
-        a point that the tuple does not fix raises GroupError."""
+        """The least pair of the orbit of (els, x).  A stored function's map
+        holds its stored orbits from construction; the first read of another
+        orbit conjugates it by every group element in one batched call and
+        enters the whole orbit.  The map never outgrows the domain, since a
+        point that the tuple does not fix raises GroupError."""
         hit = self._canon.get((els, x))
         if hit is not None:
             return hit
         if any(self.space.apply(e, x) != x for e in els):
             raise GroupError(f"point {x} is not fixed by the tuple {els}")
-        orbit = conjugation_orbit(self.group, els, x, self.space)
-        self._canon.update(dict.fromkeys(orbit, orbit[0]))
-        return orbit[0]
+        self._enter_orbits([(els, x)])
+        return self._canon[(els, x)]
+
+    def _enter_orbits(self, pairs):
+        """Enter the whole orbit of each pair into the canonical map."""
+        for orbit in conjugation_orbits(self.group, pairs, self.space):
+            self._canon.update(dict.fromkeys(orbit, orbit[0]))
 
     def _checked_key(self, h, x):
         """(els, x) with Python int entries, after checking that it is a pair

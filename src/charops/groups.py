@@ -833,7 +833,7 @@ def commuting_tuple_array(G, d):
 class TupleClass:
     """One simultaneous-conjugation class of commuting d-tuples.
 
-    `size` is the number of tuples in the class; `conjugation_orbit` of the
+    `size` is the number of tuples in the class; `conjugation_orbits` of the
     representative lists them.
     """
 
@@ -1153,22 +1153,30 @@ def conjugate_pairs(G, zs, tuples, points, space):
     return moved, space.apply_array(zs[:, None], points[None])
 
 
-def conjugation_orbit(G, els, x, space):
-    """The orbit of the pair (els, x), conjugated by every element of G in
-    one batched call: its distinct pairs, sorted."""
-    codes = PairCodes(G, len(els), space.size)
-    if not (all(0 <= e < G.size for e in els) and 0 <= x < space.size):
-        raise GroupError(f"pair ({els}, {x}) leaves the group or the space")
-    moved, points = conjugate_pairs(G, np.arange(G.size),
-                                    np.array(els, dtype=np.int64).reshape(1, -1),
-                                    np.array([x], dtype=np.int64), space)
-    moved, points = moved[:, 0], points[:, 0]
+def conjugation_orbits(G, pairs, space):
+    """The orbit of each pair (els, x) of the list, all of one arity, under
+    conjugation by every element of G: its distinct pairs, sorted.  One
+    `conjugate_pairs` call and one column-wise argsort of the (|G|, M) codes
+    serve all M pairs, so callers bound M |G| (stored class functions pass
+    their keys in batches of at most 4096 conjugated pairs)."""
+    if not pairs:
+        return []
+    codes = PairCodes(G, len(pairs[0][0]), space.size)
+    for els, x in pairs:
+        if not (all(0 <= e < G.size for e in els) and 0 <= x < space.size):
+            raise GroupError(f"pair ({els}, {x}) leaves the group or the space")
+    tuples, xs = (np.array(a, dtype=np.int64) for a in zip(*pairs))
+    moved, points = conjugate_pairs(G, np.arange(G.size), tuples, xs, space)
     code = codes.encode(moved, points)
-    # first occurrence of each code in sorted order (np.unique would import
-    # numpy.ma, about 0.5 MB)
-    order = np.argsort(code, kind="stable")
-    keep = order[np.concatenate(([True], np.diff(code[order]) != 0))]
-    return list(zip(map(tuple, moved[keep].tolist()), points[keep].tolist()))
+    # the first of each run of equal codes in sorted order, column by column
+    # (np.unique would import numpy.ma, about 0.5 MB); codes are >= 0
+    order = np.argsort(code, axis=0)
+    first = np.diff(np.take_along_axis(code, order, axis=0), axis=0, prepend=-1) != 0
+    cols, at = np.nonzero(first.T)          # pair by pair, ascending codes
+    rows = order[at, cols]
+    orbits = list(zip(map(tuple, moved[rows, cols].tolist()), points[rows, cols].tolist()))
+    ends = np.cumsum(first.sum(axis=0)).tolist()
+    return [orbits[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def pair_moves(G, tuples, points, space, elliptic=False):

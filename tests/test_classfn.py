@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from charops import classfn
 from charops.classfn import (
     ClassFunction,
     InvarianceViolation,
@@ -610,6 +611,36 @@ def test_a_nan_value_conflicts_with_a_number_on_its_orbit():
     for first, second in ((nan, one), (one, nan)):
         with pytest.raises(GroupError, match="carry different values"):
             ClassFunction.from_values(S3, 1, {((1,), 0): first, ((2,), 0): second})
+
+
+def _keys_across_a_batch_border():
+    """Eleven keys of C4 wr 3, whose order 384 puts 4096 // 384 = 10 keys in a
+    batch of `from_values`: ten class representatives, then a conjugate of
+    the first, other than it, in the second batch."""
+    W = wreath(cyclic_group(4), 3)
+    reps = [c.representative.elements for c in tuple_conjugacy_classes(W, 1) if c.size > 1]
+    g = reps[0][0]
+    other = next(c for c in (conj(W, z, g) for z in range(W.size)) if c != g)
+    return W, [(rep, 0) for rep in reps[:10]] + [((other,), 0)]
+
+
+def test_from_values_refuses_conflicts_across_batch_borders():
+    """A conflict between keys of one orbit in different batches is refused
+    like one inside a batch; the key checks all run before any value is
+    compared, so a key outside the domain is reported before a conflict."""
+    W, keys = _keys_across_a_batch_border()
+    assert len(keys) == 11 and classfn._CONJUGATION_BATCH // W.size == 10
+    one, two = GradedValue("complex", {0: 1.0}), GradedValue("complex", {0: 2.0})
+    nan = GradedValue("complex", {0: float("nan")})
+    values = dict.fromkeys(keys, one)
+    assert len(ClassFunction.from_values(W, 1, values).values) == 10
+    for first, last in ((one, two), (nan, one), (one, nan)):
+        with pytest.raises(GroupError, match="carry different values"):
+            ClassFunction.from_values(W, 1, {**values, keys[0]: first, keys[-1]: last})
+    with pytest.raises(GroupError, match="a 'lat' value in a 'complex' function"):
+        ClassFunction.from_values(W, 1, {**values, keys[-1]: GradedValue("lat", {4: E4})})
+    with pytest.raises(GroupError, match="expected a 1-tuple"):
+        ClassFunction.from_values(W, 1, {**values, keys[-1]: two, ((0, 0), 0): one})
 
 
 def test_a_value_of_another_kind_is_refused_at_construction():

@@ -15,7 +15,7 @@ from charops.groups import (
     TableGroup,
     build_group,
     commuting_tuples,
-    conjugation_orbit,
+    conjugation_orbits,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -43,7 +43,8 @@ from references import (
 def class_members(cls):
     """The sorted tuples of a class: its representative's conjugation orbit."""
     rep = cls.representative
-    return [els for els, _ in conjugation_orbit(rep.group, rep.elements, 0, GSet.point(rep.group))]
+    [orbit] = conjugation_orbits(rep.group, [(rep.elements, 0)], GSet.point(rep.group))
+    return [els for els, _ in orbit]
 
 
 def brute_conjugacy_classes(G):

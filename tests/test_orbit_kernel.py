@@ -1,7 +1,7 @@
 """The batched conjugation kernel against its scalar definitions.
 
 `ClassFunction.canonical_key`, `classfn.pair_orbits` and
-`groups.tuple_conjugacy_classes_bfs` (with `groups.conjugation_orbit`) act on
+`groups.tuple_conjugacy_classes_bfs` (with `groups.conjugation_orbits`) act on
 whole arrays of pairs at once.  The oracles below are the scalar walks they
 replaced, one `G.conj` per entry: the minimum over every z of
 (z h z^-1, z x), and the breadth-first search over generator moves.
@@ -9,12 +9,14 @@ replaced, one `G.conj` per entry: the minimum over every z of
 
 import functools
 import random
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from charops import classfn, groups
 from charops.classfn import ClassFunction, pair_orbits
 from charops.coefficients import GradedValue
 from charops.groups import (
@@ -25,7 +27,7 @@ from charops.groups import (
     GSet,
     PairCodes,
     commuting_tuples,
-    conjugation_orbit,
+    conjugation_orbits,
     cyclic_group,
     direct_product,
     fixed_points,
@@ -40,9 +42,25 @@ from charops.powerops import PowerGSet
 from references import conj, gl_act_on_tuple
 
 
+def scalar_orbit(G, space, els, x, conjugate=conj):
+    return sorted({(tuple(conjugate(G, z, e) for e in els), space.apply(z, x))
+                   for z in range(G.size)})
+
+
 def scalar_canonical_key(G, space, els, x):
-    return min((tuple(conj(G, z, e) for e in els), space.apply(z, x))
-               for z in range(G.size))
+    return scalar_orbit(G, space, els, x)[0]
+
+
+def scalar_orbits_of(G, space, pairs):
+    """`scalar_orbit` of each pair, computed once per orbit and with each
+    conjugate z e z^-1 computed once."""
+    conjugate = functools.lru_cache(maxsize=None)(conj)
+    orbit_of = {}
+    for pair in pairs:
+        if pair not in orbit_of:
+            orbit = scalar_orbit(G, space, *pair, conjugate)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return [orbit_of[pair] for pair in pairs]
 
 
 def scalar_pair_orbits(G, d, space, elliptic=False):
@@ -199,10 +217,67 @@ def test_canonical_map_holds_one_orbit_per_miss():
     assert set(f._canon) == orbit and set(f._canon.values()) == {key}
 
 
+# Q8 wr 3 (order 3072) is left out: its batches hold one key each, and its
+# scalar orbits alone would take seconds
+@pytest.mark.parametrize("name,d", [(name, d) for name, d in ORBIT_CASES
+                                    if d > 0 and name != "Q8wr3"])
+def test_conjugation_orbits_match_scalar_orbits(name, d):
+    """Batched calls over every pair of the domain, in the batches of
+    `from_values`, give each pair's scalar orbit, whose least pair is
+    `scalar_canonical_key`."""
+    G = GROUPS[name]()
+    step = max(1, classfn._CONJUGATION_BATCH // G.size)
+    for label, X in spaces(name, G).items():
+        pairs = [(t.elements, x) for t in commuting_tuples(G, d) for x in fixed_points(X, t)]
+        orbits = [orbit for start in range(0, len(pairs), step)
+                  for orbit in conjugation_orbits(G, pairs[start:start + step], X)]
+        assert orbits == scalar_orbits_of(G, X, pairs), label
+
+
+def test_conjugation_orbits_of_no_pairs_and_of_pairs_outside():
+    point = GSet.point(S3)
+    assert conjugation_orbits(S3, [], point) == []
+    for els, x in (((6,), 0), ((-1,), 0), ((1,), 1)):
+        message = re.escape(f"pair ({els}, {x}) leaves the group or the space")
+        with pytest.raises(GroupError, match=message):
+            conjugation_orbits(S3, [((0,), 0), (els, x)], point)
+
+
+def test_from_values_canonicalizes_across_batches():
+    """All 384 elements of C4 wr 3 at d = 1 fill 39 batches of 10 keys in
+    `from_values`; every key maps to its scalar canonical key, and each
+    orbit is stored once."""
+    W = wreath(cyclic_group(4), 3)
+    keys = [((g,), 0) for g in range(W.size)]
+    expected = {key: orbit[0] for key, orbit in zip(keys, scalar_orbits_of(W, GSet.point(W), keys))}
+    f = ClassFunction.from_values(W, 1, {key: GradedValue("complex", {0: float(rep[0][0])})
+                                         for key, rep in expected.items()})
+    assert f._canon == expected
+    assert {key: v.components for key, v in f.values.items()} == \
+        {rep: {0: float(rep[0][0])} for rep in expected.values()}
+
+
+def test_from_values_conjugates_in_batches(monkeypatch):
+    """The 40 class representatives of C4 wr 3 (order 384, so 10 keys to a
+    batch of 4096 conjugated pairs) take ceil(40 / 10) = 4 `conjugate_pairs`
+    calls, not one per key."""
+    W = wreath(cyclic_group(4), 3)
+    values = {(c.representative.elements, 0): GradedValue("complex", {0: 1.0})
+              for c in tuple_conjugacy_classes(W, 1)}
+    calls = []
+    real = groups.conjugate_pairs
+    monkeypatch.setattr(groups, "conjugate_pairs", lambda *args: calls.append(args) or real(*args))
+    f = ClassFunction.from_values(W, 1, values)
+    assert classfn._CONJUGATION_BATCH // W.size == 10
+    assert len(values) == 40 and len(calls) == 4
+    assert len(f._canon) == W.size
+
+
 def class_members(cls):
     """The sorted tuples of a class: its representative's conjugation orbit."""
     rep = cls.representative
-    return [els for els, _ in conjugation_orbit(rep.group, rep.elements, 0, GSet.point(rep.group))]
+    [orbit] = conjugation_orbits(rep.group, [(rep.elements, 0)], GSet.point(rep.group))
+    return [els for els, _ in orbit]
 
 
 def scalar_tuple_orbit(G, elements):
@@ -256,9 +331,11 @@ def test_pair_codes_refuse_overflow():
 
 
 def test_concurrent_readers_agree_with_serial():
-    """Threads that canonicalize and evaluate one function read back from
-    JSON, over a shuffled key list, see exactly what a serial reader sees,
-    while canonical_key fills the shared canonical map."""
+    """Threads that canonicalize and evaluate one function, over a shuffled
+    key list, see exactly what a serial reader of it read back from JSON
+    sees, while canonical_key fills the shared canonical map.  The shared
+    function holds the stored values with an empty map: `from_json` would
+    fill the map for every stored orbit, leaving the threads only hits."""
     W = wreath(S3, 2)
     values = {}
     for i, cls in enumerate(tuple_conjugacy_classes(W, 2)):
@@ -269,7 +346,7 @@ def test_concurrent_readers_agree_with_serial():
     serial = {key: (serial_f.canonical_key(*key), serial_f.evaluate(*key).components)
               for key in keys}
 
-    shared = ClassFunction.from_json(W, data)
+    shared = ClassFunction(W, 2, values=serial_f.values)
     results = [None] * 4
     errors = []
 
